@@ -8,9 +8,10 @@ One composite step of the lower scheme is
     trim p(1-e^{-delta}) from the left
     -> diffuse for delta -> grow by e^delta -> trim back to mass 1 from the right
 
-and the upper scheme is its mirror image.  Iterated at matching total times
-the two schemes bracket the continuum solution, and their gap shrinks as the
-step is halved, which is how the common limit is extracted.
+and the upper scheme is its mirror image, computed as the lower step at 1-p
+on the reflected grid.  Iterated at matching total times the two schemes
+bracket the continuum solution, and their gap shrinks as the step is halved,
+which is how the common limit is extracted.
 
 Densities are nonnegative cell-centered samples on a uniform grid.  The
 support must stay inside the grid interior (first and last cells exactly
@@ -116,7 +117,9 @@ class GridDensity:
     mass: float = None  # type: ignore[assignment]  # derived in __post_init__
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
+        # copy first, so the checks below read contiguous memory even when
+        # values is a reversed view
+        vals = np.array(self.values, dtype=np.float64)
         if vals.ndim != 1 or vals.size < 3:
             raise ValueError("values must be a 1-d array with at least 3 cells")
         if self.dx <= 0.0:
@@ -127,7 +130,6 @@ class GridDensity:
             raise GridTooSmallError(
                 "support touches the grid boundary (first/last cell non-zero)"
             )
-        vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "mass", float(np.sum(vals) * self.dx))
@@ -241,10 +243,11 @@ def _trim_left(values: NDArray[np.float64], x0: float, dx: float, m: float, tota
     m is reported for boundary tracking.
     """
     n = len(values)
-    nz = np.flatnonzero(values)
     if m <= 0.0:
+        nz = np.flatnonzero(values)
         return values.copy(), x0 + (nz[0] if nz.size else 0) * dx
     if m >= total:
+        nz = np.flatnonzero(values)
         pos = x0 + ((nz[-1] + 1) if nz.size else n) * dx
         return np.zeros(n), pos
     prefix = np.cumsum(values) * dx
@@ -263,26 +266,13 @@ def _trim_left(values: NDArray[np.float64], x0: float, dx: float, m: float, tota
 
 
 def _trim_right(values: NDArray[np.float64], x0: float, dx: float, m: float, total: float):
-    """Mirror of :func:`_trim_left`: remove mass m from the right."""
-    n = len(values)
-    nz = np.flatnonzero(values)
-    if m <= 0.0:
-        return values.copy(), x0 + ((nz[-1] + 1) if nz.size else n) * dx
-    if m >= total:
-        return np.zeros(n), x0 + (nz[0] if nz.size else 0) * dx
-    suffix = np.cumsum(values[::-1]) * dx
-    k = int(np.searchsorted(suffix, m, side="left"))
-    j = max(n - 1 - k, 0)
-    part = float(np.sum(values[j:]) * dx)  # mass of cells j..n-1
-    out = values.copy()
-    out[j + 1 :] = 0.0
-    out[j] = min(max(part - m, 0.0) / dx, values[j])
-    above = part - values[j] * dx
-    if values[j] > 0.0:
-        pos = x0 + (j + 1) * dx - min(max((m - above) / values[j], 0.0), dx)
-    else:
-        pos = x0 + (j + 1) * dx
-    return out, pos
+    """Mirror of :func:`_trim_left`: remove mass m from the right.
+
+    Runs :func:`_trim_left` on the reflected grid, whose cells are reversed
+    and whose left edge is -(x0 + n*dx), and reflects the result back.
+    """
+    out, pos = _trim_left(values[::-1], -(x0 + len(values) * dx), dx, m, total)
+    return out[::-1], -pos
 
 
 def _checked_amount(f: GridDensity, m: float, what: str) -> float:
@@ -354,30 +344,34 @@ def step(f: GridDensity, params: SchemeParams) -> StepResult:
     """One composite scheme step on a probability density.
 
     Lower side: left cut to mass 1 - p(1-e^{-d}), diffuse for d, grow by e^d,
-    right cut back to mass 1.  Upper side: mirror image.  The positions of
-    the two cuts estimate the moving boundaries of the limiting free
-    boundary problem.
+    right cut back to mass 1.  Upper side: the lower step at 1-p on the
+    reflected grid, reflected back.  The positions of the two cuts estimate
+    the moving boundaries of the limiting free boundary problem.
     """
     if abs(f.mass - 1.0) > 1e-10:
         raise ValueError("step expects a probability density (mass 1 within 1e-10)")
     d = params.delta
-    growth = math.exp(d)
-    shed = 1.0 - math.exp(-d)
-    if params.side == "lower":
-        first_amount = _checked_amount(f, params.p * shed, "cut amount")
-        v1, left_pos = _trim_left(f.values, f.x0, f.dx, first_amount, f.mass)
-        g = gaussian_propagate(GridDensity(f.x0, f.dx, v1), d)
-        scaled = scale(g, growth)
-        v2, right_pos = _trim_right(
-            scaled.values, f.x0, f.dx, scaled.mass - 1.0, scaled.mass
-        )
-        return StepResult(GridDensity(f.x0, f.dx, v2), left_pos, right_pos, scaled.mass)
-    first_amount = _checked_amount(f, (1.0 - params.p) * shed, "cut amount")
-    v1, right_pos = _trim_right(f.values, f.x0, f.dx, first_amount, f.mass)
-    g = gaussian_propagate(GridDensity(f.x0, f.dx, v1), d)
-    scaled = scale(g, growth)
-    v2, left_pos = _trim_left(scaled.values, f.x0, f.dx, scaled.mass - 1.0, scaled.mass)
-    return StepResult(GridDensity(f.x0, f.dx, v2), left_pos, right_pos, scaled.mass)
+    lower = params.side == "lower"
+    q = params.p if lower else 1.0 - params.p
+    m = _checked_amount(f, q * (1.0 - math.exp(-d)), "cut amount")
+    if lower:
+        v, left_pos, right_pos, grown = _lower_step(f.values, f.x0, f.dx, m, f.mass, d)
+        return StepResult(GridDensity(f.x0, f.dx, v), left_pos, right_pos, grown)
+    x0 = -(f.x0 + f.n * f.dx)
+    v, left_pos, right_pos, grown = _lower_step(f.values[::-1], x0, f.dx, m, f.mass, d)
+    return StepResult(GridDensity(f.x0, f.dx, v[::-1]), -right_pos, -left_pos, grown)
+
+
+def _lower_step(values, x0: float, dx: float, m: float, total: float, d: float):
+    """Lower step on raw values: cut m of total from the left, diffuse and
+    grow for d, cut back to mass 1 from the right.
+
+    Returns (values, left cut position, right cut position, grown mass).
+    """
+    v1, left_pos = _trim_left(values, x0, dx, m, total)
+    scaled = scale(gaussian_propagate(GridDensity(x0, dx, v1), d), math.exp(d))
+    v2, right_pos = _trim_right(scaled.values, x0, dx, scaled.mass - 1.0, scaled.mass)
+    return v2, left_pos, right_pos, scaled.mass
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,17 @@ Selection acts only at multiples of the step delta:
 * upper side: the mirror image (drop from the right, keep the N rightmost).
 
 Run at matching times these two systems bracket the continuously selected
-process in distribution from below and above.
+process in distribution from below and above.  With R(x) = -x[::-1], the
+``mirror=True`` variant of each function is R applied to the same draws run
+on R(config), with the sides swapped and p replaced by 1-p, so the
+lower/upper mirror identity is exact by construction.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -70,26 +73,11 @@ class YuleStreams:
     def moves(self, n: int) -> NDArray[np.float64]:
         return self._moves.standard_normal(n)
 
-    def mirrored(self) -> "MirroredYuleStreams":
-        return MirroredYuleStreams(self)
 
-
-class MirroredYuleStreams(YuleStreams):
-    """Reflection view: per-block draws reversed, moves negated.
-
-    Feeding the space-reflected population through this view reproduces the
-    reflected free-branching outcome draw for draw, which is what makes the
-    lower/upper mirror identity exact rather than merely in law.
-    """
-
-    def __init__(self, base: YuleStreams) -> None:
-        self._base = base
-
-    def lifetimes(self, n: int) -> NDArray[np.float64]:
-        return self._base.lifetimes(n)[::-1]
-
-    def moves(self, n: int) -> NDArray[np.float64]:
-        return -self._base.moves(n)[::-1]
+def _streams(src: RandomSource | None) -> YuleStreams:
+    if src is None:
+        raise ValueError("a RandomSource is required")
+    return YuleStreams(src)
 
 
 def _free_bbm(positions: NDArray[np.float64], t: float, streams: YuleStreams):
@@ -112,7 +100,6 @@ def free_bbm(
     t: float,
     src: RandomSource | None = None,
     *,
-    streams: YuleStreams | None = None,
     mirror: bool = False,
 ) -> NDArray[np.float64]:
     """Branching Brownian motion without selection for time t.
@@ -120,17 +107,15 @@ def free_bbm(
     Every initial particle starts an independent unit-rate binary branching
     tree; split times are exact Exponential(1) clocks, so the population size
     rooted at one particle is Geometric(e^{-t}) with mean e^t.  Output is the
-    sorted positions of all particles alive at t.
+    sorted positions of all particles alive at t.  ``mirror=True`` returns
+    R(free_bbm(R(init))) with R(x) = -x[::-1].
     """
     if t < 0.0:
         raise ValueError("time must be non-negative")
+    streams = _streams(src)
     arr = np.asarray(init, dtype=np.float64)
-    if (src is None) == (streams is None):
-        raise ValueError("pass exactly one of src and streams")
-    if streams is None:
-        streams = YuleStreams(src)
     if mirror:
-        streams = streams.mirrored()
+        return -_free_bbm(-arr[::-1], t, streams)[::-1]
     return _free_bbm(arr, t, streams)
 
 
@@ -176,12 +161,25 @@ def _one_step(
     return BoundStepResult(out, removed, pre, padded)
 
 
+def _side_step(config, params, side, src, mirror) -> BoundStepResult:
+    """Shared body of :func:`lower_step` and :func:`upper_step`."""
+    if params.side != side:
+        raise ValueError(f"params.side must be '{side}'")
+    streams = _streams(src)
+    arr = np.asarray(config, dtype=np.float64)
+    if not mirror:
+        return _one_step(arr, params, streams)
+    other = "upper" if side == "lower" else "lower"
+    swapped = BoundSystemParams(params.N, 1.0 - params.p, params.delta, other)
+    res = _one_step(-arr[::-1], swapped, streams)
+    return replace(res, config=-res.config[::-1])
+
+
 def lower_step(
     config,
     params: BoundSystemParams,
     src: RandomSource | None = None,
     *,
-    streams: YuleStreams | None = None,
     mirror: bool = False,
 ) -> BoundStepResult:
     """One step of the lower bounding system.
@@ -189,17 +187,10 @@ def lower_step(
     Removes round(N p (1-e^{-delta})) leftmost particles, branches freely for
     delta, keeps the N leftmost survivors.  Too few survivors (possible but
     vanishingly rare at practical sizes) pad with copies of the leftmost and
-    set the ``padded`` flag.
+    set the ``padded`` flag.  ``mirror=True`` returns the reflection of the
+    upper step at 1-p on the reflected configuration.
     """
-    if params.side != "lower":
-        raise ValueError("params.side must be 'lower'")
-    if (src is None) == (streams is None):
-        raise ValueError("pass exactly one of src and streams")
-    if streams is None:
-        streams = YuleStreams(src)
-    if mirror:
-        streams = streams.mirrored()
-    return _one_step(np.asarray(config, dtype=np.float64), params, streams)
+    return _side_step(config, params, "lower", src, mirror)
 
 
 def upper_step(
@@ -207,20 +198,13 @@ def upper_step(
     params: BoundSystemParams,
     src: RandomSource | None = None,
     *,
-    streams: YuleStreams | None = None,
     mirror: bool = False,
 ) -> BoundStepResult:
     """Mirror image of :func:`lower_step`: trims the right, keeps the N
-    rightmost, pads (if ever needed) with copies of the rightmost."""
-    if params.side != "upper":
-        raise ValueError("params.side must be 'upper'")
-    if (src is None) == (streams is None):
-        raise ValueError("pass exactly one of src and streams")
-    if streams is None:
-        streams = YuleStreams(src)
-    if mirror:
-        streams = streams.mirrored()
-    return _one_step(np.asarray(config, dtype=np.float64), params, streams)
+    rightmost, pads (if ever needed) with copies of the rightmost.
+    ``mirror=True`` returns the reflection of the lower step at 1-p on the
+    reflected configuration."""
+    return _side_step(config, params, "upper", src, mirror)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,10 @@ elapsed time, with rank j consuming driving stream j after each re-sort;
 there is no path-discretization error.
 
 Shared streams give a monotone coupling: two copies started in dominance
-order stay ordered pathwise.  A mirrored stream view (negated increments,
-complemented index and selection draws) realises the reflection coupling
-between parameters p and 1-p exactly.
+order stay ordered pathwise.  The reflection coupling between parameters p
+and 1-p is built from the base run: with R(x) = -x[::-1], the mirrored run
+at p from x is R applied to the run at 1-p from R(x) on the same streams,
+so it is exact by construction.
 """
 
 from __future__ import annotations
@@ -137,34 +138,6 @@ class SimulationStreams:
         """Bernoulli(p) selection bit: True kills the leftmost particle."""
         return bool(self._select.random() < p)
 
-    def mirrored(self) -> "MirroredStreams":
-        return MirroredStreams(self)
-
-
-class MirroredStreams(SimulationStreams):
-    """Reflection view of a stream bundle.
-
-    Negates and rank-reverses the Gaussian increments, complements the branch
-    rank and the selection bit, and keeps event times.  Running parameter 1-p
-    on the mirror of the streams used for parameter p yields the exact
-    space-reflected trajectory.
-    """
-
-    def __init__(self, base: SimulationStreams) -> None:
-        self._base = base
-
-    def increments(self, n: int, dt: float) -> NDArray[np.float64]:
-        return -self._base.increments(n, dt)[::-1]
-
-    def event_gap(self, n: int) -> float:
-        return self._base.event_gap(n)
-
-    def branch_rank(self, n: int) -> int:
-        return n + 1 - self._base.branch_rank(n)
-
-    def keep_right(self, p: float) -> bool:
-        return not self._base.keep_right(1.0 - p)
-
 
 # ---------------------------------------------------------------------------
 # trajectories
@@ -185,8 +158,8 @@ def _prepare(init, p, T, sample_times):
     x = order(init)
     if not 0.0 < p < 1.0:
         raise ValueError("selection probability p must lie strictly in (0,1)")
-    if T < 0.0:
-        raise ValueError("time horizon must be non-negative")
+    if not math.isfinite(T) or T < 0.0:
+        raise ValueError(f"time horizon must be finite and non-negative, got {T!r}")
     if sample_times is None:
         times = np.array([float(T)])
     else:
@@ -214,18 +187,26 @@ def simulate(
     """Run one (N,p)-BBM trajectory; deterministic given its arguments.
 
     Exactly one of ``src`` and ``streams`` must be given; ``streams`` exists
-    so tests can stub the event clock.  ``mirror=True`` drives the run with
-    the reflected view of the streams (see :class:`MirroredStreams`).
+    so tests can stub the event clock.  ``mirror=True`` returns the
+    reflection of the run at 1-p from the reflected start, on the same
+    streams: extremes swap and change sign, configurations become -x[::-1].
     """
     x, times = _prepare(init, p, T, sample_times)
     if (src is None) == (streams is None):
         raise ValueError("pass exactly one of src and streams")
     if streams is None:
         streams = SimulationStreams(src)
-    if mirror:
-        streams = streams.mirrored()
-    n = len(x)
+    if not mirror:
+        return _run(x, p, T, times, streams, record_configs)
+    rec = _run(-x[::-1], 1.0 - p, T, times, streams, record_configs)
+    configs = None if rec.full_configs is None else -rec.full_configs[:, ::-1]
+    return TrajectoryRecord(
+        times, -rec.rightmost, -rec.leftmost, configs, rec.event_count
+    )
 
+
+def _run(x, p, T, times, streams, record_configs) -> TrajectoryRecord:
+    n = len(x)
     lefts = np.empty(len(times))
     rights = np.empty(len(times))
     configs = np.empty((len(times), n)) if record_configs else None

@@ -32,6 +32,7 @@ from .density import (
     SchemeParams,
     iterate_scheme,
     sample_from_density,
+    tail_mass,
 )
 from .particles import simulate
 from .randomness import RandomSource, TAG_INITIAL
@@ -271,15 +272,16 @@ def hydrodynamic_report(
 
     ``mirror=True`` is the reflection-coupling hook: the initial particles
     become the exact spatial reflection of the base sample (so their law is
-    the reflection of rho) and the simulation streams are mirrored.  The
+    the reflection of rho) and the simulation runs with ``mirror=True``.  The
     trajectory is then the exact negation of the base run for parameter 1-p;
     the scheme sandwich is still computed for (p, rho) as supplied.
     """
     k = round(t / delta)
     if abs(t - k * delta) > 1e-9 or k < 1:
         raise ValueError("t must be a positive integer multiple of delta")
-    u = src.generator(TAG_INITIAL).random(N)
-    init = np.sort(sample_from_density(rho, N, _FixedUniforms(u)), kind="stable")
+    init = np.sort(
+        sample_from_density(rho, N, src.generator(TAG_INITIAL)), kind="stable"
+    )
     if mirror:
         init = -init[::-1]
     rec = simulate(init, p, t, src, sample_times=[t], mirror=mirror,
@@ -289,10 +291,8 @@ def hydrodynamic_report(
     lower = iterate_scheme(rho, SchemeParams(p, delta, "lower"), k)
     upper = iterate_scheme(rho, SchemeParams(p, delta, "upper"), k)
     xs = rho.edges()
-    from .density import _edge_tails  # tails at the same edges as xs
-
-    lo_tail = _edge_tails(lower.density)
-    hi_tail = _edge_tails(upper.density)
+    lo_tail = tail_mass(lower.density, xs)
+    hi_tail = tail_mass(upper.density, xs)
     emp = empirical_tail(final, xs)
     mid = 0.5 * (lo_tail + hi_tail)
     sup_gap = float(np.max(np.abs(emp - mid)))
@@ -321,16 +321,3 @@ def hydrodynamic_report(
         upper_tail=hi_tail,
     )
 
-
-class _FixedUniforms:
-    """Generator stand-in replaying a fixed block of uniforms once."""
-
-    def __init__(self, u: NDArray[np.float64]) -> None:
-        self._u = np.asarray(u, dtype=np.float64)
-        self._used = False
-
-    def random(self, n: int) -> NDArray[np.float64]:
-        if self._used or n != len(self._u):
-            raise RuntimeError("fixed uniform block exhausted or size mismatch")
-        self._used = True
-        return self._u

@@ -223,6 +223,22 @@ def test_invalid_parameter_returns_2(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
 
 
+def test_nan_horizon_returns_2(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "sim.json",
+        {
+            "p": 0.5,
+            "n_particles": 5,
+            "horizon": math.nan,
+            "n_samples": 2,
+            "replicas": 2,
+        },
+    )
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "horizon" in capsys.readouterr().err
+
+
 def test_numeric_failure_returns_3(tmp_path, monkeypatch):
     import npbbm.cli as cli
 

@@ -272,6 +272,26 @@ def test_step_wave_advances_by_speed_delta():
     assert l1_distance(res.density, shifted) <= bound + 1e-3
 
 
+@pytest.mark.parametrize("p", [0.125, 0.25, 0.5, 0.75, 0.875])
+def test_scheme_step_mirror_identity_exact(p):
+    # On a dyadic grid the reflection x -> -x maps cell edges onto cell edges
+    # without rounding, and 1 - (1 - p) == p, so the upper step at 1-p on the
+    # reflected density must be the reflected lower step at p bit for bit.
+    rng = np.random.default_rng(int(8 * p))
+    x0, dx, n = -16.0, 2.0**-9, 16001
+    for _ in range(8):
+        bump = random_bump_density(rng, x0, dx, n)
+        f = GridDensity(x0, dx, bump.values / bump.mass)
+        refl = GridDensity(-(x0 + n * dx), dx, f.values[::-1])
+        d = float(rng.uniform(0.01, 0.5))
+        lo = step(f, SchemeParams(p, d, "lower"))
+        hi = step(refl, SchemeParams(1.0 - p, d, "upper"))
+        assert np.array_equal(hi.density.values, lo.density.values[::-1])
+        assert hi.left_cut == -lo.right_cut
+        assert hi.right_cut == -lo.left_cut
+        assert hi.post_scale_mass == lo.post_scale_mass
+
+
 def test_iterate_zero_steps_identity():
     _, rho, _, _ = wave_fixture(0.6, 1.0, dx=1e-2)
     run = iterate_scheme(rho, SchemeParams(0.6, 0.1, "upper"), 0)

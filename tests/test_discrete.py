@@ -134,17 +134,21 @@ def test_pre_truncation_mean_size():
     assert abs(mean - expected) <= 3.0 * se
 
 
-def test_step_mirror_identity_exact():
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_step_mirror_identity_exact(side):
+    steps = {"lower": lower_step, "upper": upper_step}
+    other = "upper" if side == "lower" else "lower"
     config = np.sort(np.random.default_rng(8).normal(size=50))
     p, d = 0.7, 0.1
     src = RandomSource(33)
-    lo = lower_step(config, BoundSystemParams(50, 1.0 - p, d, "lower"), src)
-    hi = upper_step(
-        -config[::-1], BoundSystemParams(50, p, d, "upper"), src, mirror=True
+    base = steps[other](config, BoundSystemParams(50, 1.0 - p, d, other), src)
+    refl = steps[side](
+        -config[::-1], BoundSystemParams(50, p, d, side), src, mirror=True
     )
-    assert hi.removed == lo.removed
-    assert hi.pre_truncation_size == lo.pre_truncation_size
-    assert np.array_equal(hi.config, -lo.config[::-1])
+    assert refl.removed == base.removed
+    assert refl.pre_truncation_size == base.pre_truncation_size
+    assert refl.padded == base.padded
+    assert np.array_equal(refl.config, -base.config[::-1])
 
 
 def test_step_rejects_mismatched_side_or_size():

@@ -231,6 +231,15 @@ def test_simulate_validates_arguments():
         simulate([0.0], 0.5, 1.0)  # neither src nor streams
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf])
+def test_simulate_rejects_nonfinite_horizon(T):
+    # a non-finite horizon used to leave the event loop without an exit
+    with pytest.raises(ValueError, match="finite"):
+        simulate([0.0, 1.0], 0.5, T, RandomSource(1))
+    with pytest.raises(ValueError, match="finite"):
+        couple_simulate([0.0, 1.0], [0.0, 1.0], 0.5, T, RandomSource(1))
+
+
 def test_sample_times_recorded_between_events():
     src = RandomSource(9001)
     times = np.linspace(0.25, 4.0, 16)
