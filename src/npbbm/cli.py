@@ -143,8 +143,9 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
         config["out"] = args.out
     if args.threads is not None:
         config["threads"] = args.threads
-    if config["threads"] < 1:
-        raise ValueError("threads must be at least 1")
+    threads = config["threads"]
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     return config
 
 
@@ -404,20 +405,28 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
         raise ValueError("exit mode must be one of stats, representation, flux")
 
 
+# speedscan's size slot s hands replica r the stream s * _SLOT_STREAMS + r
+_SLOT_STREAMS = 1 << 16
+
+
 def cmd_speedscan(config: dict, out: _OutputSet) -> None:
     p = float(config["p"])
     horizon = float(config["horizon"])
     burn = float(config["burn_in"])
     replicas = int(config["replicas"])
+    if replicas > _SLOT_STREAMS:
+        raise ValueError(
+            f"replicas={replicas} exceeds {_SLOT_STREAMS}, the number of streams "
+            "each size slot owns"
+        )
     n_grid = [int(n) for n in config["n_grid"]]
     src = _command_source(config, "speedscan")
     reference = wave_speed(p)
 
     def one(job):
         slot, n = job
-        est = estimate_speed(
-            p, n, horizon, src.child(slot << 16), burn_in=burn, replicas=replicas
-        )
+        slot_src = src.child(slot * _SLOT_STREAMS)
+        est = estimate_speed(p, n, horizon, slot_src, burn_in=burn, replicas=replicas)
         return n, est.v_hat, est.std_error, reference
 
     jobs = list(enumerate(n_grid))
@@ -472,8 +481,7 @@ def main(argv=None) -> int:
     except (
         GridTooSmallError,
         CouplingViolationError,
-        FloatingPointError,
-        ZeroDivisionError,
+        ArithmeticError,
         AssertionError,
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ zero); operations that would push mass past the edge raise
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -28,8 +29,6 @@ from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.signal import fftconvolve
-from scipy.special import erf, erfc
 
 __all__ = [
     "GridTooSmallError",
@@ -124,7 +123,8 @@ class GridDensity:
             raise ValueError("values must be a 1-d array with at least 3 cells")
         if self.dx <= 0.0:
             raise ValueError("dx must be positive")
-        if np.any(vals < 0.0) or not np.all(np.isfinite(vals)):
+        # min is NaN when any value is; two reductions, no temporaries
+        if not vals.min() >= 0.0 or vals.max() == math.inf:
             raise ValueError("density values must be finite and non-negative")
         if vals[0] != 0.0 or vals[-1] != 0.0:
             raise GridTooSmallError(
@@ -158,6 +158,11 @@ def _same_grid(f: GridDensity, g: GridDensity) -> None:
 # Gaussian propagation
 
 
+def _kernel_radius(dx: float, t: float) -> int:
+    """Half-width in cells of the heat kernel truncated at 8 standard deviations."""
+    return max(1, int(math.ceil(8.0 * math.sqrt(t) / dx)))
+
+
 def _heat_kernel(dx: float, t: float) -> NDArray[np.float64]:
     """Heat-kernel weights on the grid, truncated at 8 standard deviations.
 
@@ -168,57 +173,109 @@ def _heat_kernel(dx: float, t: float) -> NDArray[np.float64]:
     identity at order dx^2.  Point samples are spectrally accurate as long
     as the kernel is resolved (sqrt(t) a few cells wide); below that scale
     the weights fall back to exact cell masses, where the narrow kernel is
-    essentially an identity and the box smear is harmless.  Cell masses are
-    CDF differences evaluated through SciPy's erf/erfc (Cephes, relative
-    error around 1e-15).  The kernel is NOT renormalized: mass drift is a
-    grid-health signal, not noise.
+    essentially an identity and the box smear is harmless.  There the radius
+    is at most 16 cells, and the cell masses are CDF differences evaluated
+    with the standard library's erf/erfc, cell by cell.  The kernel is NOT
+    renormalized: mass drift is a grid-health signal, not noise.
     """
     sd = math.sqrt(t)
-    r = max(1, int(math.ceil(8.0 * sd / dx)))
+    r = _kernel_radius(dx, t)
     if sd >= 2.0 * dx:
         m = np.arange(0, r + 1)
         half = dx / (sd * math.sqrt(2.0 * math.pi)) * np.exp(
             -0.5 * (m * dx / sd) ** 2
         )
         return np.concatenate([half[:0:-1], half])
-    m = np.arange(1, r + 1)
-    a = (m - 0.5) * dx / (sd * math.sqrt(2.0))
-    b = (m + 0.5) * dx / (sd * math.sqrt(2.0))
-    right = 0.5 * (erfc(a) - erfc(b))
-    center = erf(0.5 * dx / (sd * math.sqrt(2.0)))
-    return np.concatenate([right[::-1], [center], right])
+    c = dx / (sd * math.sqrt(2.0))
+    right = [
+        0.5 * (math.erfc((m - 0.5) * c) - math.erfc((m + 0.5) * c))
+        for m in range(1, r + 1)
+    ]
+    return np.array(right[::-1] + [math.erf(0.5 * c)] + right)
+
+
+@functools.lru_cache(maxsize=1024)
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy's FFT handles fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_spectrum(dx: float, t: float, nfft: int) -> NDArray[np.complex128]:
+    """rfft of the heat kernel at length nfft.
+
+    Every step of one refinement level diffuses for the same time, so each
+    level computes its spectrum about once.  The cached array is read-only
+    and is the very array a miss computed, so a hit gives the same bits.
+    """
+    spectrum = np.fft.rfft(_heat_kernel(dx, t), nfft)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
+def _support(values: NDArray[np.float64]) -> tuple[int, int] | None:
+    """First and last nonzero cell, or None when every cell is zero."""
+    nonzero = values != 0.0
+    first = int(nonzero.argmax())
+    if not nonzero[first]:
+        return None
+    return first, len(values) - 1 - int(nonzero[::-1].argmax())
+
+
+def _check_room(first: int, last: int, r: int, n: int) -> None:
+    """Raise unless support cells [first, last] widened by r stay in [1, n-2]."""
+    if first - r < 1 or last + r > n - 2:
+        raise GridTooSmallError(
+            f"support cells [{first}, {last}] widened by the kernel radius "
+            f"r={r} reach [{first - r}, {last + r}], beyond the interior "
+            f"[1, {n - 2}] of the {n}-cell grid; enlarge the domain"
+        )
 
 
 def gaussian_propagate(f: GridDensity, t: float) -> GridDensity:
     """Diffuse the density for time t (convolution with the heat kernel).
 
-    Mass is preserved to within 1e-10 relative (the truncated kernel loses
-    about 1e-15).  If the widened support would touch the grid boundary, or
-    more than 1e-12 of the mass would land beyond it, the grid is too small.
+    Only the support is convolved: the nonzero cells [first, last] go
+    through a real FFT of 2*3*5-smooth length with the kernel of radius r,
+    and the exact linear convolution fills cells [first - r, last + r];
+    every other cell stays zero.  Mass is preserved to within 1e-10
+    relative (the truncated kernel loses about 1e-15).  If the widened
+    support would touch the grid boundary, or more than 1e-12 of the mass
+    would land beyond it, the grid is too small.
     """
     if t < 0.0:
         raise ValueError("time must be non-negative")
     if t == 0.0:
         return f
-    nz = np.flatnonzero(f.values)
-    if nz.size == 0:
+    support = _support(f.values)
+    if support is None:
         return f
-    kernel = _heat_kernel(f.dx, t)
-    r = (len(kernel) - 1) // 2
-    lo = int(nz[0]) - r
-    hi = int(nz[-1]) + r
-    if lo < 1 or hi > f.n - 2:
-        raise GridTooSmallError(
-            "diffused support would reach the grid boundary; enlarge the domain"
-        )
-    out = fftconvolve(f.values, kernel, mode="same")
-    # outside [lo, hi] the exact result is zero; discard FFT noise there
-    out[:lo] = 0.0
-    out[hi + 1 :] = 0.0
-    np.maximum(out, 0.0, out=out)
-    new_mass = float(np.sum(out) * f.dx)
+    first, last = support
+    r = _kernel_radius(f.dx, t)
+    _check_room(first, last, r, f.n)
+    size = last - first + 1 + 2 * r
+    nfft = _fft_size(size)
+    spectrum = np.fft.rfft(f.values[first : last + 1], nfft)
+    spectrum *= _kernel_spectrum(f.dx, t, nfft)
+    out = np.zeros(f.n)
+    window = out[first - r : last + r + 1]
+    window[:] = np.fft.irfft(spectrum, nfft)[:size]
+    np.maximum(window, 0.0, out=window)
+    new_mass = float(np.sum(window) * f.dx)
     if f.mass - new_mass > 1e-12 * f.mass:
-        raise GridTooSmallError("more than 1e-12 of the mass left the grid")
+        raise GridTooSmallError(
+            f"mass {f.mass!r} fell to {new_mass!r} after diffusing for t={t!r}: "
+            "more than 1e-12 of it left the grid"
+        )
     if abs(new_mass - f.mass) > 1e-10 * f.mass:
         raise AssertionError("heat-kernel mass drift exceeded 1e-10")
     return GridDensity(f.x0, f.dx, out)
@@ -358,20 +415,46 @@ def step(f: GridDensity, params: SchemeParams) -> StepResult:
         v, left_pos, right_pos, grown = _lower_step(f.values, f.x0, f.dx, m, f.mass, d)
         return StepResult(GridDensity(f.x0, f.dx, v), left_pos, right_pos, grown)
     x0 = -(f.x0 + f.n * f.dx)
-    v, left_pos, right_pos, grown = _lower_step(f.values[::-1], x0, f.dx, m, f.mass, d)
+    v, left_pos, right_pos, grown = _lower_step(
+        f.values[::-1], x0, f.dx, m, f.mass, d, mirrored=True
+    )
     return StepResult(GridDensity(f.x0, f.dx, v[::-1]), -right_pos, -left_pos, grown)
 
 
-def _lower_step(values, x0: float, dx: float, m: float, total: float, d: float):
+def _lower_step(
+    values, x0: float, dx: float, m: float, total: float, d: float, mirrored=False
+):
     """Lower step on raw values: cut m of total from the left, diffuse and
     grow for d, cut back to mass 1 from the right.
 
+    Only the support is touched.  The left cut runs on the nonzero slice;
+    diffusion, growth and the right cut run on a zero-padded window holding
+    the trimmed support widened by the kernel radius r and one empty cell a
+    side, which is then written into a zeroed full grid.  ``mirrored`` says
+    the values are a reflected grid, so a GridTooSmallError names the cells
+    of the original one.
+
     Returns (values, left cut position, right cut position, grown mass).
     """
-    v1, left_pos = _trim_left(values, x0, dx, m, total)
-    scaled = scale(gaussian_propagate(GridDensity(x0, dx, v1), d), math.exp(d))
-    v2, right_pos = _trim_right(scaled.values, x0, dx, scaled.mass - 1.0, scaled.mass)
-    return v2, left_pos, right_pos, scaled.mass
+    n = len(values)
+    first, last = _support(values)
+    v1, left_pos = _trim_left(values[first : last + 1], x0 + first * dx, dx, m, total)
+    support = _support(v1)
+    if support is None:  # the cut took all the mass
+        return np.zeros(n), left_pos, x0 + n * dx, 0.0
+    lo, hi = first + support[0], first + support[1]
+    r = _kernel_radius(dx, d)
+    cells = (n - 1 - hi, n - 1 - lo) if mirrored else (lo, hi)
+    _check_room(*cells, r, n)
+    start = lo - r - 1
+    window = np.zeros(hi - lo + 2 * r + 3)
+    window[r + 1 : r + 2 + hi - lo] = v1[support[0] : support[1] + 1]
+    wx0 = x0 + start * dx
+    scaled = scale(gaussian_propagate(GridDensity(wx0, dx, window), d), math.exp(d))
+    v2, right_pos = _trim_right(scaled.values, wx0, dx, scaled.mass - 1.0, scaled.mass)
+    out = np.zeros(n)
+    out[start : start + len(v2)] = v2
+    return out, left_pos, right_pos, scaled.mass
 
 
 @dataclass(frozen=True)

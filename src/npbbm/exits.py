@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -331,6 +332,10 @@ def representation_check(
     """
     if abs(params.t - t) > 1e-12:
         raise ValueError("params.t must equal the requested horizon t")
+    # checked before any path is drawn: e^t must be a finite float
+    t_max = math.log(sys.float_info.max)
+    if not t <= t_max:
+        raise ValueError(f"t={t!r} exceeds {t_max!r}, the largest t with e^t finite")
     x_grid = np.asarray(x_grid, dtype=np.float64)
     x0 = _draw_initial(rho, left, right, params.n_paths, src)
     code, _, final = _run_paths(x0, left, right, t, params.h, src)

@@ -249,6 +249,59 @@ def test_numeric_failure_returns_3(tmp_path, monkeypatch):
     assert main(["wave", "--out", str(tmp_path / "x")]) == 3
 
 
+@pytest.mark.parametrize("threads", ["2", 1.5, True, 0])
+def test_bad_threads_in_config_returns_2(tmp_path, capsys, threads):
+    cfg = _write_config(tmp_path, "w.json", {"threads": threads})
+    assert main(["wave", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert f"threads must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
+
+
+def test_representation_horizon_beyond_exp_range_returns_2(
+    tmp_path, capsys, monkeypatch
+):
+    # e^800 overflows a double; the check must come before any path is drawn.
+    import npbbm.exits as exits
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths drawn before the horizon was checked")
+
+    monkeypatch.setattr(exits, "_run_paths", no_paths)
+    cfg = _write_config(
+        tmp_path,
+        "e.json",
+        {"mode": "representation", "t": 800, "h": 1.0, "n_paths": 100, "n_max": 0},
+    )
+    assert main(["exit", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "t=800" in err and "709.78" in err
+
+
+def test_arithmetic_error_returns_3(tmp_path, monkeypatch):
+    import npbbm.cli as cli
+
+    def overflow(config, out):
+        raise OverflowError("math range error")
+
+    monkeypatch.setitem(cli._RUNNERS, "wave", overflow)
+    assert main(["wave", "--out", str(tmp_path / "x")]) == 3
+
+
+def test_speedscan_rejects_overlapping_replica_streams(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "scan.json",
+        {
+            "p": 0.75,
+            "n_grid": [5, 10],
+            "horizon": 1.0,
+            "burn_in": 0.5,
+            "replicas": 65537,
+        },
+    )
+    assert main(["speedscan", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "replicas=65537 exceeds 65536" in capsys.readouterr().err
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

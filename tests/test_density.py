@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
+from scipy.special import erf, erfc
 
+import npbbm
 from npbbm import (
     GridDensity,
     GridSpec,
@@ -28,7 +35,14 @@ from npbbm import (
     travelling_wave,
     wave_density,
 )
-from npbbm.density import l1_distance, load_density, save_density
+from npbbm.density import (
+    _heat_kernel,
+    _trim_left,
+    _trim_right,
+    l1_distance,
+    load_density,
+    save_density,
+)
 
 from helpers import gaussian_density, random_bump_density, uniform_density, wave_fixture
 
@@ -58,6 +72,8 @@ def test_grid_density_validation():
         GridDensity(0.0, 0.1, np.array([0.0, -1.0, 0.0]))
     with pytest.raises(ValueError):
         GridDensity(0.0, 0.1, np.array([0.0, math.nan, 0.0]))
+    with pytest.raises(ValueError):
+        GridDensity(0.0, 0.1, np.array([0.0, math.inf, 0.0]))
     with pytest.raises(ValueError):
         GridDensity(0.0, -0.1, np.array([0.0, 1.0, 0.0]))
     with pytest.raises(GridTooSmallError):
@@ -116,6 +132,60 @@ def test_propagate_raises_when_grid_cannot_hold_tails():
     f = uniform_density(0.2, 0.8, 0.0, 1e-2, 100)
     with pytest.raises(GridTooSmallError):
         gaussian_propagate(f, 1.0)
+
+
+def _random_support_density(rng, n, first, last, dx=1e-2):
+    """Unnormalized density with i.i.d. positive values on cells [first, last]."""
+    values = np.zeros(n)
+    values[first : last + 1] = rng.uniform(0.1, 2.0, last - first + 1)
+    return GridDensity(0.0, dx, values)
+
+
+@pytest.mark.parametrize("sd_cells", [0.3, 1.2, 2.0, 7.5, 60.0])
+def test_propagate_matches_full_grid_fftconvolve(sd_cells):
+    # The windowed rfft convolution against scipy's full-grid convolution on
+    # random supports; sd < 2 cells takes the narrow (cell-mass) kernel.
+    rng = np.random.default_rng(int(10 * sd_cells))
+    dx, n = 1e-2, 3000
+    t = (sd_cells * dx) ** 2
+    r = (len(_heat_kernel(dx, t)) - 1) // 2
+    for _ in range(6):
+        first = int(rng.integers(r + 1, n // 2))
+        last = int(rng.integers(first, n - 2 - r + 1))
+        f = _random_support_density(rng, n, first, last, dx)
+        got = gaussian_propagate(f, t).values
+        want = fftconvolve(f.values, _heat_kernel(dx, t), mode="same")
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+        assert np.all(got[: first - r] == 0.0) and np.all(got[last + r + 1 :] == 0.0)
+
+
+def test_narrow_heat_kernel_matches_scipy_erf():
+    dx = 1e-2
+    for sd in (0.05 * dx, 0.5 * dx, 1.999 * dx):
+        kernel = _heat_kernel(dx, sd * sd)
+        r = (len(kernel) - 1) // 2
+        m = np.arange(1, r + 1)
+        a = (m - 0.5) * dx / (sd * math.sqrt(2.0))
+        b = (m + 0.5) * dx / (sd * math.sqrt(2.0))
+        right = 0.5 * (erfc(a) - erfc(b))
+        center = erf(0.5 * dx / (sd * math.sqrt(2.0)))
+        want = np.concatenate([right[::-1], [center], right])
+        assert np.allclose(kernel, want, rtol=1e-14, atol=1e-300)
+
+
+def test_propagate_support_at_the_edge_limit():
+    # The widened support may reach cell 1 and cell n-2 but not the edge
+    # cells; the error names the support, the radius and the grid.
+    rng = np.random.default_rng(3)
+    dx, n, t = 1e-2, 400, 0.01
+    r = (len(_heat_kernel(dx, t)) - 1) // 2
+    gaussian_propagate(_random_support_density(rng, n, r + 1, n - 2 - r, dx), t)
+    for first, last in ((r, 200), (200, n - 1 - r)):
+        f = _random_support_density(rng, n, first, last, dx)
+        with pytest.raises(GridTooSmallError) as err:
+            gaussian_propagate(f, t)
+        msg = str(err.value)
+        assert f"[{first}, {last}]" in msg and f"r={r}" in msg and f"{n}-cell" in msg
 
 
 def test_scale_multiplies_mass():
@@ -290,6 +360,97 @@ def test_scheme_step_mirror_identity_exact(p):
         assert hi.left_cut == -lo.right_cut
         assert hi.right_cut == -lo.left_cut
         assert hi.post_scale_mass == lo.post_scale_mass
+
+
+def _full_grid_lower_step(values, x0, dx, q, d, total):
+    """The lower step on the whole grid, diffusing with scipy's fftconvolve.
+
+    Returns (values, left cut, right cut, grown mass) and, for each cut, the
+    density of the cell it falls in: a cut position moves by the mass
+    rounding divided by that density.
+    """
+    v1, left = _trim_left(values, x0, dx, q * (1.0 - math.exp(-d)), total)
+    kernel = _heat_kernel(dx, d)
+    r = (len(kernel) - 1) // 2
+    nz = np.flatnonzero(v1)
+    conv = fftconvolve(v1, kernel, mode="same")
+    conv[: nz[0] - r] = 0.0
+    conv[nz[-1] + r + 1 :] = 0.0
+    grown = np.maximum(conv, 0.0) * math.exp(d)
+    mass = float(np.sum(grown) * dx)
+    v2, right = _trim_right(grown, x0, dx, mass - 1.0, mass)
+
+    def cell(pos):
+        return min(int((pos - x0) / dx), len(values) - 1)
+
+    return (v2, left, right, mass), (values[cell(left)], grown[cell(right)])
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_step_matches_full_grid_reference(side):
+    # Rounding in the mass sums moves the value of each cut cell by about
+    # 1e-16 / dx, so values are compared as cell masses (value * dx).
+    rng = np.random.default_rng(17 if side == "lower" else 18)
+    for d in (1e-6, 1e-3, 0.05, 0.4):
+        bump = random_bump_density(rng)
+        f = GridDensity(bump.x0, bump.dx, bump.values / bump.mass)
+        p = float(rng.uniform(0.1, 0.9))
+        res = step(f, SchemeParams(p, d, side))
+        if side == "lower":
+            (v, left, right, grown), dens = _full_grid_lower_step(
+                f.values, f.x0, f.dx, p, d, f.mass
+            )
+        else:
+            x0 = -(f.x0 + f.n * f.dx)
+            (v, left, right, grown), dens = _full_grid_lower_step(
+                f.values[::-1], x0, f.dx, 1.0 - p, d, f.mass
+            )
+            v, left, right, dens = v[::-1], -right, -left, dens[::-1]
+        assert np.max(np.abs(res.density.values - v)) * f.dx <= 1e-13
+        tails = np.cumsum(res.density.values) - np.cumsum(v)
+        assert np.max(np.abs(tails)) * f.dx <= 1e-13
+        assert abs(res.post_scale_mass - grown) <= 1e-13
+        assert abs(res.left_cut - left) * dens[0] <= 1e-13
+        assert abs(res.right_cut - right) * dens[1] <= 1e-13
+
+
+def test_step_checks_the_edge_after_the_first_cut():
+    # A faint shoulder reaches within r cells of the left edge.  The lower
+    # step's left cut removes it, so that step fits; the upper step cuts on
+    # the right first, keeps the shoulder, and must raise, naming cells of
+    # the original grid.
+    rng = np.random.default_rng(21)
+    dx, n, d = 1e-2, 600, 0.04
+    r = (len(_heat_kernel(dx, d)) - 1) // 2
+    values = np.zeros(n)
+    values[50:250] = 1e-6
+    values[250 : n - 1 - r] = rng.uniform(0.5, 1.0, n - 1 - r - 250)
+    f = GridDensity(0.0, dx, values / (np.sum(values) * dx))
+    assert step(f, SchemeParams(0.5, d, "lower")).density.mass == pytest.approx(1.0)
+    with pytest.raises(GridTooSmallError) as err:
+        step(f, SchemeParams(0.5, d, "upper"))
+    msg = str(err.value)
+    assert "support cells [50, " in msg and f"r={r}" in msg and f"{n}-cell" in msg
+
+
+def test_cli_import_loads_no_scipy():
+    code = (
+        "import sys, npbbm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    # the package directory the suite imports, wherever pytest runs from
+    src = str(Path(npbbm.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_iterate_zero_steps_identity():
