@@ -16,12 +16,12 @@ Exit codes: 0 success, 2 config validation error, 3 runtime numeric error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -319,23 +319,25 @@ def cmd_scheme(config: dict, out: _OutputSet) -> None:
     )
 
 
+@contextlib.contextmanager
+def _naming(key: str):
+    """Prefix a ValueError raised in the block with the config key it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
 def cmd_wave(config: dict, out: _OutputSet) -> None:
     rows = []
     for p in config["p_grid"]:
         w = travelling_wave(float(p))
-        grid = plan_grid(0.0, w.R0, 0.0, dx=float(config["dx_mass"]))
+        with _naming("dx_mass"):
+            grid = plan_grid(0.0, w.R0, 0.0, dx=float(config["dx_mass"]))
         mass = wave_density(w, grid).mass
-        rows.append(
-            (
-                p,
-                w.c,
-                w.R0,
-                w.omega,
-                w.amplitude,
-                ode_residual(w, float(config["dx_residual"])),
-                mass,
-            )
-        )
+        with _naming("dx_residual"):
+            residual = ode_residual(w, float(config["dx_residual"]))
+        rows.append((p, w.c, w.R0, w.omega, w.amplitude, residual, mass))
     out.write_csv("wave_table.csv", "p,c,R0,omega,amplitude,residual,mass", rows)
 
 
@@ -422,19 +424,11 @@ def cmd_speedscan(config: dict, out: _OutputSet) -> None:
     n_grid = [int(n) for n in config["n_grid"]]
     src = _command_source(config, "speedscan")
     reference = wave_speed(p)
-
-    def one(job):
-        slot, n = job
+    rows = []
+    for slot, n in enumerate(n_grid):
         slot_src = src.child(slot * _SLOT_STREAMS)
         est = estimate_speed(p, n, horizon, slot_src, burn_in=burn, replicas=replicas)
-        return n, est.v_hat, est.std_error, reference
-
-    jobs = list(enumerate(n_grid))
-    if int(config["threads"]) > 1:
-        with ThreadPoolExecutor(max_workers=int(config["threads"])) as pool:
-            rows = list(pool.map(one, jobs))
-    else:
-        rows = [one(j) for j in jobs]
+        rows.append((n, est.v_hat, est.std_error, reference))
     out.write_csv("speedscan.csv", "n_particles,v_hat,std_error,reference", rows)
 
 
@@ -483,6 +477,7 @@ def main(argv=None) -> int:
         CouplingViolationError,
         ArithmeticError,
         AssertionError,
+        MemoryError,
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

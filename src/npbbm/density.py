@@ -32,12 +32,14 @@ from numpy.typing import NDArray
 
 __all__ = [
     "GridTooSmallError",
+    "MAX_GRID_CELLS",
     "GridSpec",
     "GridDensity",
     "SchemeParams",
     "StepResult",
     "SchemeRun",
     "RefineResult",
+    "grid_cells",
     "plan_grid",
     "gaussian_propagate",
     "scale",
@@ -59,6 +61,10 @@ __all__ = [
 # Relative slack accepted when a requested cut mass overshoots the actual
 # mass through float rounding (e.g. keep-mass 1.0 against a mass 1-1ulp).
 _CUT_SLACK = 1e-9
+
+# Largest grid a step size may plan (2^22 cells, 32 MiB a float64 array); the
+# largest grid the shipped configs use has 19 293 cells.
+MAX_GRID_CELLS = 1 << 22
 
 
 class GridTooSmallError(RuntimeError):
@@ -84,6 +90,26 @@ class GridSpec:
         return self.x0 + np.arange(self.n + 1) * self.dx
 
 
+def grid_cells(span: float, dx: float) -> float:
+    """span / dx, the cells a grid of step dx needs to cover span.
+
+    Raises ValueError, before anything is allocated, unless span is finite,
+    dx is finite and positive, and the count (plus one end cell) is at most
+    MAX_GRID_CELLS.
+    """
+    if not (math.isfinite(dx) and dx > 0.0):
+        raise ValueError(f"grid step dx must be finite and positive, got dx={dx!r}")
+    if not math.isfinite(span):
+        raise ValueError(f"grid span must be finite, got span={span!r} at dx={dx!r}")
+    cells = span / dx
+    if not cells <= MAX_GRID_CELLS - 1:
+        raise ValueError(
+            f"grid step dx={dx!r} plans {cells:.6g} cells, "
+            f"above the cap of {MAX_GRID_CELLS}"
+        )
+    return cells
+
+
 def plan_grid(
     support_lo: float,
     support_hi: float,
@@ -102,7 +128,7 @@ def plan_grid(
     pad = pad_sigmas * math.sqrt(max(total_time, 0.0)) + abs(drift) * total_time
     lo = support_lo - pad - 2.0 * dx
     hi = support_hi + pad + 2.0 * dx
-    n = int(math.ceil((hi - lo) / dx)) + 1
+    n = int(math.ceil(grid_cells(hi - lo, dx))) + 1
     return GridSpec(lo, dx, n)
 
 

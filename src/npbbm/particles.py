@@ -6,14 +6,18 @@ The process keeps exactly N particles.  Branch events arrive at rate N
 rank i duplicates and a Bernoulli(p) bit decides which extreme dies: q=1
 kills the leftmost particle, q=0 the rightmost.  Between events every
 particle receives an exact Gaussian increment of variance equal to the
-elapsed time, with rank j consuming driving stream j after each re-sort;
-there is no path-discretization error.
+elapsed time: each interval takes one vector of N standard normals from the
+single driving stream, and after each re-sort rank j takes its j-th entry.
+There is no path-discretization error.
 
-Shared streams give a monotone coupling: two copies started in dominance
-order stay ordered pathwise.  The reflection coupling between parameters p
-and 1-p is built from the base run: with R(x) = -x[::-1], the mirrored run
-at p from x is R applied to the run at 1-p from R(x) on the same streams,
-so it is exact by construction.
+One event loop, ``_run``, advances a (K, N) stack of sorted configurations
+on one draw sequence: every row takes the same clock gap, the same increment
+vector, the same rank and the same selection bit.  K = 1 is a single run
+(:func:`simulate`); K = 2 is the monotone coupling (:func:`couple_simulate`),
+under which two copies started in dominance order stay ordered pathwise.
+The reflection coupling between parameters p and 1-p is built from the base
+run: with R(x) = -x[::-1], the mirrored run at p from x is R applied to the
+run at 1-p from R(x) on the same streams, so it is exact by construction.
 """
 
 from __future__ import annotations
@@ -73,15 +77,19 @@ def branch_select_step(v: NDArray[np.float64], i: int, q: int) -> NDArray[np.flo
 
     The particle of rank ``i`` (1-based) duplicates; with ``q=1`` the leftmost
     particle is removed, with ``q=0`` the rightmost.  Output is sorted and has
-    the same length as the input.
+    the same length as the input.  On a stack of configurations the event
+    acts on the last axis, the same event on every row.
     """
-    n = len(v)
+    v = np.asarray(v)
+    n = v.shape[-1]
     if not 1 <= i <= n:
         raise ValueError(f"rank i={i} out of range 1..{n}")
     if q not in (0, 1):
         raise ValueError("q must be 0 or 1")
-    grown = np.insert(v, i - 1, v[i - 1])  # duplicate keeps sortedness
-    return grown[1:] if q == 1 else grown[:-1]
+    # the duplicate sits next to its parent, so the output stays sorted
+    if q == 1:
+        return np.concatenate((v[..., 1:i], v[..., i - 1 :]), axis=-1)
+    return np.concatenate((v[..., :i], v[..., i - 1 : -1]), axis=-1)
 
 
 def dominance_check(a: NDArray[np.float64], b: NDArray[np.float64]) -> bool:
@@ -123,7 +131,7 @@ class SimulationStreams:
         self._select = src.generator(TAG_SELECT)
 
     def increments(self, n: int, dt: float) -> NDArray[np.float64]:
-        """Gaussian increments over dt for ranks 1..n (rank j from stream j)."""
+        """Gaussian increments over dt for ranks 1..n (rank j takes entry j)."""
         return self._driving.standard_normal(n) * math.sqrt(dt)
 
     def event_gap(self, n: int) -> float:
@@ -197,19 +205,31 @@ def simulate(
     if streams is None:
         streams = SimulationStreams(src)
     if not mirror:
-        return _run(x, p, T, times, streams, record_configs)
-    rec = _run(-x[::-1], 1.0 - p, T, times, streams, record_configs)
+        return _run(x[None], p, T, times, streams, record_configs)[0]
+    rec = _run(-x[None, ::-1], 1.0 - p, T, times, streams, record_configs)[0]
     configs = None if rec.full_configs is None else -rec.full_configs[:, ::-1]
     return TrajectoryRecord(
         times, -rec.rightmost, -rec.leftmost, configs, rec.event_count
     )
 
 
-def _run(x, p, T, times, streams, record_configs) -> TrajectoryRecord:
-    n = len(x)
-    lefts = np.empty(len(times))
-    rights = np.empty(len(times))
-    configs = np.empty((len(times), n)) if record_configs else None
+def _check_order(x) -> None:
+    if not np.all(x[0] <= x[1]):
+        raise CouplingViolationError("dominance order broken under shared streams")
+
+
+def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
+    """The event loop: every row of the (K, N) stack x takes the same draws.
+
+    A pair (K = 2) is a monotone coupling, checked after every sample and
+    event.
+    """
+    k, n = x.shape
+    coupled = k == 2
+    m = len(times)
+    lefts = np.empty((k, m))
+    rights = np.empty((k, m))
+    configs = np.empty((k, m, n)) if record_configs else None
 
     t = 0.0
     si = 0
@@ -217,28 +237,36 @@ def _run(x, p, T, times, streams, record_configs) -> TrajectoryRecord:
     next_event = t + streams.event_gap(n)
     while True:
         horizon = next_event if next_event <= T else T
-        while si < len(times) and times[si] <= horizon:
+        while si < m and times[si] <= horizon:
             dt = times[si] - t
             if dt > 0.0:
-                x = np.sort(x + streams.increments(n, dt), kind="stable")
+                x = np.sort(x + streams.increments(n, dt), axis=1, kind="stable")
                 t = times[si]
-            lefts[si] = x[0]
-            rights[si] = x[-1]
+            if coupled:
+                _check_order(x)
+            lefts[:, si] = x[:, 0]
+            rights[:, si] = x[:, -1]
             if configs is not None:
-                configs[si] = x
+                configs[:, si] = x
             si += 1
         if next_event > T:
             break
         dt = next_event - t
         if dt > 0.0:
-            x = np.sort(x + streams.increments(n, dt), kind="stable")
+            x = np.sort(x + streams.increments(n, dt), axis=1, kind="stable")
         t = next_event
         x = branch_select_step(x, streams.branch_rank(n), int(streams.keep_right(p)))
-        assert len(x) == n
         events += 1
+        if coupled:
+            _check_order(x)
         next_event = t + streams.event_gap(n)
 
-    return TrajectoryRecord(times, lefts, rights, configs, events)
+    return [
+        TrajectoryRecord(
+            times, lefts[r], rights[r], None if configs is None else configs[r], events
+        )
+        for r in range(k)
+    ]
 
 
 def couple_simulate(
@@ -264,60 +292,9 @@ def couple_simulate(
         raise ValueError("coupled configurations must have equal length")
     if not np.all(lo <= hi):
         raise ValueError("initial configurations must be in dominance order")
-    streams = SimulationStreams(src)
-    n = len(lo)
-
-    m = len(times)
-    rec = {
-        "lo": (np.empty(m), np.empty(m), np.empty((m, n)) if record_configs else None),
-        "hi": (np.empty(m), np.empty(m), np.empty((m, n)) if record_configs else None),
-    }
-
-    def check(a, b):
-        if not np.all(a <= b):
-            raise CouplingViolationError("dominance order broken under shared streams")
-
-    t = 0.0
-    si = 0
-    events = 0
-    next_event = t + streams.event_gap(n)
-    while True:
-        horizon = next_event if next_event <= T else T
-        while si < len(times) and times[si] <= horizon:
-            dt = times[si] - t
-            if dt > 0.0:
-                g = streams.increments(n, dt)
-                lo = np.sort(lo + g, kind="stable")
-                hi = np.sort(hi + g, kind="stable")
-                t = times[si]
-            check(lo, hi)
-            for x, (ls, rs, cf) in zip((lo, hi), (rec["lo"], rec["hi"])):
-                ls[si] = x[0]
-                rs[si] = x[-1]
-                if cf is not None:
-                    cf[si] = x
-            si += 1
-        if next_event > T:
-            break
-        dt = next_event - t
-        if dt > 0.0:
-            g = streams.increments(n, dt)
-            lo = np.sort(lo + g, kind="stable")
-            hi = np.sort(hi + g, kind="stable")
-        t = next_event
-        i = streams.branch_rank(n)
-        q = int(streams.keep_right(p))
-        lo = branch_select_step(lo, i, q)
-        hi = branch_select_step(hi, i, q)
-        events += 1
-        check(lo, hi)
-        next_event = t + streams.event_gap(n)
-
-    out = []
-    for key in ("lo", "hi"):
-        ls, rs, cf = rec[key]
-        out.append(TrajectoryRecord(times, ls, rs, cf, events))
-    return out[0], out[1]
+    pair = np.stack((lo, hi))
+    rec_lo, rec_hi = _run(pair, p, T, times, SimulationStreams(src), record_configs)
+    return rec_lo, rec_hi
 
 
 # ---------------------------------------------------------------------------

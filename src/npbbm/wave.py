@@ -30,6 +30,7 @@ from .density import (
     GridDensity,
     GridSpec,
     SchemeParams,
+    grid_cells,
     iterate_scheme,
     sample_from_density,
     tail_mass,
@@ -146,9 +147,7 @@ def ode_residual(w: TravellingWave, dx: float) -> float:
     Centered finite differences of the analytic profile on the grid j*dx;
     second-order accurate, so the value shrinks about fourfold per halving.
     """
-    if dx <= 0.0:
-        raise ValueError("dx must be positive")
-    j_max = int(math.floor(w.R0 / dx)) - 1
+    j_max = int(math.floor(grid_cells(w.R0, dx))) - 1
     if j_max < 2:
         raise ValueError("dx too coarse for the wave support")
     x = np.arange(1, j_max + 1) * dx

@@ -305,3 +305,32 @@ def test_speedscan_rejects_overlapping_replica_streams(tmp_path, capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("command", ["scheme", "exit"])
+@pytest.mark.parametrize("dx", [0, math.nan, 1e-9])
+def test_bad_grid_step_returns_2(tmp_path, capsys, command, dx):
+    # dx = 0 used to exit 3 (division by zero), NaN to exit 2 without naming
+    # dx, and 1e-9 to exit 1 after failing to allocate a 1.4e10-cell grid
+    cfg = _write_config(tmp_path, "g.json", {"dx": dx})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert f"dx={float(dx)!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dx_mass", "dx_residual"])
+@pytest.mark.parametrize("dx", [0, 1e-9])
+def test_bad_wave_grid_step_returns_2(tmp_path, capsys, key, dx):
+    cfg = _write_config(tmp_path, "w.json", {key: dx})
+    assert main(["wave", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: " in err and f"dx={float(dx)!r}" in err
+
+
+def test_memory_error_returns_3(tmp_path, monkeypatch):
+    import npbbm.cli as cli
+
+    def no_memory(config, out):
+        raise MemoryError("forced for the exit-code contract")
+
+    monkeypatch.setitem(cli._RUNNERS, "wave", no_memory)
+    assert main(["wave", "--out", str(tmp_path / "x")]) == 3

@@ -36,6 +36,7 @@ from npbbm import (
     wave_density,
 )
 from npbbm.density import (
+    MAX_GRID_CELLS,
     _heat_kernel,
     _trim_left,
     _trim_right,
@@ -65,6 +66,16 @@ def test_plan_grid_pads_for_diffusion_and_drift():
     spec = plan_grid(-1.0, 1.0, 4.0, drift=0.5, dx=1e-2)
     assert spec.x0 < -1.0 - 8.0 * 2.0
     assert spec.x0 + spec.n * spec.dx > 1.0 + 8.0 * 2.0 + 2.0
+
+
+def test_plan_grid_caps_the_cell_count():
+    # with no time and dx = 1 the grid spans the support plus four cells
+    spec = plan_grid(0.0, MAX_GRID_CELLS - 5.0, 0.0, dx=1.0)
+    assert spec.n == MAX_GRID_CELLS
+    with pytest.raises(ValueError, match="above the cap"):
+        plan_grid(0.0, MAX_GRID_CELLS - 4.0, 0.0, dx=1.0)
+    with pytest.raises(ValueError, match="span=nan"):
+        plan_grid(0.0, 1.0, math.nan, dx=1e-3)
 
 
 def test_grid_density_validation():

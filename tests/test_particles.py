@@ -91,6 +91,15 @@ def test_branch_output_sorted_and_length_preserving():
         assert np.any(out == v[i - 1])
 
 
+@pytest.mark.parametrize("q", [0, 1])
+def test_branch_on_a_stack_acts_row_by_row(q):
+    rng = np.random.default_rng(77)
+    stack = np.sort(rng.normal(size=(3, 6)), axis=1)
+    for i in (1, 3, 6):
+        rows = [branch_select_step(row, i, q) for row in stack]
+        assert np.array_equal(branch_select_step(stack, i, q), rows)
+
+
 # ---------------------------------------------------------------------------
 # dominance_check
 
@@ -272,6 +281,25 @@ def test_couple_rejects_bad_pairs():
         couple_simulate([0.0, 1.0], [0.0], 0.5, 1.0, RandomSource(1))
     with pytest.raises(ValueError):
         couple_simulate([0.0, 2.0], [1.0, 1.0], 0.5, 1.0, RandomSource(1))
+
+
+def test_couple_rows_share_the_single_run_draws():
+    # each row of the coupled pair is the run simulate makes from its start
+    lo_init = np.linspace(-1.0, 1.0, 7)
+    hi_init = lo_init + np.linspace(0.0, 0.5, 7)
+    times = [0.5, 1.25, 3.0]
+    for seed in range(4):
+        src = RandomSource(4040, seed)
+        pair = couple_simulate(
+            lo_init, hi_init, 0.65, 3.0, src, times, record_configs=True
+        )
+        for init, rec in zip((lo_init, hi_init), pair):
+            alone = simulate(init, 0.65, 3.0, src, times, record_configs=True)
+            assert np.array_equal(rec.leftmost, alone.leftmost)
+            assert np.array_equal(rec.rightmost, alone.rightmost)
+            assert np.array_equal(rec.full_configs, alone.full_configs)
+            assert rec.event_count == alone.event_count
+        assert pair[0].event_count > 0
 
 
 class _OneEventStreams(SimulationStreams):
