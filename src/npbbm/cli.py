@@ -328,9 +328,16 @@ def _naming(key: str):
         raise ValueError(f"{key}: {exc}") from exc
 
 
+def _non_empty(config: dict, key: str) -> list:
+    values = config[key]
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"{key} must be a non-empty list, got {values!r}")
+    return values
+
+
 def cmd_wave(config: dict, out: _OutputSet) -> None:
     rows = []
-    for p in config["p_grid"]:
+    for p in _non_empty(config, "p_grid"):
         w = travelling_wave(float(p))
         with _naming("dx_mass"):
             grid = plan_grid(0.0, w.R0, 0.0, dx=float(config["dx_mass"]))
@@ -421,7 +428,7 @@ def cmd_speedscan(config: dict, out: _OutputSet) -> None:
             f"replicas={replicas} exceeds {_SLOT_STREAMS}, the number of streams "
             "each size slot owns"
         )
-    n_grid = [int(n) for n in config["n_grid"]]
+    n_grid = [int(n) for n in _non_empty(config, "n_grid")]
     src = _command_source(config, "speedscan")
     reference = wave_speed(p)
     rows = []

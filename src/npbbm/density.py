@@ -584,6 +584,8 @@ def refine_limit(
         raise ValueError("total time must be positive")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got tol={tol!r}")
     widths = []
     prev_lower = prev_upper = None
     best: tuple[GridDensity, GridDensity] | None = None

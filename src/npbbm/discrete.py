@@ -28,6 +28,7 @@ from numpy.typing import NDArray
 from .randomness import RandomSource, TAG_CLOCK, TAG_DRIVING
 
 __all__ = [
+    "MAX_POPULATION",
     "BoundSystemParams",
     "BoundStepResult",
     "BoundsRun",
@@ -38,6 +39,24 @@ __all__ = [
     "run_bounds",
     "bounds_metadata_to_json",
 ]
+
+
+# Largest free-branching population a run may plan (mean n e^t) or reach;
+# the largest in use is about 21 000 (N = 20 000, delta = 0.05).
+MAX_POPULATION = 1 << 22
+
+
+def _check_population(n: int, t: float, name: str) -> None:
+    """Reject, before any work, n particles branching for t above the cap."""
+    try:
+        planned = n * math.exp(t)
+    except OverflowError:
+        planned = math.inf
+    if not planned <= MAX_POPULATION:
+        raise ValueError(
+            f"{name}={t!r} with N={n} plans {planned:.6g} particles (N e^{name}), "
+            f"above the cap of {MAX_POPULATION}"
+        )
 
 
 @dataclass(frozen=True)
@@ -81,18 +100,35 @@ def _streams(src: RandomSource | None) -> YuleStreams:
 
 
 def _free_bbm(positions: NDArray[np.float64], t: float, streams: YuleStreams):
-    """Level-synchronous exact Yule/Brownian evolution of all particles."""
+    """Level-synchronous exact Yule/Brownian evolution of all particles.
+
+    Raises OverflowError when the population (alive plus finished) exceeds
+    MAX_POPULATION, which a plan within the cap can reach by chance.
+    """
     pos = np.array(positions, dtype=np.float64, copy=True)
     rem = np.full(pos.size, float(t))
     finished: list[NDArray[np.float64]] = []
+    n_finished = 0
     while pos.size:
+        if pos.size + n_finished > MAX_POPULATION:
+            raise OverflowError(
+                f"free branching over t={t!r} reached {pos.size + n_finished} "
+                f"particles, above the cap of {MAX_POPULATION}"
+            )
         life = streams.lifetimes(pos.size)
         g = streams.moves(pos.size)
         done = life >= rem
         finished.append(pos[done] + g[done] * np.sqrt(rem[done]))
+        n_finished += finished[-1].size
         pos = np.repeat(pos[~done] + g[~done] * np.sqrt(life[~done]), 2)
         rem = np.repeat(rem[~done] - life[~done], 2)
-    return np.sort(np.concatenate(finished), kind="stable")
+    out = np.sort(np.concatenate(finished), kind="quicksort")
+    # Quicksort may order +0.0 and -0.0 unlike the stable sort; both can
+    # meet only where a -0.0 start moves by a zero step, as at t = 0.
+    zeros = out[np.searchsorted(out, 0.0) : np.searchsorted(out, 0.0, side="right")]
+    if zeros.size > 1 and np.signbit(zeros).any():
+        out = np.sort(np.concatenate(finished), kind="stable")
+    return out
 
 
 def free_bbm(
@@ -114,6 +150,7 @@ def free_bbm(
         raise ValueError("time must be non-negative")
     streams = _streams(src)
     arr = np.asarray(init, dtype=np.float64)
+    _check_population(arr.size, t, "t")
     if mirror:
         return -_free_bbm(-arr[::-1], t, streams)[::-1]
     return _free_bbm(arr, t, streams)
@@ -137,6 +174,7 @@ def _one_step(
     n = params.N
     if len(config) != n:
         raise ValueError(f"config must hold exactly N={n} particles")
+    _check_population(n, params.delta, "delta")
     kill_frac = 1.0 - math.exp(-params.delta)
     if params.side == "lower":
         removed = round(n * params.p * kill_frac)

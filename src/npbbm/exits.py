@@ -6,11 +6,15 @@ segment the probability that the Brownian bridge over one step crosses the
 barrier, given start and end distances d0, d1 > 0, is exp(-2 d0 d1 / h)
 exactly (Brownian motion minus a linear function is again Brownian motion),
 so the per-step crossing correction removes all discretization bias.  A
-uniform draw per barrier decides these hidden crossings; endpoint-side
-violations exit at the step end, hidden crossings are timed at the step
-midpoint (diagnostic only).  If both barriers trigger in one step the exit
-is attributed to the barrier nearer the path at the step start; the error
-of treating the two crossing events independently is O(exp(-2 (R-L)^2 / h)).
+uniform draw per barrier decides these hidden crossings.  The exponential
+is evaluated only where the exponent exceeds -37, which is exact: below
+that it is under 2^-53, the smallest positive uniform, so only a uniform of
+exactly 0 can fall below it, and those entries still evaluate it.
+Endpoint-side violations exit at the step end, hidden crossings are timed
+at the step midpoint (diagnostic only).  If both barriers trigger in one
+step the exit is attributed to the barrier nearer the path at the step
+start; the error of treating the two crossing events independently is
+O(exp(-2 (R-L)^2 / h)).
 
 The module cross-validates the killed semigroup against the grid scheme
 (the exit-mass identity behind the probabilistic representation) and
@@ -118,6 +122,22 @@ def _time_grid(t: float, h: float, left: Barrier, right: Barrier):
     return grid[np.concatenate(([True], np.diff(grid) > 1e-15))]
 
 
+# exp(-37) ~ 8.5e-17 is below 2^-53, the smallest positive uniform
+_EXP_CUTOFF = -37.0
+
+
+def _bridge_crossed(a, u, inside):
+    """``u < exp(a)`` on the inside entries, False elsewhere.
+
+    ``exp`` is evaluated only where the comparison can hold (a above the
+    cutoff) and where u == 0, so the result is exact.
+    """
+    live = inside & ((a > _EXP_CUTOFF) | (u == 0.0))
+    hit = np.zeros(a.size, dtype=bool)
+    hit[live] = u[live] < np.exp(a[live])
+    return hit
+
+
 def _run_paths(
     x0: NDArray[np.float64],
     left: Barrier,
@@ -167,20 +187,18 @@ def _run_paths(
         end_right = ~end_left & (d1r <= 0.0)
         inside = ~(end_left | end_right)
 
-        hid_left = np.zeros(idx.size, dtype=bool)
-        hid_right = np.zeros(idx.size, dtype=bool)
         if bridge_correction and np.any(inside):
             d0l = cur - lv[k]
             d0r = rv[k] - cur
-            p_l = np.exp(-2.0 * d0l[inside] * d1l[inside] / dt)
-            p_r = np.exp(-2.0 * d0r[inside] * d1r[inside] / dt)
-            hid_left[inside] = u_l[inside] < p_l
-            hid_right[inside] = u_r[inside] < p_r
+            hid_left = _bridge_crossed(-2.0 * d0l * d1l / dt, u_l, inside)
+            hid_right = _bridge_crossed(-2.0 * d0r * d1r / dt, u_r, inside)
             both = hid_left & hid_right
             if np.any(both):
                 to_left = both & (d0l <= d0r)
                 hid_left = (hid_left & ~both) | to_left
                 hid_right = (hid_right & ~both) | (both & ~to_left)
+        else:
+            hid_left = hid_right = np.zeros(idx.size, dtype=bool)
 
         gone = end_left | end_right | hid_left | hid_right
         if np.any(gone):
@@ -336,6 +354,8 @@ def representation_check(
     t_max = math.log(sys.float_info.max)
     if not t <= t_max:
         raise ValueError(f"t={t!r} exceeds {t_max!r}, the largest t with e^t finite")
+    # deterministic, so run first: its argument checks precede the paths
+    refined = refine_limit(rho, p, t, n_max=n_max, tol=tol)
     x_grid = np.asarray(x_grid, dtype=np.float64)
     x0 = _draw_initial(rho, left, right, params.n_paths, src)
     code, _, final = _run_paths(x0, left, right, t, params.h, src)
@@ -347,7 +367,6 @@ def representation_check(
     )
     ses = np.array([binomial_se(f, n) for f in frac], dtype=np.float64)
 
-    refined = refine_limit(rho, p, t, n_max=n_max, tol=tol)
     scheme = np.array([tail_mass(refined.psi, x) for x in x_grid])
     return RepresentationResult(
         xs=x_grid,

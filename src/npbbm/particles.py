@@ -12,7 +12,13 @@ There is no path-discretization error.
 
 One event loop, ``_run``, advances a (K, N) stack of sorted configurations
 on one draw sequence: every row takes the same clock gap, the same increment
-vector, the same rank and the same selection bit.  K = 1 is a single run
+vector, the same rank and the same selection bit.  The four streams are read
+ahead in blocks (:class:`~npbbm.randomness.ReadAhead`), which hands out the
+very draws call-by-call sampling would.  The loop re-sorts with numpy's
+quicksort, which gives the same bits as a stable sort: the two can differ
+only in the order of +0.0 and -0.0, and x + g is -0.0 only when both are,
+so after an increment a -0.0 needs a -0.0 start and a normal draw of exactly
+-0.0, which comes with probability 2^-53 a draw.  K = 1 is a single run
 (:func:`simulate`); K = 2 is the monotone coupling (:func:`couple_simulate`),
 under which two copies started in dominance order stay ordered pathwise.
 The reflection coupling between parameters p and 1-p is built from the base
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +38,7 @@ from numpy.typing import NDArray
 
 from .randomness import (
     RandomSource,
+    ReadAhead,
     TAG_CLOCK,
     TAG_DRIVING,
     TAG_INDEX,
@@ -80,16 +88,23 @@ def branch_select_step(v: NDArray[np.float64], i: int, q: int) -> NDArray[np.flo
     the same length as the input.  On a stack of configurations the event
     acts on the last axis, the same event on every row.
     """
-    v = np.asarray(v)
+    v = np.array(v)
     n = v.shape[-1]
     if not 1 <= i <= n:
         raise ValueError(f"rank i={i} out of range 1..{n}")
     if q not in (0, 1):
         raise ValueError("q must be 0 or 1")
+    _branch(v, i, q)
+    return v
+
+
+def _branch(v: NDArray[np.float64], i: int, q: int) -> None:
+    """:func:`branch_select_step` in place on its last axis, unvalidated."""
     # the duplicate sits next to its parent, so the output stays sorted
-    if q == 1:
-        return np.concatenate((v[..., 1:i], v[..., i - 1 :]), axis=-1)
-    return np.concatenate((v[..., :i], v[..., i - 1 : -1]), axis=-1)
+    if q:
+        v[..., : i - 1] = v[..., 1:i]
+    else:
+        v[..., i:] = v[..., i - 1 : -1]
 
 
 def dominance_check(a: NDArray[np.float64], b: NDArray[np.float64]) -> bool:
@@ -122,29 +137,45 @@ def viewed_from_leftmost(c: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 class SimulationStreams:
-    """The four independent substreams driving one simulation run."""
+    """The four independent substreams driving one simulation run.
+
+    Each is read ahead in blocks; the draws equal those of the calls
+    ``standard_normal(n)``, ``exponential(1/n)``, ``integers(1, n + 1)`` and
+    ``random()`` made one at a time.  The rank block is drawn for the n of
+    the first call, so n must stay fixed over the life of the bundle.
+    """
 
     def __init__(self, src: RandomSource) -> None:
-        self._driving = src.generator(TAG_DRIVING)
-        self._clock = src.generator(TAG_CLOCK)
+        self._driving = ReadAhead(src.generator(TAG_DRIVING).standard_normal)
+        self._clock = ReadAhead(src.generator(TAG_CLOCK).standard_exponential)
         self._index = src.generator(TAG_INDEX)
-        self._select = src.generator(TAG_SELECT)
+        self._ranks: ReadAhead | None = None
+        self._rank_n = 0
+        self._select = ReadAhead(src.generator(TAG_SELECT).random)
 
     def increments(self, n: int, dt: float) -> NDArray[np.float64]:
         """Gaussian increments over dt for ranks 1..n (rank j takes entry j)."""
-        return self._driving.standard_normal(n) * math.sqrt(dt)
+        return self._driving.take(n) * math.sqrt(dt)
 
     def event_gap(self, n: int) -> float:
         """Time to the next branch event: Exponential with rate n."""
-        return float(self._clock.exponential(1.0 / n))
+        return (1.0 / n) * self._clock.one()
 
     def branch_rank(self, n: int) -> int:
         """Uniform rank in 1..n."""
-        return int(self._index.integers(1, n + 1))
+        if n != self._rank_n:
+            if self._ranks is not None:
+                raise ValueError(
+                    f"branch_rank: n={n} after n={self._rank_n}; the rank draws "
+                    "were read ahead for a fixed n"
+                )
+            self._ranks = ReadAhead(partial(self._index.integers, 1, n + 1))
+            self._rank_n = n
+        return self._ranks.one()
 
     def keep_right(self, p: float) -> bool:
         """Bernoulli(p) selection bit: True kills the leftmost particle."""
-        return bool(self._select.random() < p)
+        return self._select.one() < p
 
 
 # ---------------------------------------------------------------------------
@@ -225,22 +256,26 @@ def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
     event.
     """
     k, n = x.shape
+    x = x.copy()  # stepped in place
     coupled = k == 2
     m = len(times)
     lefts = np.empty((k, m))
     rights = np.empty((k, m))
     configs = np.empty((k, m, n)) if record_configs else None
+    increments = streams.increments
+    event_gap = streams.event_gap
 
     t = 0.0
     si = 0
     events = 0
-    next_event = t + streams.event_gap(n)
+    next_event = t + event_gap(n)
     while True:
         horizon = next_event if next_event <= T else T
         while si < m and times[si] <= horizon:
             dt = times[si] - t
             if dt > 0.0:
-                x = np.sort(x + streams.increments(n, dt), axis=1, kind="stable")
+                x += increments(n, dt)
+                x.sort(axis=1, kind="quicksort")
                 t = times[si]
             if coupled:
                 _check_order(x)
@@ -253,13 +288,14 @@ def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
             break
         dt = next_event - t
         if dt > 0.0:
-            x = np.sort(x + streams.increments(n, dt), axis=1, kind="stable")
+            x += increments(n, dt)
+            x.sort(axis=1, kind="quicksort")
         t = next_event
-        x = branch_select_step(x, streams.branch_rank(n), int(streams.keep_right(p)))
+        _branch(x, streams.branch_rank(n), streams.keep_right(p))
         events += 1
         if coupled:
             _check_order(x)
-        next_event = t + streams.event_gap(n)
+        next_event = t + event_gap(n)
 
     return [
         TrajectoryRecord(

@@ -11,13 +11,28 @@ counter-based Philox generator keyed on (master_seed, stream_index, tag), so
 
 Replica fan-out uses disjoint stream_index ranges: replica r of an operation
 seeded with source s draws from s.child(r).
+
+Layout contract of :class:`ReadAhead`.  A Philox generator consumes its
+counter in order, so draws taken in one block equal the same draws taken
+call by call: ``standard_normal(n)`` with fixed or varying n,
+``standard_exponential``, ``integers(lo, hi)`` for fixed bounds and
+``random()``; and ``exponential(1/n)`` equals ``(1/n) *
+standard_exponential()`` bit for bit.  Reading ahead is therefore invisible
+as long as each generator has exactly one consumer, which holds because
+every consumer makes its own generators from :meth:`RandomSource.generator`
+and reads each one through a single :class:`ReadAhead`.  The draws fetched
+past the last one used are discarded with the generator.  A block holds at
+most ``BLOCK_ITEMS`` draws (64 KB of float64 or int64), unless one request
+alone is larger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from numpy.typing import NDArray
 
 # Substream tags.  The particle simulator uses the first four; other modules
 # reuse DRIVING/CLOCK for their own Gaussian/exponential draws and the
@@ -29,6 +44,10 @@ TAG_SELECT = 3     # Bernoulli left/right selection
 TAG_UNIFORM_A = 4  # auxiliary uniforms (bridge crossings, left barrier)
 TAG_UNIFORM_B = 5  # auxiliary uniforms (bridge crossings, right barrier)
 TAG_INITIAL = 6    # initial-condition sampling
+
+# Largest read-ahead block, 64 KB of 8-byte draws: larger blocks fall out of
+# the cache and made the particle loop slower.
+BLOCK_ITEMS = 8192
 
 
 @dataclass(frozen=True)
@@ -57,3 +76,53 @@ class RandomSource:
         if offset < 0:
             raise ValueError("offset must be non-negative")
         return RandomSource(self.master_seed, self.stream_index + offset)
+
+
+class ReadAhead:
+    """The draws of one generator method, fetched in blocks, handed out in order.
+
+    ``draw`` takes a size, e.g. ``gen.standard_normal`` or
+    ``functools.partial(gen.integers, 1, n + 1)``.  :meth:`take` and
+    :meth:`one` return exactly the draws that successive calls of ``draw``
+    would, in the same order (see the module docstring), so the generator
+    must have no other consumer.  Arrays from :meth:`take` are read-only
+    views of the current block.
+    """
+
+    def __init__(self, draw: Callable[[int], NDArray]) -> None:
+        self._draw = draw
+        self._block: NDArray = np.empty(0)
+        self._pos = 0
+        self._items: list | None = None  # the block as Python scalars, for one()
+
+    def _refill(self, n: int) -> None:
+        rest = self._block[self._pos :]
+        # whole multiples of n, so a run of equal requests never straddles blocks
+        fresh = self._draw(max(n - rest.size, BLOCK_ITEMS // n * n))
+        block = np.concatenate((rest, fresh)) if rest.size else fresh
+        block.flags.writeable = False
+        self._block = block
+        self._pos = 0
+        self._items = None
+
+    def take(self, n: int) -> NDArray:
+        """The next n draws as an array."""
+        if n < 0:
+            raise ValueError(f"take needs n >= 0, got n={n!r}")
+        if self._pos + n > self._block.size:
+            self._refill(n)
+        start = self._pos
+        self._pos = start + n
+        return self._block[start : self._pos]
+
+    def one(self):
+        """The next draw as a Python scalar."""
+        pos = self._pos
+        if pos == self._block.size:
+            self._refill(1)
+            pos = 0
+        items = self._items
+        if items is None:
+            items = self._items = self._block.tolist()
+        self._pos = pos + 1
+        return items[pos]

@@ -334,3 +334,53 @@ def test_memory_error_returns_3(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._RUNNERS, "wave", no_memory)
     assert main(["wave", "--out", str(tmp_path / "x")]) == 3
+
+
+def test_bounds_population_plan_returns_2(tmp_path, capsys):
+    # N e^delta = 2.6e22 particles: this config used to grow until the
+    # process was killed for lack of memory
+    cfg = _write_config(tmp_path, "b.json", {"n_particles": 5, "delta": 50})
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "delta=50.0 with N=5 plans 2.59" in err and "cap of" in err
+
+
+def test_bounds_population_overshoot_returns_3(tmp_path, capsys, monkeypatch):
+    import npbbm.discrete as discrete
+
+    # a plan of e^2 = 7.4 particles passes a cap of 8; seed 9 reaches 9
+    monkeypatch.setattr(discrete, "MAX_POPULATION", 8)
+    cfg = _write_config(
+        tmp_path, "b.json", {"n_particles": 1, "delta": 2.0, "k_steps": 1}
+    )
+    argv = ["bounds", "--config", cfg, "--seed", "9", "--out", str(tmp_path / "x")]
+    assert main(argv) == 3
+    assert "above the cap of 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [-1, 0, math.nan, math.inf])
+def test_bad_scheme_tol_returns_2(tmp_path, capsys, tol):
+    # tol <= 0 can never be met; it used to exit 0 unconverged
+    cfg = _write_config(tmp_path, "s.json", {"tol": tol, "n_max": 1})
+    assert main(["scheme", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert f"tol={float(tol)!r}" in capsys.readouterr().err
+
+
+def test_bad_representation_tol_returns_2(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path, "e.json", {"mode": "representation", "tol": -1, "n_paths": 10}
+    )
+    assert main(["exit", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "tol=-1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key", [("speedscan", "n_grid"), ("wave", "p_grid")]
+)
+def test_empty_grid_returns_2(tmp_path, capsys, command, key):
+    # an empty grid used to exit 0 with a header-only CSV
+    cfg = _write_config(tmp_path, "g.json", {key: []})
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{key} must be a non-empty list" in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))

@@ -18,7 +18,9 @@ from npbbm import (
     simulate,
     upper_step,
 )
-from npbbm.discrete import bounds_metadata_to_json
+import npbbm.discrete as discrete
+from npbbm.discrete import MAX_POPULATION, bounds_metadata_to_json
+from npbbm.randomness import TAG_DRIVING
 from npbbm.stats import dkw_band, empirical_tail
 
 from helpers import mean_and_se
@@ -94,6 +96,52 @@ def test_free_bbm_rejects_bad_arguments():
         free_bbm([0.0], -1.0, RandomSource(1))
     with pytest.raises(ValueError):
         free_bbm([0.0], 1.0)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_free_bbm_signed_zeros_match_a_stable_sort(mirror):
+    # at t = 0 every particle moves by g * 0.0, so -0.0 and +0.0 meet in the
+    # final sort, the one sort where quicksort and a stable sort can differ
+    rng = np.random.default_rng(5)
+    init = np.where(rng.random(200) < 0.5, 0.0, -0.0)
+    init[::7] = rng.normal(size=init[::7].size)
+    src = RandomSource(27)
+    start = -init[::-1] if mirror else init
+    g = src.generator(TAG_DRIVING).standard_normal(init.size)
+    ref = np.sort(start + g * np.sqrt(0.0), kind="stable")
+    if mirror:
+        ref = -ref[::-1]
+    out = free_bbm(init, 0.0, src, mirror=mirror)
+    assert np.array_equal(np.signbit(out), np.signbit(ref))
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_free_bbm_rejects_a_population_plan_above_the_cap():
+    n = 1000
+    t = math.log(MAX_POPULATION / n) + 0.01
+    with pytest.raises(ValueError, match=rf"t={t!r} with N={n} plans .* cap of"):
+        free_bbm(np.zeros(n), t, RandomSource(1))
+    with pytest.raises(ValueError, match="t=nan"):
+        free_bbm(np.zeros(n), math.nan, RandomSource(1))
+
+
+def test_free_bbm_overshoot_raises_overflow(monkeypatch):
+    # mean population e^2 = 7.4 passes a cap of 8; this seed reaches 9
+    monkeypatch.setattr(discrete, "MAX_POPULATION", 8)
+    with pytest.raises(OverflowError, match="reached 9 particles, above the cap of 8"):
+        free_bbm([0.0], 2.0, RandomSource(2))
+    assert free_bbm([0.0], 2.0, RandomSource(5)).size == 5
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_steps_reject_a_population_plan_above_the_cap(side):
+    params = BoundSystemParams(5, 0.5, 50.0, side)
+    step = lower_step if side == "lower" else upper_step
+    for mirror in (False, True):
+        with pytest.raises(ValueError, match=r"delta=50.0 with N=5 plans .* cap"):
+            step(np.zeros(5), params, RandomSource(1), mirror=mirror)
+    with pytest.raises(ValueError, match="delta=50.0"):
+        run_bounds(np.zeros(5), params, 3, RandomSource(1))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from npbbm import (
     sample_exit,
     small_delta_flux,
 )
-from npbbm.exits import _run_paths, exit_stats_to_json
+from npbbm.exits import _bridge_crossed, _run_paths, exit_stats_to_json
 
 from helpers import uniform_density, wave_fixture
 
@@ -283,3 +283,23 @@ def test_richardson_extrapolation_protocol():
         richardson_extrapolate([0.04, 0.02, 0.013], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         richardson_extrapolate([0.01], [1.0], [0.0])
+
+
+def test_bridge_filter_equals_full_exp():
+    # exp is skipped for a <= -37; the verdict must equal u < exp(a) everywhere
+    rng = np.random.default_rng(20260815)
+    cut = -37.0
+    a = np.concatenate(
+        [
+            np.linspace(-800.0, 0.0, 4001),
+            [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)],
+            [-745.2, -745.1, -708.4, -36.7368005696771, 0.0, -0.0],
+        ]
+    )
+    for u_value in (0.0, 2.0**-53, None):
+        u = rng.random(a.size) if u_value is None else np.full(a.size, u_value)
+        for inside in (np.ones(a.size, dtype=bool), rng.random(a.size) < 0.5):
+            got = _bridge_crossed(a, u, inside)
+            assert np.array_equal(got, inside & (u < np.exp(a)))
+    # at the cutoff exp is already below the smallest positive uniform
+    assert np.exp(np.nextafter(cut, np.inf)) < 2.0**-53

@@ -41,6 +41,14 @@ def test_order_handles_duplicates():
     assert np.array_equal(order([2.0, 2.0, 1.0]), [1.0, 2.0, 2.0])
 
 
+def test_order_keeps_signed_zeros_in_input_order():
+    # user input can hold both zeros, so order() keeps the stable sort
+    raw = [0.0, -0.0, 1.0, -0.0, 0.0, -1.0]
+    assert np.array_equal(
+        np.signbit(order(raw)), [True, False, True, True, False, False]
+    )
+
+
 def test_order_rejects_empty_and_nonfinite():
     with pytest.raises(ValueError):
         order([])
@@ -300,6 +308,15 @@ def test_couple_rows_share_the_single_run_draws():
             assert np.array_equal(rec.full_configs, alone.full_configs)
             assert rec.event_count == alone.event_count
         assert pair[0].event_count > 0
+
+
+def test_streams_refuse_a_new_rank_range():
+    # the rank draws are read ahead for the n of the first call
+    streams = SimulationStreams(RandomSource(3))
+    first = [streams.branch_rank(5) for _ in range(20)]
+    assert all(1 <= i <= 5 for i in first)
+    with pytest.raises(ValueError, match="n=6 after n=5"):
+        streams.branch_rank(6)
 
 
 class _OneEventStreams(SimulationStreams):

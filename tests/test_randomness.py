@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from functools import partial
+
 from npbbm import RandomSource
-from npbbm.randomness import TAG_CLOCK, TAG_DRIVING
+from npbbm.randomness import BLOCK_ITEMS, TAG_CLOCK, TAG_DRIVING, ReadAhead
 
 
 def test_same_key_reproduces_bit_for_bit():
@@ -50,3 +52,72 @@ def test_generator_is_fresh_each_call():
     first = src.generator(TAG_DRIVING).standard_normal(10)
     again = src.generator(TAG_DRIVING).standard_normal(10)
     assert np.array_equal(first, again)
+
+
+# ---------------------------------------------------------------------------
+# read-ahead layout contract
+
+
+def _gen(seed=20260815):
+    return RandomSource(seed, 3).generator(TAG_DRIVING)
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [7] * 3000,  # fixed n, many blocks
+        [4000] * 9,  # blocks of whole multiples of n
+        [BLOCK_ITEMS + 5, 3, BLOCK_ITEMS * 2 + 1, 1],  # requests above the cap
+        list(range(900, 0, -3)),  # shrinking n, as in the exit kernel
+    ],
+    ids=["fixed-small", "fixed-large", "above-cap", "shrinking"],
+)
+def test_take_equals_call_by_call_normals(sizes):
+    direct = _gen()
+    ahead = ReadAhead(_gen().standard_normal)
+    for n in sizes:
+        assert np.array_equal(ahead.take(n), direct.standard_normal(n))
+
+
+def test_one_equals_call_by_call_scalars():
+    n = 37
+    kinds = [
+        (lambda g: g.standard_exponential, lambda g: g.standard_exponential()),
+        (lambda g: partial(g.integers, 1, n + 1), lambda g: g.integers(1, n + 1)),
+        (lambda g: g.random, lambda g: g.random()),
+    ]
+    for block_draw, one_draw in kinds:
+        direct = _gen()
+        ahead = ReadAhead(block_draw(_gen()))
+        got = [ahead.one() for _ in range(3 * BLOCK_ITEMS + 11)]
+        want = [one_draw(direct) for _ in range(3 * BLOCK_ITEMS + 11)]
+        assert got == want
+        assert type(got[0]) in (int, float)
+
+
+def test_scaled_exponential_equals_exponential():
+    # the particle clock relies on exponential(1/n) == (1/n) * standard_exponential()
+    direct = _gen()
+    ahead = ReadAhead(_gen().standard_exponential)
+    for n in (1, 3, 50, 4000):
+        for _ in range(500):
+            assert (1.0 / n) * ahead.one() == float(direct.exponential(1.0 / n))
+
+
+def test_mixed_take_and_one_keep_the_order():
+    direct = _gen()
+    ahead = ReadAhead(_gen().standard_normal)
+    for n in [5, 1, 0, 3000, 1, 1, 8190, 2, 1]:
+        if n == 1:
+            assert ahead.one() == direct.standard_normal()
+        else:
+            assert np.array_equal(ahead.take(n), direct.standard_normal(n))
+
+
+def test_take_returns_read_only_views():
+    ahead = ReadAhead(_gen().standard_normal)
+    block = ahead.take(4)
+    with pytest.raises(ValueError):
+        block[0] = 1.0
+    with pytest.raises(ValueError):
+        ahead.take(-1)
