@@ -146,6 +146,7 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     threads = config["threads"]
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
+    _count("seed", config["seed"])
     return config
 
 
@@ -194,7 +195,7 @@ class _OutputSet:
 
 
 def _command_source(config: dict, command: str) -> RandomSource:
-    return RandomSource(int(config["seed"]), COMMAND_IDS[command] << 32)
+    return RandomSource(config["seed"], COMMAND_IDS[command] << 32)
 
 
 def _wave_fixture(p: float, t: float, dx: float):
@@ -206,22 +207,52 @@ def _wave_fixture(p: float, t: float, dx: float):
     return w, rho, barriers
 
 
+@contextlib.contextmanager
+def _naming(key: str):
+    """Prefix a ValueError raised in the block with the config key it concerns."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from exc
+
+
+def _non_empty(config: dict, key: str) -> list:
+    values = config[key]
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"{key} must be a non-empty list, got {values!r}")
+    return values
+
+
+def _count(key: str, value) -> int:
+    """A config count: an int, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key}={value!r} is not an integer")
+    return value
+
+
+def _real(key: str, value) -> float:
+    """A config real: a finite int or float, and not a bool or a string."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{key}={value!r} is not a finite number")
+
+
 def cmd_simulate(config: dict, out: _OutputSet) -> None:
-    p = float(config["p"])
-    n = int(config["n_particles"])
-    horizon = float(config["horizon"])
+    p = _real("p", config["p"])
+    n = _count("n_particles", config["n_particles"])
+    horizon = _real("horizon", config["horizon"])
+    n_samples = _count("n_samples", config["n_samples"])
+    replicas = _count("replicas", config["replicas"])
+    burn = config["burn_in"]
+    burn = None if burn is None else _real("burn_in", burn)
     src = _command_source(config, "simulate")
-    times = np.linspace(0.0, horizon, int(config["n_samples"]) + 1)[1:]
+    times = np.linspace(0.0, horizon, n_samples + 1)[1:]
     rec = simulate(np.zeros(n), p, horizon, src, sample_times=times)
     trajectory_to_csv(rec, out.path("trajectory.csv"))
-    burn = config["burn_in"]
     est = estimate_speed(
-        p,
-        n,
-        horizon,
-        src.child(1),
-        burn_in=None if burn is None else float(burn),
-        replicas=int(config["replicas"]),
+        p, n, horizon, src.child(1), burn_in=burn, replicas=replicas
     )
     out.write_json(
         "speed.json",
@@ -240,10 +271,10 @@ def cmd_simulate(config: dict, out: _OutputSet) -> None:
 
 
 def cmd_bounds(config: dict, out: _OutputSet) -> None:
-    p = float(config["p"])
-    n = int(config["n_particles"])
-    delta = float(config["delta"])
-    k = int(config["k_steps"])
+    p = _real("p", config["p"])
+    n = _count("n_particles", config["n_particles"])
+    delta = _real("delta", config["delta"])
+    k = _count("k_steps", config["k_steps"])
     src = _command_source(config, "bounds")
     init = np.zeros(n)
     lower = run_bounds(init, BoundSystemParams(n, p, delta, "lower"), k, src)
@@ -290,11 +321,11 @@ def cmd_bounds(config: dict, out: _OutputSet) -> None:
 
 
 def cmd_scheme(config: dict, out: _OutputSet) -> None:
-    p = float(config["p"])
-    t = float(config["t"])
-    n_max = int(config["n_max"])
-    tol = float(config["tol"])
-    _, rho, _ = _wave_fixture(p, t, float(config["dx"]))
+    p = _real("p", config["p"])
+    t = _real("t", config["t"])
+    n_max = _count("n_max", config["n_max"])
+    tol = _real("tol", config["tol"])
+    _, rho, _ = _wave_fixture(p, t, _real("dx", config["dx"]))
     result = refine_limit(rho, p, t, n_max=n_max, tol=tol)
     out.write_csv(
         "widths.csv",
@@ -319,43 +350,43 @@ def cmd_scheme(config: dict, out: _OutputSet) -> None:
     )
 
 
-@contextlib.contextmanager
-def _naming(key: str):
-    """Prefix a ValueError raised in the block with the config key it concerns."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from exc
-
-
-def _non_empty(config: dict, key: str) -> list:
-    values = config[key]
-    if not isinstance(values, list) or not values:
-        raise ValueError(f"{key} must be a non-empty list, got {values!r}")
-    return values
-
-
 def cmd_wave(config: dict, out: _OutputSet) -> None:
+    p_grid = [_real("p_grid", p) for p in _non_empty(config, "p_grid")]
+    dx_mass = _real("dx_mass", config["dx_mass"])
+    dx_residual = _real("dx_residual", config["dx_residual"])
     rows = []
-    for p in _non_empty(config, "p_grid"):
-        w = travelling_wave(float(p))
+    for p in p_grid:
+        w = travelling_wave(p)
         with _naming("dx_mass"):
-            grid = plan_grid(0.0, w.R0, 0.0, dx=float(config["dx_mass"]))
+            grid = plan_grid(0.0, w.R0, 0.0, dx=dx_mass)
         mass = wave_density(w, grid).mass
         with _naming("dx_residual"):
-            residual = ode_residual(w, float(config["dx_residual"]))
+            residual = ode_residual(w, dx_residual)
         rows.append((p, w.c, w.R0, w.omega, w.amplitude, residual, mass))
     out.write_csv("wave_table.csv", "p,c,R0,omega,amplitude,residual,mass", rows)
 
 
 def cmd_exit(config: dict, out: _OutputSet) -> None:
     mode = config["mode"]
-    p = float(config["p"])
-    t = float(config["t"])
+    if mode not in ("stats", "representation", "flux"):
+        raise ValueError("exit mode must be one of stats, representation, flux")
+    p = _real("p", config["p"])
+    t = _real("t", config["t"])
+    dx = _real("dx", config["dx"])
+    h = _real("h", config["h"])
+    n_paths = _count("n_paths", config["n_paths"])
+    if mode == "representation":
+        n_x = _count("n_x", config["n_x"])
+        if n_x < 1:
+            raise ValueError(f"n_x={n_x} must be at least 1")
+        n_max = _count("n_max", config["n_max"])
+        tol = _real("tol", config["tol"])
+    elif mode == "flux":
+        deltas = [_real("deltas", d) for d in _non_empty(config, "deltas")]
+    params = PathParams(t=t, h=h, n_paths=n_paths)
     src = _command_source(config, "exit")
-    w, rho, barriers = _wave_fixture(p, t, float(config["dx"]))
+    w, rho, barriers = _wave_fixture(p, t, dx)
     left, right = barriers
-    params = PathParams(t=t, h=float(config["h"]), n_paths=int(config["n_paths"]))
     if mode == "stats":
         stats = exit_statistics(rho, left, right, params, src)
         exit_stats_to_json(stats, params, src, out.path("exit_stats.json"))
@@ -363,7 +394,7 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
             "survivors.csv", "position", ((x,) for x in stats.survivor_positions)
         )
     elif mode == "representation":
-        xs = np.linspace(w.c * t - w.R0, w.c * t, int(config["n_x"]))
+        xs = np.linspace(w.c * t - w.R0, w.c * t, n_x)
         result = representation_check(
             rho,
             left,
@@ -373,8 +404,8 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
             params,
             src,
             p=p,
-            n_max=int(config["n_max"]),
-            tol=float(config["tol"]),
+            n_max=n_max,
+            tol=tol,
         )
         result.to_csv(out.path("representation.csv"))
         out.write_json(
@@ -390,9 +421,7 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
             },
         )
     elif mode == "flux":
-        seq = small_delta_flux(
-            rho, left, right, [float(d) for d in config["deltas"]], params, src
-        )
+        seq = small_delta_flux(rho, left, right, deltas, params, src)
         out.write_csv(
             "flux.csv",
             "delta,flux_left,se_left,flux_right,se_right",
@@ -410,8 +439,6 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
                 "flux_right_limit_se": se_r,
             },
         )
-    else:
-        raise ValueError("exit mode must be one of stats, representation, flux")
 
 
 # speedscan's size slot s hands replica r the stream s * _SLOT_STREAMS + r
@@ -419,16 +446,16 @@ _SLOT_STREAMS = 1 << 16
 
 
 def cmd_speedscan(config: dict, out: _OutputSet) -> None:
-    p = float(config["p"])
-    horizon = float(config["horizon"])
-    burn = float(config["burn_in"])
-    replicas = int(config["replicas"])
+    p = _real("p", config["p"])
+    horizon = _real("horizon", config["horizon"])
+    burn = _real("burn_in", config["burn_in"])
+    replicas = _count("replicas", config["replicas"])
     if replicas > _SLOT_STREAMS:
         raise ValueError(
             f"replicas={replicas} exceeds {_SLOT_STREAMS}, the number of streams "
             "each size slot owns"
         )
-    n_grid = [int(n) for n in _non_empty(config, "n_grid")]
+    n_grid = [_count("n_grid", n) for n in _non_empty(config, "n_grid")]
     src = _command_source(config, "speedscan")
     reference = wave_speed(p)
     rows = []

@@ -150,6 +150,8 @@ def free_bbm(
         raise ValueError("time must be non-negative")
     streams = _streams(src)
     arr = np.asarray(init, dtype=np.float64)
+    if arr.size == 0:
+        raise ValueError("init must hold at least one particle")
     _check_population(arr.size, t, "t")
     if mirror:
         return -_free_bbm(-arr[::-1], t, streams)[::-1]

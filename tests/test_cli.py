@@ -384,3 +384,47 @@ def test_empty_grid_returns_2(tmp_path, capsys, command, key):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"{key} must be a non-empty list" in capsys.readouterr().err
     assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "command, entries, shown",
+    [
+        # non-integral counts used to be truncated: N = 2, 2 samples, 300 paths
+        ("simulate", {"n_particles": 2.5, "n_samples": 2.7}, "n_particles=2.5"),
+        ("simulate", {"n_samples": 2.7}, "n_samples=2.7"),
+        ("simulate", {"replicas": True}, "replicas=True"),
+        ("simulate", {"horizon": "1"}, "horizon='1'"),
+        ("simulate", {"burn_in": "0.5"}, "burn_in='0.5'"),
+        ("simulate", {"seed": 7.5}, "seed=7.5"),
+        ("bounds", {"k_steps": 1.9}, "k_steps=1.9"),
+        ("bounds", {"delta": False}, "delta=False"),
+        ("scheme", {"n_max": 2.0}, "n_max=2.0"),
+        ("scheme", {"t": 10**400}, "t=1000"),
+        ("wave", {"p_grid": [0.5, None]}, "p_grid=None"),
+        ("exit", {"n_paths": 300.7}, "n_paths=300.7"),
+        ("exit", {"h": math.inf}, "h=inf"),
+        ("exit", {"mode": "representation", "n_x": 20.5}, "n_x=20.5"),
+        ("exit", {"mode": "flux", "deltas": [0.02, "0.01"]}, "deltas='0.01'"),
+        ("speedscan", {"n_grid": [10, 50.5]}, "n_grid=50.5"),
+    ],
+)
+def test_mistyped_config_value_returns_2(tmp_path, capsys, command, entries, shown):
+    cfg = _write_config(tmp_path, "c.json", entries)
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert shown in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_representation_without_points_returns_2(tmp_path, capsys, monkeypatch):
+    # n_x = 0 used to draw every path and run the scheme, then fail on an
+    # empty maximum
+    import npbbm.exits as exits
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths drawn before n_x was checked")
+
+    monkeypatch.setattr(exits, "_run_paths", no_paths)
+    cfg = _write_config(tmp_path, "e.json", {"mode": "representation", "n_x": 0})
+    assert main(["exit", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert "n_x=0 must be at least 1" in capsys.readouterr().err

@@ -125,6 +125,14 @@ def test_free_bbm_rejects_a_population_plan_above_the_cap():
         free_bbm(np.zeros(n), math.nan, RandomSource(1))
 
 
+@pytest.mark.parametrize("mirror", [False, True])
+def test_free_bbm_rejects_an_empty_start(mirror):
+    # it used to fail inside the branching with numpy's "need at least one
+    # array to concatenate"
+    with pytest.raises(ValueError, match="init must hold at least one particle"):
+        free_bbm([], 1.0, RandomSource(1), mirror=mirror)
+
+
 def test_free_bbm_overshoot_raises_overflow(monkeypatch):
     # mean population e^2 = 7.4 passes a cap of 8; this seed reaches 9
     monkeypatch.setattr(discrete, "MAX_POPULATION", 8)

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from npbbm import RandomSource, couple_simulate, simulate
-from npbbm.exits import _run_paths, _time_grid
+from npbbm.exits import _candidate_bands, _run_paths, _time_grid
 from npbbm.randomness import (
     TAG_CLOCK,
     TAG_DRIVING,
@@ -70,7 +71,7 @@ def simulate_reference(init, p, T, src, sample_times=None):
     return np.array(configs), events
 
 
-def run_paths_reference(x0, left, right, t, h, src):
+def run_paths_reference(x0, left, right, t, h, src, bridge_correction=True):
     """The killed-path kernel with exp evaluated on every inside path."""
     grid = _time_grid(t, h, left, right)
     lv = left.value(grid)
@@ -100,8 +101,11 @@ def run_paths_reference(x0, left, right, t, h, src):
         hid_right = np.zeros(idx.size, dtype=bool)
         d0l = cur - lv[k]
         d0r = rv[k] - cur
-        hid_left[inside] = u_l[inside] < np.exp(-2.0 * d0l[inside] * d1l[inside] / dt)
-        hid_right[inside] = u_r[inside] < np.exp(-2.0 * d0r[inside] * d1r[inside] / dt)
+        if bridge_correction:
+            a_l = -2.0 * d0l[inside] * d1l[inside] / dt
+            a_r = -2.0 * d0r[inside] * d1r[inside] / dt
+            hid_left[inside] = u_l[inside] < np.exp(a_l)
+            hid_right[inside] = u_r[inside] < np.exp(a_r)
         both = hid_left & hid_right
         to_left = both & (d0l <= d0r)
         hid_left = (hid_left & ~both) | to_left
@@ -179,11 +183,12 @@ def test_couple_simulate_matches_reference(init, shift, p, T, seed):
         assert rec.event_count == events
 
 
-def _check_paths(x0, left, right, t, h, src):
-    got = _run_paths(x0, left, right, t, h, src)
-    want = run_paths_reference(x0, left, right, t, h, src)
+def _check_paths(x0, left, right, t, h, src, bridge_correction=True):
+    got = _run_paths(x0, left, right, t, h, src, bridge_correction=bridge_correction)
+    want = run_paths_reference(x0, left, right, t, h, src, bridge_correction)
     for a, b in zip(got, want):
         assert same_bits(a, b)
+    return want
 
 
 def test_run_paths_matches_reference_on_the_wave_strip():
@@ -211,3 +216,151 @@ def test_run_paths_matches_reference_near_the_barriers(width, fracs, t, steps, s
     right = Barrier(np.array([0.0, t]), np.array([width, width + 0.2 * t]))
     x0 = width * np.asarray(fracs)
     _check_paths(x0, left, right, t, t / steps, RandomSource(seed, 2))
+
+
+def _wave_strip_starts(seed, n):
+    left, right = wave_barriers(travelling_wave(0.75), 1.0)
+    lo = float(left.value(0.0))
+    hi = float(right.value(0.0))
+    x0 = np.random.default_rng(seed).uniform(lo, hi, n)
+    x0 = np.clip(x0, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))
+    return left, right, x0
+
+
+def test_run_paths_without_bridge_correction_matches_reference():
+    # the candidates are then only the paths that end at or beyond a barrier
+    for seed in (20260815, 7):
+        left, right, x0 = _wave_strip_starts(seed, 2000)
+        for h in (1e-3, 0.2):
+            _check_paths(x0, left, right, 1.0, h, RandomSource(seed, 5), False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.floats(0.05, 3.0),
+    fracs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=50),
+    t=st.floats(0.01, 1.0),
+    steps=st.integers(1, 60),
+    seed=_seed,
+)
+def test_run_paths_without_bridge_correction_matches_reference_near_the_barriers(
+    width, fracs, t, steps, seed
+):
+    left = Barrier(np.array([0.0, t]), np.array([0.0, -0.3 * t]))
+    right = Barrier(np.array([0.0, t]), np.array([width, width + 0.2 * t]))
+    x0 = width * np.asarray(fracs)
+    _check_paths(x0, left, right, t, t / steps, RandomSource(seed, 6), False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    knots=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4, unique=True),
+    slopes=st.lists(st.floats(-3.0, 3.0), min_size=10, max_size=10),
+    fracs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=50),
+    steps=st.integers(1, 40),
+    seed=_seed,
+)
+def test_run_paths_matches_reference_across_barrier_knots(
+    knots, slopes, fracs, steps, seed
+):
+    # interior knots that are off the step grid shorten the steps next to
+    # them, so dt and with it the candidate reach change from step to step
+    t = 0.5
+    times = np.concatenate(([0.0], t * np.sort(knots), [t]))
+    gaps = np.diff(times)
+    rise_l = np.asarray(slopes[: gaps.size]) * gaps
+    rise_r = np.asarray(slopes[5 : 5 + gaps.size]) * gaps
+    left_v = np.concatenate(([0.0], np.cumsum(rise_l)))
+    right_v = 1.0 + np.concatenate(([0.0], np.cumsum(rise_r)))
+    # keep at least 0.05 between the barriers at every knot
+    right_v = np.maximum(right_v, left_v + 0.05)
+    left, right = Barrier(times, left_v), Barrier(times, right_v)
+    x0 = float(right_v[0]) * np.asarray(fracs)
+    _check_paths(x0, left, right, t, t / steps, RandomSource(seed, 7))
+    _check_paths(x0, left, right, t, t / steps, RandomSource(seed, 7), False)
+
+
+def test_run_paths_matches_reference_from_starts_at_a_receding_barrier():
+    # The barriers move apart at speed 100, so a path that starts within
+    # sqrt(18.5 dt) of one ends about 100 dt = 1 from it: only its start
+    # makes it a candidate, yet its bridge crosses with probability about
+    # exp(-200 d0), near 1 for the closest starts.
+    t, h = 0.05, 0.01
+    left = Barrier(np.array([0.0, t]), np.array([0.0, -100.0 * t]))
+    right = Barrier(np.array([0.0, t]), np.array([1.0, 1.0 + 100.0 * t]))
+    reach = math.sqrt(18.5 * h)
+    near = np.geomspace(1e-6, reach, 200)
+    inner = np.random.default_rng(11).uniform(0.0, 1.0, 200)
+    x0 = np.concatenate((near, 1.0 - near, inner))
+    for seed in (20260815, 7):
+        code, when, _ = _check_paths(x0, left, right, t, h, RandomSource(seed, 8))
+        # hidden crossings in the first step, all from starts near a barrier
+        first = (code > 0) & (when == 0.5 * h)
+        assert 100 < np.count_nonzero(first[:400])
+
+
+def test_run_paths_matches_reference_into_an_approaching_barrier():
+    # The barriers close in by 1.1 r in one step, r = sqrt(18.5 dt), on
+    # paths that start between r and 1.2 r from them: only their end makes
+    # them candidates, and a bridge that ends just inside crosses.
+    h = 0.01
+    reach = math.sqrt(18.5 * h)
+    left = Barrier(np.array([0.0, h]), np.array([0.0, 1.1 * reach]))
+    right = Barrier(np.array([0.0, h]), np.array([3.0, 3.0 - 1.1 * reach]))
+    far = reach * np.random.default_rng(12).uniform(1.0 + 1e-6, 1.2, 1000)
+    x0 = np.concatenate((far, 3.0 - far))
+    for seed in (20260815, 7):
+        code, when, _ = _check_paths(x0, left, right, h, h, RandomSource(seed, 10))
+        assert 10 < np.count_nonzero((code > 0) & (when == 0.5 * h))
+
+
+class _ZeroUniformSource:
+    """A source whose uniform streams return exactly 0.0 at every fifth draw.
+
+    A uniform of 0 falls below exp(a) for any a above about -745, so with it
+    a path far from both barriers (a far below -37) still crosses.
+    """
+
+    def __init__(self, src):
+        self.src = src
+
+    def generator(self, tag):
+        gen = self.src.generator(tag)
+        return _ZeroEveryFifth(gen) if tag in (TAG_UNIFORM_A, TAG_UNIFORM_B) else gen
+
+
+class _ZeroEveryFifth:
+    def __init__(self, gen):
+        self.gen = gen
+
+    def random(self, size):
+        u = self.gen.random(size)
+        u[::5] = 0.0
+        return u
+
+
+def test_run_paths_matches_reference_with_zero_uniforms():
+    for seed in (20260815, 7):
+        left, right, x0 = _wave_strip_starts(seed, 1000)
+        for h in (1e-3, 1e-2, 0.2):
+            src = _ZeroUniformSource(RandomSource(seed, 9))
+            code, _, _ = _check_paths(x0, left, right, 1.0, h, src)
+            plain, _, _ = run_paths_reference(x0, left, right, 1.0, h, src.src)
+            # the zeros stop paths far from the barriers
+            assert np.count_nonzero(code) > np.count_nonzero(plain)
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.3, -7.5, 1e6])
+def test_candidate_bands_hold_every_path_the_cutoff_can_pass(offset):
+    # The exponent is monotone in d0 and d1, so if the first positions
+    # outside the bands keep it at or below -37, every path outside does.
+    rng = np.random.default_rng(3)
+    steps = np.concatenate((np.geomspace(1e-6, 1.0, 5000), rng.uniform(1e-6, 1.0, 20000)))
+    grid = np.concatenate(([0.0], np.cumsum(steps)))
+    dt = np.diff(grid)
+    lv = offset + 1e-3 * rng.standard_normal(grid.size)
+    rv = lv + 1e3
+    lo0, hi0, lo1, hi1 = _candidate_bands(grid, lv, rv, True)
+    a_left = -2.0 * (lo0 - lv[:-1]) * (lo1 - lv[1:]) / dt
+    a_right = -2.0 * (rv[:-1] - hi0) * (rv[1:] - hi1) / dt
+    assert np.all(a_left <= -37.0) and np.all(a_right <= -37.0)
