@@ -1,10 +1,14 @@
 """Command-line front end: config parsing, orchestration, and output files.
 
 Every subcommand reads an optional JSON config file, applies flag overrides
-(flags win), resolves a master seed, runs the corresponding module
-operations, and writes CSV/JSON outputs plus a manifest with SHA-256
-checksums into the output directory.  Numeric output carries 17 significant
-digits so re-running a config reproduces files byte for byte.
+(flags win), resolves a master seed, and checks every key against the
+command's table in `_KEYS` before it creates the output directory.  It then
+runs the corresponding module operations and writes CSV/JSON outputs plus a
+manifest with SHA-256 checksums into the output directory.  This module
+writes every output file except `psi.csv`, which `density.save_density`
+writes in the format that `density.load_density` reads.  Numeric output
+carries 17 significant digits so re-running a config reproduces files byte
+for byte.
 
 Sub-streams derive from (master seed, command id, replica id): each command
 owns stream indices [id * 2^32, (id+1) * 2^32) and hands replica r the
@@ -29,21 +33,14 @@ import numpy as np
 from . import __version__
 from .density import (
     GridTooSmallError,
-    SchemeParams,
-    iterate_scheme,
     plan_grid,
     refine_limit,
     save_density,
 )
-from .discrete import (
-    BoundSystemParams,
-    bounds_metadata_to_json,
-    run_bounds,
-)
+from .discrete import BoundSystemParams, run_bounds
 from .exits import (
     PathParams,
     exit_statistics,
-    exit_stats_to_json,
     representation_check,
     small_delta_flux,
 )
@@ -51,7 +48,6 @@ from .particles import (
     CouplingViolationError,
     estimate_speed,
     simulate,
-    trajectory_to_csv,
 )
 from .randomness import RandomSource
 from .stats import empirical_tail, ks_critical, ks_distance
@@ -72,61 +68,116 @@ COMMAND_IDS = {
     "speedscan": 6,
 }
 
-_DEFAULTS = {
+
+def _int(key: str, value) -> int:
+    """A JSON integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key}={value!r} is not an integer")
+    return value
+
+
+def _count(least: int):
+    """Checker for a count: an integer of at least `least`."""
+
+    def check(key: str, value) -> int:
+        if _int(key, value) < least:
+            raise ValueError(f"{key}={value} must be at least {least}")
+        return value
+
+    return check
+
+
+def _real(key: str, value) -> float:
+    """A config real: a finite int or float, and not a bool or a string."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            if math.isfinite(value):
+                return float(value)
+    raise ValueError(f"{key}={value!r} is not a finite number")
+
+
+def _optional(check):
+    """Checker that lets None through and hands anything else to `check`."""
+    return lambda key, value: None if value is None else check(key, value)
+
+
+def _non_empty(check):
+    """Checker for a non-empty list whose every entry passes `check`."""
+
+    def entries(key: str, values) -> list:
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"{key} must be a non-empty list, got {values!r}")
+        return [check(key, v) for v in values]
+
+    return entries
+
+
+def _one_of(*choices: str):
+    """Checker for one of the given strings."""
+
+    def check(key: str, value) -> str:
+        if value not in choices:
+            raise ValueError(f"{key}={value!r} must be one of {', '.join(choices)}")
+        return value
+
+    return check
+
+
+# Each command's config keys: key -> (checker, default).  The checkers hold
+# types and count bounds; the ranges of reals are checked by the library
+# functions that use them, whose messages name the value and its limit.
+_KEYS = {
     "simulate": {
-        "p": 0.5,
-        "n_particles": 50,
-        "horizon": 10.0,
-        "n_samples": 50,
-        "replicas": 20,
-        "burn_in": None,
+        "p": (_real, 0.5),
+        "n_particles": (_count(1), 50),
+        "horizon": (_real, 10.0),
+        "n_samples": (_count(1), 50),
+        "replicas": (_count(2), 20),
+        "burn_in": (_optional(_real), None),
     },
     "bounds": {
-        "p": 0.5,
-        "n_particles": 200,
-        "delta": 0.1,
-        "k_steps": 10,
+        "p": (_real, 0.5),
+        "n_particles": (_count(1), 200),
+        "delta": (_real, 0.1),
+        "k_steps": (_count(0), 10),
     },
     "scheme": {
-        "p": 0.75,
-        "t": 0.5,
-        "n_max": 6,
-        "tol": 1e-2,
-        "dx": 1e-3,
+        "p": (_real, 0.75),
+        "t": (_real, 0.5),
+        "n_max": (_count(0), 6),
+        "tol": (_real, 1e-2),
+        "dx": (_real, 1e-3),
     },
     "wave": {
-        "p_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-        "dx_residual": 1e-3,
-        "dx_mass": 1e-3,
+        "p_grid": (_non_empty(_real), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
+        "dx_residual": (_real, 1e-3),
+        "dx_mass": (_real, 1e-3),
     },
     "exit": {
-        "mode": "stats",
-        "p": 0.75,
-        "t": 1.0,
-        "h": 1e-3,
-        "n_paths": 10000,
-        "dx": 1e-3,
-        "n_x": 20,
-        "n_max": 5,
-        "tol": 1e-2,
-        "deltas": [0.02, 0.01, 0.005],
+        "mode": (_one_of("stats", "representation", "flux"), "stats"),
+        "p": (_real, 0.75),
+        "t": (_real, 1.0),
+        "h": (_real, 1e-3),
+        "n_paths": (_count(1), 10000),
+        "dx": (_real, 1e-3),
+        "n_x": (_count(1), 20),
+        "n_max": (_count(0), 5),
+        "tol": (_real, 1e-2),
+        "deltas": (_non_empty(_real), [0.02, 0.01, 0.005]),
     },
     "speedscan": {
-        "p": 0.75,
-        "n_grid": [10, 50, 200],
-        "horizon": 50.0,
-        "burn_in": 10.0,
-        "replicas": 20,
+        "p": (_real, 0.75),
+        "n_grid": (_non_empty(_count(1)), [10, 50, 200]),
+        "horizon": (_real, 50.0),
+        "burn_in": (_real, 10.0),
+        "replicas": (_count(2), 20),
     },
 }
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
-
-
 def _load_config(command: str, args: argparse.Namespace) -> dict:
-    config = dict(_DEFAULTS[command])
+    keys = _KEYS[command]
+    config = {key: default for key, (_, default) in keys.items()}
     config.update({"seed": 20260815, "out": ".", "threads": 1})
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -146,12 +197,24 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     threads = config["threads"]
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    _count("seed", config["seed"])
+    _int("seed", config["seed"])
+    for key, (check, _) in keys.items():
+        config[key] = check(key, config[key])
     return config
 
 
+def _dump_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 class _OutputSet:
-    """Collects written files and emits the manifest with checksums."""
+    """Writes a command's output files and the manifest with their checksums.
+
+    CSV values carry 17 significant digits, so every double reads back
+    exactly; JSON is indented by two spaces.
+    """
 
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
@@ -164,15 +227,13 @@ class _OutputSet:
         return p
 
     def write_csv(self, name: str, header: str, rows) -> None:
+        row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
         with open(self.path(name), "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.writelines(row % tuple(values) for values in rows)
 
     def write_json(self, name: str, payload: dict) -> None:
-        with open(self.path(name), "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _dump_json(self.path(name), payload)
 
     def manifest(self, command: str, config: dict, started: str) -> None:
         entries = []
@@ -189,9 +250,7 @@ class _OutputSet:
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "outputs": entries,
         }
-        with open(self.out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _dump_json(self.out_dir / "manifest.json", payload)
 
 
 def _command_source(config: dict, command: str) -> RandomSource:
@@ -216,44 +275,18 @@ def _naming(key: str):
         raise ValueError(f"{key}: {exc}") from exc
 
 
-def _non_empty(config: dict, key: str) -> list:
-    values = config[key]
-    if not isinstance(values, list) or not values:
-        raise ValueError(f"{key} must be a non-empty list, got {values!r}")
-    return values
-
-
-def _count(key: str, value) -> int:
-    """A config count: an int, and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key}={value!r} is not an integer")
-    return value
-
-
-def _real(key: str, value) -> float:
-    """A config real: a finite int or float, and not a bool or a string."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        with contextlib.suppress(OverflowError):  # an int beyond float range
-            if math.isfinite(value):
-                return float(value)
-    raise ValueError(f"{key}={value!r} is not a finite number")
-
-
 def cmd_simulate(config: dict, out: _OutputSet) -> None:
-    p = _real("p", config["p"])
-    n = _count("n_particles", config["n_particles"])
-    horizon = _real("horizon", config["horizon"])
-    n_samples = _count("n_samples", config["n_samples"])
-    replicas = _count("replicas", config["replicas"])
-    burn = config["burn_in"]
-    burn = None if burn is None else _real("burn_in", burn)
+    p, n, horizon = config["p"], config["n_particles"], config["horizon"]
     src = _command_source(config, "simulate")
-    times = np.linspace(0.0, horizon, n_samples + 1)[1:]
+    times = np.linspace(0.0, horizon, config["n_samples"] + 1)[1:]
     rec = simulate(np.zeros(n), p, horizon, src, sample_times=times)
-    trajectory_to_csv(rec, out.path("trajectory.csv"))
-    est = estimate_speed(
-        p, n, horizon, src.child(1), burn_in=burn, replicas=replicas
+    out.write_csv(
+        "trajectory.csv",
+        "time,leftmost,rightmost",
+        zip(rec.sample_times, rec.leftmost, rec.rightmost),
     )
+    burn, replicas = config["burn_in"], config["replicas"]
+    est = estimate_speed(p, n, horizon, src.child(1), burn_in=burn, replicas=replicas)
     out.write_json(
         "speed.json",
         {
@@ -271,39 +304,43 @@ def cmd_simulate(config: dict, out: _OutputSet) -> None:
 
 
 def cmd_bounds(config: dict, out: _OutputSet) -> None:
-    p = _real("p", config["p"])
-    n = _count("n_particles", config["n_particles"])
-    delta = _real("delta", config["delta"])
-    k = _count("k_steps", config["k_steps"])
+    p, n, delta, k = (config[key] for key in ("p", "n_particles", "delta", "k_steps"))
     src = _command_source(config, "bounds")
     init = np.zeros(n)
-    lower = run_bounds(init, BoundSystemParams(n, p, delta, "lower"), k, src)
-    upper = run_bounds(init, BoundSystemParams(n, p, delta, "upper"), k, src)
-    bounds_metadata_to_json(
-        lower, BoundSystemParams(n, p, delta, "lower"), out.path("bounds_lower.json")
-    )
-    bounds_metadata_to_json(
-        upper, BoundSystemParams(n, p, delta, "upper"), out.path("bounds_upper.json")
-    )
+    runs = {
+        side: run_bounds(init, BoundSystemParams(n, p, delta, side), k, src)
+        for side in ("lower", "upper")
+    }
+    for side, run in runs.items():
+        out.write_json(
+            f"bounds_{side}.json",
+            {
+                "N": n,
+                "p": p,
+                "delta": delta,
+                "side": side,
+                "steps": [
+                    {
+                        "removed": s.removed,
+                        "pre_truncation_size": s.pre_truncation_size,
+                        "padded": s.padded,
+                    }
+                    for s in run.steps
+                ],
+            },
+        )
+    lower, upper = runs["lower"].configs[-1], runs["upper"].configs[-1]
     out.write_csv(
         "bounds_final.csv",
         "rank,lower,upper",
-        (
-            (r + 1, lo, hi)
-            for r, (lo, hi) in enumerate(zip(lower.configs[-1], upper.configs[-1]))
-        ),
+        ((r, lo, hi) for r, (lo, hi) in enumerate(zip(lower, upper), 1)),
     )
     # The two systems bound the selection process in distribution, not
     # pathwise (their populations desynchronize after the first removal), so
     # the verdict is statistical: the lower tail may not exceed the upper
     # tail by more than the 99% two-sample KS band.
-    grid = np.union1d(lower.configs[-1], upper.configs[-1])
-    excess = float(
-        np.max(
-            empirical_tail(lower.configs[-1], grid)
-            - empirical_tail(upper.configs[-1], grid)
-        )
-    )
+    grid = np.union1d(lower, upper)
+    excess = float(np.max(empirical_tail(lower, grid) - empirical_tail(upper, grid)))
     band = ks_critical(n, n, 0.01)
     out.write_json(
         "bounds_summary.json",
@@ -315,17 +352,14 @@ def cmd_bounds(config: dict, out: _OutputSet) -> None:
             "dominated": bool(excess <= band),
             "tail_excess": excess,
             "ks_band_99": band,
-            "ks_distance": ks_distance(lower.configs[-1], upper.configs[-1]),
+            "ks_distance": ks_distance(lower, upper),
         },
     )
 
 
 def cmd_scheme(config: dict, out: _OutputSet) -> None:
-    p = _real("p", config["p"])
-    t = _real("t", config["t"])
-    n_max = _count("n_max", config["n_max"])
-    tol = _real("tol", config["tol"])
-    _, rho, _ = _wave_fixture(p, t, _real("dx", config["dx"]))
+    p, t, n_max, tol = (config[key] for key in ("p", "t", "n_max", "tol"))
+    _, rho, _ = _wave_fixture(p, t, config["dx"])
     result = refine_limit(rho, p, t, n_max=n_max, tol=tol)
     out.write_csv(
         "widths.csv",
@@ -351,50 +385,48 @@ def cmd_scheme(config: dict, out: _OutputSet) -> None:
 
 
 def cmd_wave(config: dict, out: _OutputSet) -> None:
-    p_grid = [_real("p_grid", p) for p in _non_empty(config, "p_grid")]
-    dx_mass = _real("dx_mass", config["dx_mass"])
-    dx_residual = _real("dx_residual", config["dx_residual"])
     rows = []
-    for p in p_grid:
+    for p in config["p_grid"]:
         w = travelling_wave(p)
         with _naming("dx_mass"):
-            grid = plan_grid(0.0, w.R0, 0.0, dx=dx_mass)
+            grid = plan_grid(0.0, w.R0, 0.0, dx=config["dx_mass"])
         mass = wave_density(w, grid).mass
         with _naming("dx_residual"):
-            residual = ode_residual(w, dx_residual)
+            residual = ode_residual(w, config["dx_residual"])
         rows.append((p, w.c, w.R0, w.omega, w.amplitude, residual, mass))
     out.write_csv("wave_table.csv", "p,c,R0,omega,amplitude,residual,mass", rows)
 
 
 def cmd_exit(config: dict, out: _OutputSet) -> None:
-    mode = config["mode"]
-    if mode not in ("stats", "representation", "flux"):
-        raise ValueError("exit mode must be one of stats, representation, flux")
-    p = _real("p", config["p"])
-    t = _real("t", config["t"])
-    dx = _real("dx", config["dx"])
-    h = _real("h", config["h"])
-    n_paths = _count("n_paths", config["n_paths"])
-    if mode == "representation":
-        n_x = _count("n_x", config["n_x"])
-        if n_x < 1:
-            raise ValueError(f"n_x={n_x} must be at least 1")
-        n_max = _count("n_max", config["n_max"])
-        tol = _real("tol", config["tol"])
-    elif mode == "flux":
-        deltas = [_real("deltas", d) for d in _non_empty(config, "deltas")]
-    params = PathParams(t=t, h=h, n_paths=n_paths)
+    mode, p, t = config["mode"], config["p"], config["t"]
+    params = PathParams(t=t, h=config["h"], n_paths=config["n_paths"])
     src = _command_source(config, "exit")
-    w, rho, barriers = _wave_fixture(p, t, dx)
+    w, rho, barriers = _wave_fixture(p, t, config["dx"])
     left, right = barriers
     if mode == "stats":
         stats = exit_statistics(rho, left, right, params, src)
-        exit_stats_to_json(stats, params, src, out.path("exit_stats.json"))
+        out.write_json(
+            "exit_stats.json",
+            {
+                "master_seed": src.master_seed,
+                "stream_index": src.stream_index,
+                "t": params.t,
+                "h": params.h,
+                "n_paths": stats.n_paths,
+                "exit_left_prob": stats.exit_left_prob,
+                "exit_right_prob": stats.exit_right_prob,
+                "survive_prob": stats.survive_prob,
+                "exit_left_se": stats.exit_left_se,
+                "exit_right_se": stats.exit_right_se,
+                "survive_se": stats.survive_se,
+                "n_survivors": int(stats.survivor_positions.size),
+            },
+        )
         out.write_csv(
             "survivors.csv", "position", ((x,) for x in stats.survivor_positions)
         )
     elif mode == "representation":
-        xs = np.linspace(w.c * t - w.R0, w.c * t, n_x)
+        xs = np.linspace(w.c * t - w.R0, w.c * t, config["n_x"])
         result = representation_check(
             rho,
             left,
@@ -404,10 +436,10 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
             params,
             src,
             p=p,
-            n_max=n_max,
-            tol=tol,
+            n_max=config["n_max"],
+            tol=config["tol"],
         )
-        result.to_csv(out.path("representation.csv"))
+        out.write_csv("representation.csv", "x,mc,scheme,se", result.rows())
         out.write_json(
             "representation.json",
             {
@@ -420,8 +452,8 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
                 ),
             },
         )
-    elif mode == "flux":
-        seq = small_delta_flux(rho, left, right, deltas, params, src)
+    else:
+        seq = small_delta_flux(rho, left, right, config["deltas"], params, src)
         out.write_csv(
             "flux.csv",
             "delta,flux_left,se_left,flux_right,se_right",
@@ -446,20 +478,18 @@ _SLOT_STREAMS = 1 << 16
 
 
 def cmd_speedscan(config: dict, out: _OutputSet) -> None:
-    p = _real("p", config["p"])
-    horizon = _real("horizon", config["horizon"])
-    burn = _real("burn_in", config["burn_in"])
-    replicas = _count("replicas", config["replicas"])
+    p, horizon, burn, replicas = (
+        config[key] for key in ("p", "horizon", "burn_in", "replicas")
+    )
     if replicas > _SLOT_STREAMS:
         raise ValueError(
             f"replicas={replicas} exceeds {_SLOT_STREAMS}, the number of streams "
             "each size slot owns"
         )
-    n_grid = [_count("n_grid", n) for n in _non_empty(config, "n_grid")]
     src = _command_source(config, "speedscan")
     reference = wave_speed(p)
     rows = []
-    for slot, n in enumerate(n_grid):
+    for slot, n in enumerate(config["n_grid"]):
         slot_src = src.child(slot * _SLOT_STREAMS)
         est = estimate_speed(p, n, horizon, slot_src, burn_in=burn, replicas=replicas)
         rows.append((n, est.v_hat, est.std_error, reference))

@@ -17,7 +17,6 @@ lower/upper mirror identity is exact by construction.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Literal
@@ -37,7 +36,6 @@ __all__ = [
     "lower_step",
     "upper_step",
     "run_bounds",
-    "bounds_metadata_to_json",
 ]
 
 
@@ -274,24 +272,3 @@ def run_bounds(
         configs.append(config)
         steps.append(res)
     return BoundsRun(configs, steps)
-
-
-def bounds_metadata_to_json(run: BoundsRun, params: BoundSystemParams, path) -> None:
-    """JSON sidecar with per-step removal counts, sizes, and fallback flags."""
-    payload = {
-        "N": params.N,
-        "p": params.p,
-        "delta": params.delta,
-        "side": params.side,
-        "steps": [
-            {
-                "removed": s.removed,
-                "pre_truncation_size": s.pre_truncation_size,
-                "padded": s.padded,
-            }
-            for s in run.steps
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

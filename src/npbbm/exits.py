@@ -38,7 +38,6 @@ derivative.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -68,7 +67,6 @@ __all__ = [
     "representation_check",
     "small_delta_flux",
     "richardson_extrapolate",
-    "exit_stats_to_json",
 ]
 
 
@@ -381,12 +379,6 @@ class RepresentationResult:
             (self.xs, self.mc_values, self.scheme_values, self.std_errors)
         )
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,mc,scheme,se\n")
-            for row in self.rows():
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
 
 def representation_check(
     rho: GridDensity,
@@ -514,26 +506,3 @@ def small_delta_flux(
         sl[j] = stats.exit_left_se / delta
         sr[j] = stats.exit_right_se / delta
     return FluxSequence(deltas=d, flux_left=fl, flux_right=fr, se_left=sl, se_right=sr)
-
-
-def exit_stats_to_json(
-    stats: ExitStats, params: PathParams, src: RandomSource, path
-) -> None:
-    """Write an ExitStats run record (inputs, seed, estimates) as JSON."""
-    payload = {
-        "master_seed": src.master_seed,
-        "stream_index": src.stream_index,
-        "t": params.t,
-        "h": params.h,
-        "n_paths": stats.n_paths,
-        "exit_left_prob": stats.exit_left_prob,
-        "exit_right_prob": stats.exit_right_prob,
-        "survive_prob": stats.survive_prob,
-        "exit_left_se": stats.exit_left_se,
-        "exit_right_se": stats.exit_right_se,
-        "survive_se": stats.survive_se,
-        "n_survivors": int(stats.survivor_positions.size),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

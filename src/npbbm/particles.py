@@ -58,7 +58,6 @@ __all__ = [
     "couple_simulate",
     "estimate_speed",
     "stationarity_diagnostic",
-    "trajectory_to_csv",
 ]
 
 
@@ -375,8 +374,10 @@ def estimate_speed(
     particle, and measures (X(T) - X(burn_in)) / (T - burn_in) for both
     extremes.  Replica r draws from ``src.child(r)``.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be at least 1")
+    if replicas < 2:
+        raise ValueError(
+            f"replicas={replicas} must be at least 2: one replica has no spread"
+        )
     if burn_in is None:
         burn_in = T / 5.0
     if not 0.0 <= burn_in < T:
@@ -393,8 +394,8 @@ def estimate_speed(
         r0 = rec.rightmost[0] if burn_in > 0.0 else 0.0
         vl[r] = (rec.leftmost[-1] - l0) / span
         vr[r] = (rec.rightmost[-1] - r0) / span
-    sel = float(np.std(vl, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
-    ser = float(np.std(vr, ddof=1) / math.sqrt(replicas)) if replicas > 1 else 0.0
+    sel = float(np.std(vl, ddof=1) / math.sqrt(replicas))
+    ser = float(np.std(vr, ddof=1) / math.sqrt(replicas))
     return SpeedEstimate(
         v_hat=float(np.mean(vl)),
         std_error=sel,
@@ -438,27 +439,3 @@ def stationarity_diagnostic(
     from .stats import ks_distance
 
     return ks_distance(g1, g2)
-
-
-# ---------------------------------------------------------------------------
-# export
-
-
-def trajectory_to_csv(rec: TrajectoryRecord, path, *, wide: bool = False) -> None:
-    """Write a trajectory as CSV with 17-significant-digit floats.
-
-    Narrow format has columns time,leftmost,rightmost; the wide format
-    (requires recorded configurations) has time,x1,...,xN.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        if wide:
-            if rec.full_configs is None:
-                raise ValueError("wide export needs recorded configurations")
-            n = rec.full_configs.shape[1]
-            fh.write("time," + ",".join(f"x{j}" for j in range(1, n + 1)) + "\n")
-            for t, row in zip(rec.sample_times, rec.full_configs):
-                fh.write(",".join(format(v, ".17g") for v in (t, *row)) + "\n")
-        else:
-            fh.write("time,leftmost,rightmost\n")
-            for t, lo, hi in zip(rec.sample_times, rec.leftmost, rec.rightmost):
-                fh.write(f"{t:.17g},{lo:.17g},{hi:.17g}\n")

@@ -19,7 +19,6 @@ extreme particles against the scheme's recorded cut positions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -222,34 +221,6 @@ class ComparisonReport:
     empirical: NDArray[np.float64]
     lower_tail: NDArray[np.float64]
     upper_tail: NDArray[np.float64]
-
-    def to_json(self, path) -> None:
-        payload = {
-            "p": self.p,
-            "n_particles": self.n_particles,
-            "t": self.t,
-            "delta": self.delta,
-            "master_seed": self.master_seed,
-            "stream_index": self.stream_index,
-            "sup_gap": self.sup_gap,
-            "width": self.width,
-            "dkw_99": self.dkw,
-            "gap_left": self.gap_left,
-            "gap_right": self.gap_right,
-            "left_boundary": self.left_boundary,
-            "right_boundary": self.right_boundary,
-            "leftmost": self.leftmost,
-            "rightmost": self.rightmost,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-
-    def curves_to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,empirical_tail,lower_tail,upper_tail\n")
-            for row in zip(self.xs, self.empirical, self.lower_tail, self.upper_tail):
-                fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
 def hydrodynamic_report(

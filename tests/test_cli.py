@@ -10,8 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from npbbm import GridTooSmallError, wave_speed
-from npbbm.cli import main
+from npbbm import (
+    BoundSystemParams,
+    GridTooSmallError,
+    PathParams,
+    RandomSource,
+    exit_statistics,
+    run_bounds,
+    simulate,
+    wave_speed,
+)
+from npbbm.cli import COMMAND_IDS, _wave_fixture, main
 from npbbm.density import load_density
 
 
@@ -428,3 +437,117 @@ def test_representation_without_points_returns_2(tmp_path, capsys, monkeypatch):
     cfg = _write_config(tmp_path, "e.json", {"mode": "representation", "n_x": 0})
     assert main(["exit", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "n_x=0 must be at least 1" in capsys.readouterr().err
+
+
+def test_trajectory_csv_reads_back_to_simulate_extremes(tmp_path):
+    # 17 significant digits carry every double through the CSV exactly
+    cfg = _write_config(
+        tmp_path,
+        "sim.json",
+        {"p": 0.5, "n_particles": 4, "horizon": 1.0, "n_samples": 2, "replicas": 2},
+    )
+    out = tmp_path / "s"
+    assert main(["simulate", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    rows = _read_csv(out / "trajectory.csv")
+    assert rows[0] == ["time", "leftmost", "rightmost"]
+    table = np.array([[float(v) for v in row] for row in rows[1:]])
+    src = RandomSource(3, COMMAND_IDS["simulate"] << 32)
+    rec = simulate(np.zeros(4), 0.5, 1.0, src, sample_times=[0.5, 1.0])
+    expected = np.column_stack((rec.sample_times, rec.leftmost, rec.rightmost))
+    assert table.tobytes() == expected.tobytes()
+
+
+def test_bounds_metadata_json_records_the_run(tmp_path):
+    cfg = _write_config(
+        tmp_path, "b.json", {"p": 0.75, "n_particles": 100, "delta": 0.1, "k_steps": 3}
+    )
+    out = tmp_path / "b"
+    assert main(["bounds", "--config", cfg, "--seed", "42", "--out", str(out)]) == 0
+    params = BoundSystemParams(100, 0.75, 0.1, "upper")
+    src = RandomSource(42, COMMAND_IDS["bounds"] << 32)
+    run = run_bounds(np.zeros(100), params, 3, src)
+    with open(out / "bounds_upper.json") as fh:
+        payload = json.load(fh)
+    assert payload == {
+        "N": 100,
+        "p": 0.75,
+        "delta": 0.1,
+        "side": "upper",
+        "steps": [
+            {
+                "removed": s.removed,
+                "pre_truncation_size": s.pre_truncation_size,
+                "padded": s.padded,
+            }
+            for s in run.steps
+        ],
+    }
+    upper = [float(r[2]) for r in _read_csv(out / "bounds_final.csv")[1:]]
+    assert np.array_equal(upper, run.configs[-1])
+
+
+def test_exit_stats_json_matches_exit_statistics(tmp_path):
+    config = {"p": 0.75, "t": 1.0, "h": 1e-2, "n_paths": 2000, "dx": 1e-3}
+    cfg = _write_config(tmp_path, "e.json", config)
+    out = tmp_path / "e"
+    assert main(["exit", "--config", cfg, "--seed", "98", "--out", str(out)]) == 0
+    _, rho, (left, right) = _wave_fixture(0.75, 1.0, 1e-3)
+    src = RandomSource(98, COMMAND_IDS["exit"] << 32)
+    params = PathParams(1.0, 1e-2, 2000)
+    stats = exit_statistics(rho, left, right, params, src)
+    with open(out / "exit_stats.json") as fh:
+        payload = json.load(fh)
+    assert payload == {
+        "master_seed": 98,
+        "stream_index": COMMAND_IDS["exit"] << 32,
+        "t": 1.0,
+        "h": 1e-2,
+        "n_paths": 2000,
+        "exit_left_prob": stats.exit_left_prob,
+        "exit_right_prob": stats.exit_right_prob,
+        "survive_prob": stats.survive_prob,
+        "exit_left_se": stats.exit_left_se,
+        "exit_right_se": stats.exit_right_se,
+        "survive_se": stats.survive_se,
+        "n_survivors": stats.survivor_positions.size,
+    }
+    survivors = [float(r[0]) for r in _read_csv(out / "survivors.csv")[1:]]
+    assert np.array_equal(survivors, stats.survivor_positions)
+
+
+@pytest.mark.parametrize("command", ["simulate", "speedscan"])
+def test_single_replica_returns_2(tmp_path, capsys, command):
+    # one replica has no spread; its standard error used to be written as 0
+    cfg = _write_config(tmp_path, "r.json", {"replicas": 1})
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "replicas=1 must be at least 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, entries, shown, least",
+    [
+        # n_particles = 0 and an n_grid entry of 0 used to exit 2 with a
+        # message that named no key
+        ("simulate", {"n_particles": 0}, "n_particles=0", 1),
+        ("simulate", {"n_samples": 0}, "n_samples=0", 1),
+        ("simulate", {"replicas": 0}, "replicas=0", 2),
+        ("bounds", {"n_particles": -3}, "n_particles=-3", 1),
+        ("bounds", {"k_steps": -1}, "k_steps=-1", 0),
+        ("scheme", {"n_max": -1}, "n_max=-1", 0),
+        ("exit", {"n_paths": 0}, "n_paths=0", 1),
+        ("exit", {"n_x": -2}, "n_x=-2", 1),
+        ("exit", {"n_max": -1}, "n_max=-1", 0),
+        ("speedscan", {"n_grid": [10, 0]}, "n_grid=0", 1),
+        ("speedscan", {"replicas": -5}, "replicas=-5", 2),
+    ],
+)
+def test_count_below_its_bound_returns_2(
+    tmp_path, capsys, command, entries, shown, least
+):
+    cfg = _write_config(tmp_path, "c.json", entries)
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"{shown} must be at least {least}" in capsys.readouterr().err
+    assert not out.exists()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -19,7 +18,7 @@ from npbbm import (
     upper_step,
 )
 import npbbm.discrete as discrete
-from npbbm.discrete import MAX_POPULATION, bounds_metadata_to_json
+from npbbm.discrete import MAX_POPULATION
 from npbbm.randomness import TAG_DRIVING
 from npbbm.stats import dkw_band, empirical_tail
 
@@ -287,17 +286,3 @@ def test_run_bounds_matches_grid_scheme():
         emp = empirical_tail(run.configs[-1], scheme.density.edges())
         sup = float(np.max(np.abs(emp - _edge_tails(scheme.density))))
         assert sup <= band
-
-
-def test_bounds_metadata_roundtrip(tmp_path):
-    params = BoundSystemParams(100, 0.75, 0.1, "upper")
-    run = run_bounds(np.zeros(100), params, 3, RandomSource(42))
-    path = tmp_path / "meta.json"
-    bounds_metadata_to_json(run, params, path)
-    with open(path) as fh:
-        payload = json.load(fh)
-    assert payload["N"] == 100
-    assert payload["side"] == "upper"
-    assert len(payload["steps"]) == 3
-    assert payload["steps"][0]["removed"] == run.steps[0].removed
-    assert payload["steps"][2]["pre_truncation_size"] == run.steps[2].pre_truncation_size

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -21,7 +20,7 @@ from npbbm import (
     sample_exit,
     small_delta_flux,
 )
-from npbbm.exits import _bridge_crossed, _run_paths, exit_stats_to_json
+from npbbm.exits import _bridge_crossed, _run_paths
 
 from helpers import uniform_density, wave_fixture
 
@@ -167,20 +166,13 @@ def test_exit_statistics_rejects_support_outside_barriers():
         exit_statistics(rho, _constant(0.25), _constant(2.0), params, RandomSource(1))
 
 
-def test_exit_statistics_deterministic(tmp_path):
+def test_exit_statistics_deterministic():
     _, rho, left, right = wave_fixture(0.75, 1.0)
     params = PathParams(1.0, 1e-2, 2000)
     a = exit_statistics(rho, left, right, params, RandomSource(98))
     b = exit_statistics(rho, left, right, params, RandomSource(98))
     assert a.exit_left_prob == b.exit_left_prob
     assert np.array_equal(a.survivor_positions, b.survivor_positions)
-    path = tmp_path / "stats.json"
-    exit_stats_to_json(a, params, RandomSource(98), path)
-    with open(path) as fh:
-        payload = json.load(fh)
-    assert payload["exit_left_prob"] == a.exit_left_prob
-    assert payload["h"] == params.h
-    assert payload["master_seed"] == 98
 
 
 # ---------------------------------------------------------------------------
@@ -216,19 +208,6 @@ def test_representation_check_validates_horizon():
     params = PathParams(0.5, 1e-2, 10)
     with pytest.raises(ValueError):
         representation_check(rho, left, right, 0.6, [0.0], params, RandomSource(1), p=0.75)
-
-
-def test_representation_csv(tmp_path):
-    _, rho, left, right = wave_fixture(0.75, 1.0)
-    params = PathParams(0.5, 1e-2, 500)
-    result = representation_check(
-        rho, left, right, 0.5, [-1.0, 0.0], params, RandomSource(100), p=0.75, n_max=3
-    )
-    path = tmp_path / "rep.csv"
-    result.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,mc,scheme,se"
-    assert len(lines) == 3
 
 
 # ---------------------------------------------------------------------------

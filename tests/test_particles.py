@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import csv
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from npbbm import (
     simulate,
     stationarity_diagnostic,
 )
-from npbbm.particles import order, trajectory_to_csv, viewed_from_leftmost
+from npbbm.particles import order, viewed_from_leftmost
 from npbbm.stats import ks_critical
 
 from helpers import mean_and_se
@@ -386,6 +385,12 @@ def test_speed_rejects_bad_arguments():
         estimate_speed(0.5, 10, 10.0, RandomSource(1), burn_in=10.0)
 
 
+def test_speed_rejects_a_single_replica():
+    # one replica has no spread; its standard error used to be reported as 0
+    with pytest.raises(ValueError, match="replicas=1 must be at least 2"):
+        estimate_speed(0.5, 10, 10.0, RandomSource(1), replicas=1)
+
+
 # ---------------------------------------------------------------------------
 # stationarity_diagnostic
 
@@ -403,34 +408,3 @@ def test_stationarity_two_large_times_close():
 def test_stationarity_degenerate_start_far():
     d = stationarity_diagnostic(0.75, 20, 0.01, 40.0, 200, RandomSource(71))
     assert d > ks_critical(200, 200, 0.01)
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def test_trajectory_csv_narrow(tmp_path):
-    rec = simulate(np.zeros(4), 0.5, 1.0, RandomSource(3), [0.5, 1.0])
-    path = tmp_path / "trace.csv"
-    trajectory_to_csv(rec, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["time", "leftmost", "rightmost"]
-    assert len(rows) == 3
-    assert float(rows[1][1]) == rec.leftmost[0]
-    # 17 significant digits round-trip doubles exactly
-    assert float(rows[2][2]) == rec.rightmost[1]
-
-
-def test_trajectory_csv_wide(tmp_path):
-    rec = simulate(np.zeros(3), 0.5, 1.0, RandomSource(4), [1.0], record_configs=True)
-    path = tmp_path / "wide.csv"
-    trajectory_to_csv(rec, path, wide=True)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["time", "x1", "x2", "x3"]
-    assert [float(v) for v in rows[1][1:]] == list(rec.full_configs[0])
-
-    narrow = simulate(np.zeros(3), 0.5, 1.0, RandomSource(4), [1.0])
-    with pytest.raises(ValueError):
-        trajectory_to_csv(narrow, tmp_path / "fail.csv", wide=True)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -229,19 +228,3 @@ def test_hydrodynamic_report_requires_integer_steps():
     rho = _dyadic_uniform()
     with pytest.raises(ValueError):
         hydrodynamic_report(0.75, 100, 0.23, 0.05, rho, RandomSource(1))
-
-
-def test_report_exports(tmp_path):
-    rho = _dyadic_uniform()
-    rep = hydrodynamic_report(0.6, 100, 0.1, 0.05, rho, RandomSource(323))
-    jpath = tmp_path / "report.json"
-    cpath = tmp_path / "curves.csv"
-    rep.to_json(jpath)
-    rep.curves_to_csv(cpath)
-    with open(jpath) as fh:
-        payload = json.load(fh)
-    assert payload["n_particles"] == 100
-    assert payload["sup_gap"] == rep.sup_gap
-    header = cpath.read_text().splitlines()[0]
-    assert header == "x,empirical_tail,lower_tail,upper_tail"
-    assert len(cpath.read_text().splitlines()) == len(rep.xs) + 1
