@@ -20,6 +20,7 @@ from npbbm import (
     sample_exit,
     small_delta_flux,
 )
+from npbbm.cli import _OutputSet
 from npbbm.exits import _bridge_crossed, _run_paths
 
 from helpers import uniform_density, wave_fixture
@@ -208,6 +209,23 @@ def test_representation_check_validates_horizon():
     params = PathParams(0.5, 1e-2, 10)
     with pytest.raises(ValueError):
         representation_check(rho, left, right, 0.6, [0.0], params, RandomSource(1), p=0.75)
+
+
+def test_representation_csv(tmp_path):
+    # representation.csv is rows() through the exit command's CSV writer;
+    # its 17 significant digits read every value back exactly.
+    _, rho, left, right = wave_fixture(0.75, 1.0)
+    params = PathParams(0.5, 1e-2, 500)
+    result = representation_check(
+        rho, left, right, 0.5, [-1.0, 0.0], params, RandomSource(100), p=0.75, n_max=3
+    )
+    out = _OutputSet(tmp_path)
+    out.write_csv("rep.csv", "x,mc,scheme,se", result.rows())
+    lines = (tmp_path / "rep.csv").read_text().splitlines()
+    assert lines[0] == "x,mc,scheme,se"
+    assert len(lines) == 3
+    back = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(back, result.rows())
 
 
 # ---------------------------------------------------------------------------
