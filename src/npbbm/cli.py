@@ -308,7 +308,7 @@ def cmd_bounds(config: dict, out: _OutputSet) -> None:
     src = _command_source(config, "bounds")
     init = np.zeros(n)
     runs = {
-        side: run_bounds(init, BoundSystemParams(n, p, delta, side), k, src)
+        side: run_bounds(init, BoundSystemParams(p, delta, side), k, src)
         for side in ("lower", "upper")
     }
     for side, run in runs.items():
@@ -390,7 +390,7 @@ def cmd_wave(config: dict, out: _OutputSet) -> None:
         w = travelling_wave(p)
         with _naming("dx_mass"):
             grid = plan_grid(0.0, w.R0, 0.0, dx=config["dx_mass"])
-        mass = wave_density(w, grid).mass
+            mass = wave_density(w, grid).mass
         with _naming("dx_residual"):
             residual = ode_residual(w, config["dx_residual"])
         rows.append((p, w.c, w.R0, w.omega, w.amplitude, residual, mass))
@@ -431,7 +431,6 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
             rho,
             left,
             right,
-            t,
             xs,
             params,
             src,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -65,6 +65,10 @@ _CUT_SLACK = 1e-9
 # Largest grid a step size may plan (2^22 cells, 32 MiB a float64 array); the
 # largest grid the shipped configs use has 19 293 cells.
 MAX_GRID_CELLS = 1 << 22
+
+# plan_grid pads a support by this many standard deviations of the diffusion;
+# the Gaussian tail beyond eight is below 1e-14.
+_PAD_SIGMAS = 8.0
 
 
 class GridTooSmallError(RuntimeError):
@@ -116,16 +120,15 @@ def plan_grid(
     total_time: float,
     drift: float = 0.0,
     dx: float = 1e-3,
-    pad_sigmas: float = 8.0,
 ) -> GridSpec:
     """Grid sized so diffusion over total_time plus drift stays interior.
 
-    Pads the initial support by pad_sigmas*sqrt(total_time) + |drift|*total_time
-    on each side; at eight sigmas the stray Gaussian tail is below 1e-14.
+    Pads the initial support by 8*sqrt(total_time) + |drift|*total_time on
+    each side.
     """
     if support_hi < support_lo:
         raise ValueError("empty support")
-    pad = pad_sigmas * math.sqrt(max(total_time, 0.0)) + abs(drift) * total_time
+    pad = _PAD_SIGMAS * math.sqrt(max(total_time, 0.0)) + abs(drift) * total_time
     lo = support_lo - pad - 2.0 * dx
     hi = support_hi + pad + 2.0 * dx
     n = int(math.ceil(grid_cells(hi - lo, dx))) + 1
@@ -139,7 +142,7 @@ class GridDensity:
     x0: float
     dx: float
     values: NDArray[np.float64]
-    mass: float = None  # type: ignore[assignment]  # derived in __post_init__
+    mass: float = field(init=False)  # derived in __post_init__
 
     def __post_init__(self) -> None:
         # copy first, so the checks below read contiguous memory even when
@@ -278,8 +281,8 @@ def gaussian_propagate(f: GridDensity, t: float) -> GridDensity:
     support would touch the grid boundary, or more than 1e-12 of the mass
     would land beyond it, the grid is too small.
     """
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be non-negative and finite, got t={t!r}")
     if t == 0.0:
         return f
     support = _support(f.values)
@@ -406,9 +409,11 @@ class SchemeParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly in (0,1)")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
+            raise ValueError(f"p must lie strictly in (0,1), got p={self.p!r}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(
+                f"delta must be positive and finite, got delta={self.delta!r}"
+            )
         if self.side not in ("lower", "upper"):
             raise ValueError("side must be 'lower' or 'upper'")
 
@@ -432,7 +437,10 @@ def step(f: GridDensity, params: SchemeParams) -> StepResult:
     the moving boundaries of the limiting free boundary problem.
     """
     if abs(f.mass - 1.0) > 1e-10:
-        raise ValueError("step expects a probability density (mass 1 within 1e-10)")
+        raise ValueError(
+            "step expects a probability density (mass 1 within 1e-10), "
+            f"got mass {f.mass!r}"
+        )
     d = params.delta
     lower = params.side == "lower"
     q = params.p if lower else 1.0 - params.p
@@ -536,17 +544,14 @@ def tail_mass(f: GridDensity, a) -> float | NDArray[np.float64]:
     return float(out) if np.isscalar(a) else out
 
 
-def dominates(f: GridDensity, g: GridDensity, tol: float | None = None) -> bool:
+def dominates(f: GridDensity, g: GridDensity) -> bool:
     """True iff every right tail of f is at most the matching tail of g + tol.
 
-    The default tolerance 1e-9 + 2*dx*max(f,g) absorbs the O(dx) quantile
+    The tolerance 1e-9 + 2*dx*max(f,g) absorbs the O(dx) quantile
     discretization of the cut operators.
     """
     _same_grid(f, g)
-    if tol is None:
-        tol = 1e-9 + 2.0 * f.dx * max(
-            float(np.max(f.values)), float(np.max(g.values))
-        )
+    tol = 1e-9 + 2.0 * f.dx * max(float(np.max(f.values)), float(np.max(g.values)))
     return bool(np.all(_edge_tails(f) <= _edge_tails(g) + tol))
 
 
@@ -580,8 +585,8 @@ def refine_limit(
     first n whose width is within tol; if n_max is exhausted, the best
     midpoint is returned with ``converged=False``.
     """
-    if t <= 0.0:
-        raise ValueError("total time must be positive")
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"total time must be positive and finite, got t={t!r}")
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     if not (math.isfinite(tol) and tol > 0.0):

@@ -9,9 +9,13 @@ Selection acts only at multiples of the step delta:
 * upper side: the mirror image (drop from the right, keep the N rightmost).
 
 Run at matching times these two systems bracket the continuously selected
-process in distribution from below and above.  With R(x) = -x[::-1], the
-``mirror=True`` variant of each function is R applied to the same draws run
-on R(config), with the sides swapped and p replaced by 1-p, so the
+process in distribution from below and above.  A step takes its parameters
+as ``BoundSystemParams(p, delta, side)``, the shape of the grid scheme's
+``SchemeParams``; N is the size of the configuration, which every step keeps.
+:func:`bound_step` and :func:`run_bounds` take their start through
+:func:`npbbm.particles.order` (stable sort, non-empty, finite).  With
+R(x) = -x[::-1], ``bound_step(..., mirror=True)`` is R applied to the step
+of the other side at 1-p on R(config), on the same draws, so the
 lower/upper mirror identity is exact by construction.
 """
 
@@ -24,6 +28,7 @@ from typing import Literal
 import numpy as np
 from numpy.typing import NDArray
 
+from .particles import order
 from .randomness import RandomSource, TAG_CLOCK, TAG_DRIVING
 
 __all__ = [
@@ -31,10 +36,8 @@ __all__ = [
     "BoundSystemParams",
     "BoundStepResult",
     "BoundsRun",
-    "YuleStreams",
     "free_bbm",
-    "lower_step",
-    "upper_step",
+    "bound_step",
     "run_bounds",
 ]
 
@@ -59,49 +62,35 @@ def _check_population(n: int, t: float, name: str) -> None:
 
 @dataclass(frozen=True)
 class BoundSystemParams:
-    """Step parameters for one bounding system."""
+    """Step parameters for one bounding system; N is the configuration's size."""
 
-    N: int
     p: float
     delta: float
     side: Literal["lower", "upper"]
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
         if not 0.0 < self.p < 1.0:
-            raise ValueError("p must lie strictly in (0,1)")
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive")
+            raise ValueError(f"p must lie strictly in (0,1), got p={self.p!r}")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError(
+                f"delta must be positive and finite, got delta={self.delta!r}"
+            )
         if self.side not in ("lower", "upper"):
             raise ValueError("side must be 'lower' or 'upper'")
 
 
-class YuleStreams:
-    """Exponential split clocks and Gaussian moves for free branching."""
-
-    def __init__(self, src: RandomSource) -> None:
-        self._moves = src.generator(TAG_DRIVING)
-        self._clocks = src.generator(TAG_CLOCK)
-
-    def lifetimes(self, n: int) -> NDArray[np.float64]:
-        return self._clocks.exponential(1.0, n)
-
-    def moves(self, n: int) -> NDArray[np.float64]:
-        return self._moves.standard_normal(n)
-
-
-def _streams(src: RandomSource | None) -> YuleStreams:
-    if src is None:
-        raise ValueError("a RandomSource is required")
-    return YuleStreams(src)
-
-
-def _free_bbm(positions: NDArray[np.float64], t: float, streams: YuleStreams):
+def _free_bbm(
+    positions: NDArray[np.float64],
+    t: float,
+    moves: np.random.Generator,
+    clocks: np.random.Generator,
+) -> NDArray[np.float64]:
     """Level-synchronous exact Yule/Brownian evolution of all particles.
 
-    Raises OverflowError when the population (alive plus finished) exceeds
-    MAX_POPULATION, which a plan within the cap can reach by chance.
+    Each level draws one Exponential(1) lifetime from ``clocks`` and one
+    standard normal from ``moves`` per alive particle.  Raises OverflowError
+    when the population (alive plus finished) exceeds MAX_POPULATION, which
+    a plan within the cap can reach by chance.
     """
     pos = np.array(positions, dtype=np.float64, copy=True)
     rem = np.full(pos.size, float(t))
@@ -113,8 +102,8 @@ def _free_bbm(positions: NDArray[np.float64], t: float, streams: YuleStreams):
                 f"free branching over t={t!r} reached {pos.size + n_finished} "
                 f"particles, above the cap of {MAX_POPULATION}"
             )
-        life = streams.lifetimes(pos.size)
-        g = streams.moves(pos.size)
+        life = clocks.exponential(1.0, pos.size)
+        g = moves.standard_normal(pos.size)
         done = life >= rem
         finished.append(pos[done] + g[done] * np.sqrt(rem[done]))
         n_finished += finished[-1].size
@@ -132,7 +121,7 @@ def _free_bbm(positions: NDArray[np.float64], t: float, streams: YuleStreams):
 def free_bbm(
     init,
     t: float,
-    src: RandomSource | None = None,
+    src: RandomSource,
     *,
     mirror: bool = False,
 ) -> NDArray[np.float64]:
@@ -146,14 +135,16 @@ def free_bbm(
     """
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    streams = _streams(src)
     arr = np.asarray(init, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("init must hold at least one particle")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("init entries must be finite")
     _check_population(arr.size, t, "t")
+    moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
     if mirror:
-        return -_free_bbm(-arr[::-1], t, streams)[::-1]
-    return _free_bbm(arr, t, streams)
+        return -_free_bbm(-arr[::-1], t, moves, clocks)[::-1]
+    return _free_bbm(arr, t, moves, clocks)
 
 
 @dataclass(frozen=True)
@@ -169,80 +160,55 @@ class BoundStepResult:
 def _one_step(
     config: NDArray[np.float64],
     params: BoundSystemParams,
-    streams: YuleStreams,
+    moves: np.random.Generator,
+    clocks: np.random.Generator,
 ) -> BoundStepResult:
-    n = params.N
-    if len(config) != n:
-        raise ValueError(f"config must hold exactly N={n} particles")
+    """One step from a sorted configuration; N is its size."""
+    n = len(config)
     _check_population(n, params.delta, "delta")
-    kill_frac = 1.0 - math.exp(-params.delta)
-    if params.side == "lower":
-        removed = round(n * params.p * kill_frac)
-    else:
-        removed = round(n * (1.0 - params.p) * kill_frac)
+    lower = params.side == "lower"
+    q = params.p if lower else 1.0 - params.p
+    removed = round(n * q * (1.0 - math.exp(-params.delta)))
     if removed >= n:
         raise ValueError("removal count reached N; shrink delta or N")
-    survivors = config[removed:] if params.side == "lower" else config[: n - removed]
-    grown = _free_bbm(survivors, params.delta, streams)
+    survivors = config[removed:] if lower else config[: n - removed]
+    grown = _free_bbm(survivors, params.delta, moves, clocks)
     pre = int(grown.size)
     padded = pre < n
-    if params.side == "lower":
-        if padded:
-            out = np.concatenate([np.full(n - pre, grown[0]), grown])
-        else:
-            out = grown[:n]
+    if not padded:
+        out = grown[:n] if lower else grown[pre - n :]
+    elif lower:
+        out = np.concatenate([np.full(n - pre, grown[0]), grown])
     else:
-        if padded:
-            out = np.concatenate([grown, np.full(n - pre, grown[-1])])
-        else:
-            out = grown[pre - n :]
+        out = np.concatenate([grown, np.full(n - pre, grown[-1])])
     return BoundStepResult(out, removed, pre, padded)
 
 
-def _side_step(config, params, side, src, mirror) -> BoundStepResult:
-    """Shared body of :func:`lower_step` and :func:`upper_step`."""
-    if params.side != side:
-        raise ValueError(f"params.side must be '{side}'")
-    streams = _streams(src)
-    arr = np.asarray(config, dtype=np.float64)
-    if not mirror:
-        return _one_step(arr, params, streams)
-    other = "upper" if side == "lower" else "lower"
-    swapped = BoundSystemParams(params.N, 1.0 - params.p, params.delta, other)
-    res = _one_step(-arr[::-1], swapped, streams)
-    return replace(res, config=-res.config[::-1])
-
-
-def lower_step(
+def bound_step(
     config,
     params: BoundSystemParams,
-    src: RandomSource | None = None,
+    src: RandomSource,
     *,
     mirror: bool = False,
 ) -> BoundStepResult:
-    """One step of the lower bounding system.
+    """One step of the bounding system on the side ``params.side``.
 
-    Removes round(N p (1-e^{-delta})) leftmost particles, branches freely for
-    delta, keeps the N leftmost survivors.  Too few survivors (possible but
-    vanishingly rare at practical sizes) pad with copies of the leftmost and
-    set the ``padded`` flag.  ``mirror=True`` returns the reflection of the
-    upper step at 1-p on the reflected configuration.
+    Lower side: removes round(N p (1-e^{-delta})) leftmost particles,
+    branches freely for delta, keeps the N leftmost.  Upper side: removes
+    round(N (1-p) (1-e^{-delta})) rightmost particles, branches, keeps the N
+    rightmost.  Too few survivors (possible but vanishingly rare at
+    practical sizes) pad with copies of the extreme that is kept and set the
+    ``padded`` flag.  ``mirror=True`` returns the reflection of the other
+    side's step at 1-p on the reflected configuration.
     """
-    return _side_step(config, params, "lower", src, mirror)
-
-
-def upper_step(
-    config,
-    params: BoundSystemParams,
-    src: RandomSource | None = None,
-    *,
-    mirror: bool = False,
-) -> BoundStepResult:
-    """Mirror image of :func:`lower_step`: trims the right, keeps the N
-    rightmost, pads (if ever needed) with copies of the rightmost.
-    ``mirror=True`` returns the reflection of the lower step at 1-p on the
-    reflected configuration."""
-    return _side_step(config, params, "upper", src, mirror)
+    x = order(config)
+    moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
+    if not mirror:
+        return _one_step(x, params, moves, clocks)
+    other = "upper" if params.side == "lower" else "lower"
+    swapped = BoundSystemParams(1.0 - params.p, params.delta, other)
+    res = _one_step(-x[::-1], swapped, moves, clocks)
+    return replace(res, config=-res.config[::-1])
 
 
 @dataclass(frozen=True)
@@ -262,12 +228,12 @@ def run_bounds(
     """Iterate one bounding system k_steps times, recording every config."""
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
-    config = np.sort(np.asarray(init, dtype=np.float64), kind="stable")
-    streams = YuleStreams(src)
+    config = order(init)
+    moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
     configs = [config]
     steps: list[BoundStepResult] = []
     for _ in range(k_steps):
-        res = _one_step(config, params, streams)
+        res = _one_step(config, params, moves, clocks)
         config = res.config
         configs.append(config)
         steps.append(res)

@@ -79,10 +79,14 @@ class PathParams:
     n_paths: int
 
     def __post_init__(self) -> None:
-        if not self.t > 0.0:
-            raise ValueError("horizon t must be positive")
+        if not 0.0 < self.t < math.inf:
+            raise ValueError(
+                f"horizon t must be positive and finite, got t={self.t!r}"
+            )
         if not 0.0 < self.h <= self.t:
-            raise ValueError("step h must satisfy 0 < h <= t")
+            raise ValueError(
+                f"step h must satisfy 0 < h <= t, got h={self.h!r} with t={self.t!r}"
+            )
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
 
@@ -384,7 +388,6 @@ def representation_check(
     rho: GridDensity,
     left: Barrier,
     right: Barrier,
-    t: float,
     x_grid,
     params: PathParams,
     src: RandomSource,
@@ -395,13 +398,13 @@ def representation_check(
 ) -> RepresentationResult:
     """Compare e^t P(survive, B_t >= x) with the scheme's tail mass at x.
 
-    The left side is estimated from killed paths started i.i.d. from rho,
-    the right side from the refinement limit of the grid scheme started at
-    rho with selection parameter p (the scheme needs p even though the
-    killed paths do not).  Standard errors are binomial, scaled by e^t.
+    The horizon t is ``params.t``.  The left side is estimated from killed
+    paths started i.i.d. from rho, the right side from the refinement limit
+    of the grid scheme started at rho with selection parameter p (the scheme
+    needs p even though the killed paths do not).  Standard errors are
+    binomial, scaled by e^t.
     """
-    if abs(params.t - t) > 1e-12:
-        raise ValueError("params.t must equal the requested horizon t")
+    t = params.t
     # checked before any path is drawn: e^t must be a finite float
     t_max = math.log(sys.float_info.max)
     if not t <= t_max:

@@ -136,40 +136,32 @@ def viewed_from_leftmost(c: NDArray[np.float64]) -> NDArray[np.float64]:
 
 
 class SimulationStreams:
-    """The four independent substreams driving one simulation run.
+    """The four independent substreams driving one run of n particles.
 
-    Each is read ahead in blocks; the draws equal those of the calls
-    ``standard_normal(n)``, ``exponential(1/n)``, ``integers(1, n + 1)`` and
-    ``random()`` made one at a time.  The rank block is drawn for the n of
-    the first call, so n must stay fixed over the life of the bundle.
+    n is bound at construction.  Each stream is read ahead in blocks; the
+    draws equal those of the calls ``standard_normal(n)``,
+    ``exponential(1/n)``, ``integers(1, n + 1)`` and ``random()`` made one
+    at a time.
     """
 
-    def __init__(self, src: RandomSource) -> None:
+    def __init__(self, src: RandomSource, n: int) -> None:
+        self._n = n
+        self._mean_gap = 1.0 / n
         self._driving = ReadAhead(src.generator(TAG_DRIVING).standard_normal)
         self._clock = ReadAhead(src.generator(TAG_CLOCK).standard_exponential)
-        self._index = src.generator(TAG_INDEX)
-        self._ranks: ReadAhead | None = None
-        self._rank_n = 0
+        self._ranks = ReadAhead(partial(src.generator(TAG_INDEX).integers, 1, n + 1))
         self._select = ReadAhead(src.generator(TAG_SELECT).random)
 
-    def increments(self, n: int, dt: float) -> NDArray[np.float64]:
+    def increments(self, dt: float) -> NDArray[np.float64]:
         """Gaussian increments over dt for ranks 1..n (rank j takes entry j)."""
-        return self._driving.take(n) * math.sqrt(dt)
+        return self._driving.take(self._n) * math.sqrt(dt)
 
-    def event_gap(self, n: int) -> float:
+    def event_gap(self) -> float:
         """Time to the next branch event: Exponential with rate n."""
-        return (1.0 / n) * self._clock.one()
+        return self._mean_gap * self._clock.one()
 
-    def branch_rank(self, n: int) -> int:
+    def branch_rank(self) -> int:
         """Uniform rank in 1..n."""
-        if n != self._rank_n:
-            if self._ranks is not None:
-                raise ValueError(
-                    f"branch_rank: n={n} after n={self._rank_n}; the rank draws "
-                    "were read ahead for a fixed n"
-                )
-            self._ranks = ReadAhead(partial(self._index.integers, 1, n + 1))
-            self._rank_n = n
         return self._ranks.one()
 
     def keep_right(self, p: float) -> bool:
@@ -195,7 +187,9 @@ class TrajectoryRecord:
 def _prepare(init, p, T, sample_times):
     x = order(init)
     if not 0.0 < p < 1.0:
-        raise ValueError("selection probability p must lie strictly in (0,1)")
+        raise ValueError(
+            f"selection probability p must lie strictly in (0,1), got p={p!r}"
+        )
     if not math.isfinite(T) or T < 0.0:
         raise ValueError(f"time horizon must be finite and non-negative, got {T!r}")
     if sample_times is None:
@@ -233,7 +227,7 @@ def simulate(
     if (src is None) == (streams is None):
         raise ValueError("pass exactly one of src and streams")
     if streams is None:
-        streams = SimulationStreams(src)
+        streams = SimulationStreams(src, len(x))
     if not mirror:
         return _run(x[None], p, T, times, streams, record_configs)[0]
     rec = _run(-x[None, ::-1], 1.0 - p, T, times, streams, record_configs)[0]
@@ -267,13 +261,13 @@ def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
     t = 0.0
     si = 0
     events = 0
-    next_event = t + event_gap(n)
+    next_event = t + event_gap()
     while True:
         horizon = next_event if next_event <= T else T
         while si < m and times[si] <= horizon:
             dt = times[si] - t
             if dt > 0.0:
-                x += increments(n, dt)
+                x += increments(dt)
                 x.sort(axis=1, kind="quicksort")
                 t = times[si]
             if coupled:
@@ -287,14 +281,14 @@ def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
             break
         dt = next_event - t
         if dt > 0.0:
-            x += increments(n, dt)
+            x += increments(dt)
             x.sort(axis=1, kind="quicksort")
         t = next_event
-        _branch(x, streams.branch_rank(n), streams.keep_right(p))
+        _branch(x, streams.branch_rank(), streams.keep_right(p))
         events += 1
         if coupled:
             _check_order(x)
-        next_event = t + event_gap(n)
+        next_event = t + event_gap()
 
     return [
         TrajectoryRecord(
@@ -328,7 +322,8 @@ def couple_simulate(
     if not np.all(lo <= hi):
         raise ValueError("initial configurations must be in dominance order")
     pair = np.stack((lo, hi))
-    rec_lo, rec_hi = _run(pair, p, T, times, SimulationStreams(src), record_configs)
+    streams = SimulationStreams(src, len(lo))
+    rec_lo, rec_hi = _run(pair, p, T, times, streams, record_configs)
     return rec_lo, rec_hi
 
 
@@ -381,7 +376,7 @@ def estimate_speed(
     if burn_in is None:
         burn_in = T / 5.0
     if not 0.0 <= burn_in < T:
-        raise ValueError("need T > burn_in >= 0")
+        raise ValueError(f"need T > burn_in >= 0, got T={T!r}, burn_in={burn_in!r}")
     vl = np.empty(replicas)
     vr = np.empty(replicas)
     span = T - burn_in

@@ -62,7 +62,7 @@ def wave_speed(p: float) -> float:
     antisymmetry c(1-p) = -c(p) holds bit for bit.
     """
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly in (0,1)")
+        raise ValueError(f"p must lie strictly in (0,1), got p={p!r}")
     if p == 0.5:
         return 0.0
     if p > 0.5:
@@ -124,13 +124,26 @@ def _profile_antiderivative(w: TravellingWave, x):
     return w.amplitude * (np.exp(-w.c * x) * inner + w.omega) / 2.0
 
 
+def _support_cells(w: TravellingWave, dx: float) -> int:
+    """Whole cells of width dx across the support [0, R0]; at least three."""
+    cells = math.floor(grid_cells(w.R0, dx))
+    if cells < 3:
+        raise ValueError(
+            f"dx too coarse for the wave support: dx={dx!r} leaves fewer than "
+            f"three cells across [0, R0] with R0={w.R0!r}"
+        )
+    return cells
+
+
 def wave_density(w: TravellingWave, grid: GridSpec, shift: float = 0.0) -> GridDensity:
     """Exact cell averages of the shifted profile on the given grid.
 
     Cell values come from the closed-form antiderivative, so the grid mass
     equals the continuum mass (exactly 1) to rounding.  The shifted support
-    (shift, shift + R0) must avoid the first and last grid cell.
+    (shift, shift + R0) must avoid the first and last grid cell, and dx must
+    leave at least three cells across it, the rule of :func:`ode_residual`.
     """
+    _support_cells(w, grid.dx)
     edges = grid.edges() - shift
     if edges[1] > 0.0 or edges[-2] < w.R0:
         raise ValueError("grid does not cover the shifted wave support")
@@ -146,9 +159,7 @@ def ode_residual(w: TravellingWave, dx: float) -> float:
     Centered finite differences of the analytic profile on the grid j*dx;
     second-order accurate, so the value shrinks about fourfold per halving.
     """
-    j_max = int(math.floor(grid_cells(w.R0, dx))) - 1
-    if j_max < 2:
-        raise ValueError("dx too coarse for the wave support")
+    j_max = _support_cells(w, dx) - 1
     x = np.arange(1, j_max + 1) * dx
     f_minus = _profile_raw(w, x - dx)
     f_mid = _profile_raw(w, x)
@@ -186,8 +197,8 @@ class Barrier:
 
 def wave_barriers(w: TravellingWave, t_max: float) -> tuple[Barrier, Barrier]:
     """Moving-frame barriers L_t = c t - R0, R_t = c t on [0, t_max]."""
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got t_max={t_max!r}")
     times = np.array([0.0, t_max])
     left = Barrier(times, np.array([-w.R0, w.c * t_max - w.R0]))
     right = Barrier(times, np.array([0.0, w.c * t_max]))

@@ -18,12 +18,12 @@ from npbbm import (
     PathParams,
     RandomSource,
     SchemeParams,
+    bound_step,
     couple_simulate,
     estimate_speed,
     exit_statistics,
     hydrodynamic_report,
     iterate_scheme,
-    lower_step,
     ode_residual,
     plan_grid,
     refine_limit,
@@ -32,7 +32,6 @@ from npbbm import (
     simulate,
     small_delta_flux,
     travelling_wave,
-    upper_step,
     wave_density,
     wave_speed,
 )
@@ -154,7 +153,7 @@ def test_killed_semigroup_representation_identity():
     w, rho, left, right = wave_fixture(p, t)
     xs = np.linspace(w.c * t - w.R0, w.c * t, 20)
     res = representation_check(
-        rho, left, right, t, xs,
+        rho, left, right, xs,
         PathParams(t=t, h=1e-3, n_paths=20_000),
         RandomSource(MASTER, 208), p=p, n_max=6,
     )
@@ -257,15 +256,12 @@ def test_pre_truncation_population_law():
         for p in (0.5, 0.75):
             lower_factor = math.exp(delta) * (1.0 - p) + p
             upper_factor = p * math.exp(delta) + (1.0 - p)
-            for side, factor, stepper in (
-                ("lower", lower_factor, lower_step),
-                ("upper", upper_factor, upper_step),
-            ):
-                params = BoundSystemParams(1000, p, delta, side)
+            for side, factor in (("lower", lower_factor), ("upper", upper_factor)):
+                params = BoundSystemParams(p, delta, side)
                 config = np.sort(rng.normal(0.0, 1.0, 1000))
                 sizes = []
                 for k in range(50):
-                    res = stepper(config, params, src.child(100 * combo + k))
+                    res = bound_step(config, params, src.child(100 * combo + k))
                     sizes.append(res.pre_truncation_size)
                     config = res.config
                 mean, se = mean_and_se(sizes)

@@ -375,6 +375,31 @@ def test_bad_scheme_tol_returns_2(tmp_path, capsys, tol):
     assert f"tol={float(tol)!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, key", [("scheme", "dx"), ("exit", "dx"), ("wave", "dx_mass")]
+)
+def test_grid_step_coarser_than_the_wave_returns_2(tmp_path, capsys, command, key):
+    # dx = 9 leaves no cell across the wave's [0, R0] = [0, 2.22]; scheme
+    # used to exit 0 with a 7-cell psi.csv, converged: true and width 2.6e-10
+    p = {"p_grid": [0.5]} if command == "wave" else {"p": 0.5, "n_max": 1}
+    cfg = _write_config(tmp_path, "s.json", {**p, key: 9.0})
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "dx=9.0 leaves fewer than three cells" in err
+    assert "R0=2.22" in err
+    assert not any(out.glob("*.csv"))
+
+
+def test_scheme_mass_off_one_names_the_mass(tmp_path, capsys):
+    # at p = 1e-300 the wave's cells of 9.0 hold a mass 3.2e-9 short of 1;
+    # the step used to reject it without naming the mass
+    cfg = _write_config(tmp_path, "s.json", {"p": 1e-300, "dx": 9.0, "n_max": 1})
+    assert main(["scheme", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert "(mass 1 within 1e-10), got mass 0.99999999" in err
+
+
 def test_bad_representation_tol_returns_2(tmp_path, capsys):
     cfg = _write_config(
         tmp_path, "e.json", {"mode": "representation", "tol": -1, "n_paths": 10}
@@ -463,7 +488,7 @@ def test_bounds_metadata_json_records_the_run(tmp_path):
     )
     out = tmp_path / "b"
     assert main(["bounds", "--config", cfg, "--seed", "42", "--out", str(out)]) == 0
-    params = BoundSystemParams(100, 0.75, 0.1, "upper")
+    params = BoundSystemParams(0.75, 0.1, "upper")
     src = RandomSource(42, COMMAND_IDS["bounds"] << 32)
     run = run_bounds(np.zeros(100), params, 3, src)
     with open(out / "bounds_upper.json") as fh:

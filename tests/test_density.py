@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -322,6 +323,31 @@ def test_step_requires_unit_mass():
     f = uniform_density(0.0, 1.0, -8.0, 1e-2, 1700)
     with pytest.raises(ValueError):
         step(scale(f, 1.5), SchemeParams(0.5, 0.1, "lower"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_ranges_name_the_value_and_its_limit(bad):
+    f = uniform_density(0.0, 1.0, -8.0, 1e-2, 1700)
+    msg = f"p must lie strictly in (0,1), got p={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        SchemeParams(bad, 0.1, "lower")
+    # delta = nan used to fail in step with "cannot convert float NaN to
+    # integer", delta = inf with an OverflowError
+    msg = f"delta must be positive and finite, got delta={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        SchemeParams(0.5, bad, "upper")
+    msg = f"total time must be positive and finite, got t={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        refine_limit(f, 0.5, bad)
+    msg = f"time must be non-negative and finite, got t={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        gaussian_propagate(f, bad)
+
+
+def test_step_names_the_mass_it_rejects():
+    f = scale(uniform_density(0.0, 1.0, -8.0, 1e-2, 1700), 1.0 + 2e-10)
+    with pytest.raises(ValueError, match=rf"within 1e-10\), got mass {f.mass!r}"):
+        step(f, SchemeParams(0.5, 0.1, "lower"))
 
 
 def test_step_tiny_delta_is_near_identity():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,10 @@ from scipy.stats import chisquare
 from npbbm import (
     BoundSystemParams,
     RandomSource,
+    bound_step,
     free_bbm,
-    lower_step,
     run_bounds,
     simulate,
-    upper_step,
 )
 import npbbm.discrete as discrete
 from npbbm.discrete import MAX_POPULATION
@@ -93,7 +93,7 @@ def test_free_bbm_max_mean_bounded_by_sqrt2():
 def test_free_bbm_rejects_bad_arguments():
     with pytest.raises(ValueError):
         free_bbm([0.0], -1.0, RandomSource(1))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         free_bbm([0.0], 1.0)
 
 
@@ -142,11 +142,10 @@ def test_free_bbm_overshoot_raises_overflow(monkeypatch):
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_steps_reject_a_population_plan_above_the_cap(side):
-    params = BoundSystemParams(5, 0.5, 50.0, side)
-    step = lower_step if side == "lower" else upper_step
+    params = BoundSystemParams(0.5, 50.0, side)
     for mirror in (False, True):
         with pytest.raises(ValueError, match=r"delta=50.0 with N=5 plans .* cap"):
-            step(np.zeros(5), params, RandomSource(1), mirror=mirror)
+            bound_step(np.zeros(5), params, RandomSource(1), mirror=mirror)
     with pytest.raises(ValueError, match="delta=50.0"):
         run_bounds(np.zeros(5), params, 3, RandomSource(1))
 
@@ -157,16 +156,16 @@ def test_steps_reject_a_population_plan_above_the_cap(side):
 
 def test_removal_counts():
     src = RandomSource(30)
-    res = lower_step(np.zeros(100), BoundSystemParams(100, 0.75, 0.1, "lower"), src)
+    res = bound_step(np.zeros(100), BoundSystemParams(0.75, 0.1, "lower"), src)
     assert res.removed == 7  # round(100 * 0.75 * (1 - e^{-0.1})) evaluated exactly
-    tiny = lower_step(np.zeros(100), BoundSystemParams(100, 0.75, 1e-6, "lower"), src)
+    tiny = bound_step(np.zeros(100), BoundSystemParams(0.75, 1e-6, "lower"), src)
     assert tiny.removed == 0
 
 
 def test_steps_return_exactly_n_sorted():
     src = RandomSource(31)
-    lo = lower_step(np.zeros(200), BoundSystemParams(200, 0.6, 0.25, "lower"), src)
-    hi = upper_step(np.zeros(200), BoundSystemParams(200, 0.6, 0.25, "upper"), src)
+    lo = bound_step(np.zeros(200), BoundSystemParams(0.6, 0.25, "lower"), src)
+    hi = bound_step(np.zeros(200), BoundSystemParams(0.6, 0.25, "upper"), src)
     for res in (lo, hi):
         assert len(res.config) == 200
         assert np.all(np.diff(res.config) >= 0.0)
@@ -181,7 +180,7 @@ def test_pre_truncation_mean_size():
     sizes = []
     config = np.zeros(N)
     for r in range(60):
-        res = lower_step(config, BoundSystemParams(N, p, d, "lower"), src.child(r))
+        res = bound_step(config, BoundSystemParams(p, d, "lower"), src.child(r))
         sizes.append(res.pre_truncation_size)
         config = res.config
     mean, se = mean_and_se(sizes)
@@ -191,47 +190,69 @@ def test_pre_truncation_mean_size():
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_step_mirror_identity_exact(side):
-    steps = {"lower": lower_step, "upper": upper_step}
     other = "upper" if side == "lower" else "lower"
     config = np.sort(np.random.default_rng(8).normal(size=50))
     p, d = 0.7, 0.1
     src = RandomSource(33)
-    base = steps[other](config, BoundSystemParams(50, 1.0 - p, d, other), src)
-    refl = steps[side](
-        -config[::-1], BoundSystemParams(50, p, d, side), src, mirror=True
-    )
+    base = bound_step(config, BoundSystemParams(1.0 - p, d, other), src)
+    refl = bound_step(-config[::-1], BoundSystemParams(p, d, side), src, mirror=True)
     assert refl.removed == base.removed
     assert refl.pre_truncation_size == base.pre_truncation_size
     assert refl.padded == base.padded
     assert np.array_equal(refl.config, -base.config[::-1])
 
 
-def test_step_rejects_mismatched_side_or_size():
-    src = RandomSource(34)
-    with pytest.raises(ValueError):
-        lower_step(np.zeros(10), BoundSystemParams(10, 0.5, 0.1, "upper"), src)
-    with pytest.raises(ValueError):
-        upper_step(np.zeros(10), BoundSystemParams(10, 0.5, 0.1, "lower"), src)
-    with pytest.raises(ValueError):
-        lower_step(np.zeros(9), BoundSystemParams(10, 0.5, 0.1, "lower"), src)
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("mirror", [False, True])
+def test_step_sorts_its_start(side, mirror):
+    # an unsorted start used to be cut as given: at p = 0.9 the lower step
+    # removed the first 4 entries instead of the 4 leftmost
+    config = np.random.default_rng(9).normal(size=10)
+    params = BoundSystemParams(0.9 if side == "lower" else 0.1, 0.5, side)
+    got = bound_step(config, params, RandomSource(36), mirror=mirror)
+    ref = bound_step(np.sort(config), params, RandomSource(36), mirror=mirror)
+    assert got.config.tobytes() == ref.config.tobytes()
+    assert got.removed == ref.removed == 4
+    assert got.pre_truncation_size == ref.pre_truncation_size
+
+
+@pytest.mark.parametrize("start", [[math.nan, 0.0], [0.0, math.inf], []])
+def test_steps_reject_a_start_that_is_not_finite(start):
+    # run_bounds([nan, 0.0], ...) used to return a configuration holding nan,
+    # and free_bbm([nan, 0.0], ...) positions holding nan
+    params = BoundSystemParams(0.5, 0.1, "lower")
+    with pytest.raises(ValueError, match="configuration"):
+        run_bounds(start, params, 2, RandomSource(37))
+    with pytest.raises(ValueError, match="configuration"):
+        bound_step(start, params, RandomSource(37))
+    with pytest.raises(ValueError, match="init"):
+        free_bbm(start, 0.1, RandomSource(37))
 
 
 def test_step_raises_when_removal_reaches_n():
     # delta large enough that round(N p (1-e^{-delta})) == N
     src = RandomSource(35)
     with pytest.raises(ValueError):
-        lower_step(np.zeros(2), BoundSystemParams(2, 0.9, 20.0, "lower"), src)
+        bound_step(np.zeros(2), BoundSystemParams(0.9, 20.0, "lower"), src)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        BoundSystemParams(0, 0.5, 0.1, "lower")
+        BoundSystemParams(0.0, 0.1, "lower")
     with pytest.raises(ValueError):
-        BoundSystemParams(10, 0.0, 0.1, "lower")
+        BoundSystemParams(0.5, 0.0, "lower")
     with pytest.raises(ValueError):
-        BoundSystemParams(10, 0.5, 0.0, "lower")
-    with pytest.raises(ValueError):
-        BoundSystemParams(10, 0.5, 0.1, "middle")
+        BoundSystemParams(0.5, 0.1, "middle")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_params_name_the_value_and_its_limit(bad):
+    msg = f"p must lie strictly in (0,1), got p={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        BoundSystemParams(bad, 0.1, "lower")
+    msg = f"delta must be positive and finite, got delta={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        BoundSystemParams(0.5, bad, "upper")
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +261,7 @@ def test_params_validation():
 
 def test_run_bounds_zero_steps():
     init = np.array([0.0, 1.0, 2.0])
-    run = run_bounds(init, BoundSystemParams(3, 0.5, 0.1, "lower"), 0, RandomSource(40))
+    run = run_bounds(init, BoundSystemParams(0.5, 0.1, "lower"), 0, RandomSource(40))
     assert len(run.configs) == 1
     assert np.array_equal(run.configs[0], init)
     assert run.steps == []
@@ -252,8 +273,8 @@ def test_run_bounds_distributional_sandwich():
     N, p, delta, t = 2000, 0.75, 0.05, 0.5
     k = round(t / delta)
     src = RandomSource(41)
-    lower = run_bounds(np.zeros(N), BoundSystemParams(N, p, delta, "lower"), k, src.child(0))
-    upper = run_bounds(np.zeros(N), BoundSystemParams(N, p, delta, "upper"), k, src.child(1))
+    lower = run_bounds(np.zeros(N), BoundSystemParams(p, delta, "lower"), k, src.child(0))
+    upper = run_bounds(np.zeros(N), BoundSystemParams(p, delta, "upper"), k, src.child(1))
     rec = simulate(np.zeros(N), p, t, src.child(2), record_configs=True)
     main = rec.full_configs[-1]
     xs = np.unique(np.concatenate([lower.configs[-1], main, upper.configs[-1]]))
@@ -281,7 +302,7 @@ def test_run_bounds_matches_grid_scheme():
     init = sample_from_density(rho, N, src.generator(6))
     band = dkw_band(N, 0.01) + rho.dx * float(np.max(rho.values))
     for side in ("lower", "upper"):
-        run = run_bounds(init, BoundSystemParams(N, 0.75, delta, side), k, src)
+        run = run_bounds(init, BoundSystemParams(0.75, delta, side), k, src)
         scheme = iterate_scheme(rho, SchemeParams(0.75, delta, side), k)
         emp = empirical_tail(run.configs[-1], scheme.density.edges())
         sup = float(np.max(np.abs(emp - _edge_tails(scheme.density))))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,17 @@ def test_path_params_validation():
         PathParams(1.0, 2.0, 10)
     with pytest.raises(ValueError):
         PathParams(1.0, 1e-3, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_path_params_name_the_value_and_its_limit(bad):
+    msg = f"step h must satisfy 0 < h <= t, got h={bad!r} with t=1.0"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        PathParams(1.0, bad, 10)
+    # t = inf used to pass and fail later with an OverflowError
+    msg = f"horizon t must be positive and finite, got t={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        PathParams(bad, 1e-3, 10)
 
 
 def test_exit_stats_partition_enforced():
@@ -186,7 +198,7 @@ def test_representation_check_wave_fixture():
     xs = np.array([-8.0, w.c * t - w.R0 / 2.0, right.value(t)])
     params = PathParams(t, 2e-3, 5000)
     result = representation_check(
-        rho, left, right, t, xs, params, RandomSource(99), p=0.75, n_max=5
+        rho, left, right, xs, params, RandomSource(99), p=0.75, n_max=5
     )
     et = math.exp(t)
     # far left: the Monte Carlo tail is e^t times the survival fraction and
@@ -204,20 +216,13 @@ def test_representation_check_wave_fixture():
     assert np.array_equal(rows[:, 0], xs)
 
 
-def test_representation_check_validates_horizon():
-    _, rho, left, right = wave_fixture(0.75, 1.0)
-    params = PathParams(0.5, 1e-2, 10)
-    with pytest.raises(ValueError):
-        representation_check(rho, left, right, 0.6, [0.0], params, RandomSource(1), p=0.75)
-
-
 def test_representation_csv(tmp_path):
     # representation.csv is rows() through the exit command's CSV writer;
     # its 17 significant digits read every value back exactly.
     _, rho, left, right = wave_fixture(0.75, 1.0)
     params = PathParams(0.5, 1e-2, 500)
     result = representation_check(
-        rho, left, right, 0.5, [-1.0, 0.0], params, RandomSource(100), p=0.75, n_max=3
+        rho, left, right, [-1.0, 0.0], params, RandomSource(100), p=0.75, n_max=3
     )
     out = _OutputSet(tmp_path)
     out.write_csv("rep.csv", "x,mc,scheme,se", result.rows())

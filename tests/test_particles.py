@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,23 +175,24 @@ def test_simulate_zero_horizon_returns_init():
 class _NoEventStreams(SimulationStreams):
     """Suppress branching; diffusion draws come from a fixed table."""
 
-    def __init__(self, gaussians):
+    def __init__(self, gaussians, n):
         self._table = np.asarray(gaussians, dtype=np.float64)
         self._used = 0
+        self._n = n
 
-    def increments(self, n, dt):
-        g = self._table[self._used : self._used + n]
-        self._used += n
+    def increments(self, dt):
+        g = self._table[self._used : self._used + self._n]
+        self._used += self._n
         return g * math.sqrt(dt)
 
-    def event_gap(self, n):
+    def event_gap(self):
         return math.inf
 
 
 def test_simulate_without_events_is_sorted_diffusion():
     init = np.array([0.0, 1.0, 5.0])
     g = np.array([2.5, -0.5, -4.0])
-    rec = simulate(init, 0.5, 4.0, streams=_NoEventStreams(g), record_configs=True)
+    rec = simulate(init, 0.5, 4.0, streams=_NoEventStreams(g, 3), record_configs=True)
     expected = np.sort(init + g * 2.0)
     assert np.array_equal(rec.full_configs[0], expected)
     assert rec.event_count == 0
@@ -309,32 +311,24 @@ def test_couple_rows_share_the_single_run_draws():
         assert pair[0].event_count > 0
 
 
-def test_streams_refuse_a_new_rank_range():
-    # the rank draws are read ahead for the n of the first call
-    streams = SimulationStreams(RandomSource(3))
-    first = [streams.branch_rank(5) for _ in range(20)]
-    assert all(1 <= i <= 5 for i in first)
-    with pytest.raises(ValueError, match="n=6 after n=5"):
-        streams.branch_rank(6)
-
-
 class _OneEventStreams(SimulationStreams):
     """Zero diffusion and exactly one branch event at time 0.5, rank 1."""
 
-    def __init__(self, q):
+    def __init__(self, q, n):
         self._q = q
         self._fired = False
+        self._n = n
 
-    def increments(self, n, dt):
-        return np.zeros(n)
+    def increments(self, dt):
+        return np.zeros(self._n)
 
-    def event_gap(self, n):
+    def event_gap(self):
         if self._fired:
             return math.inf
         self._fired = True
         return 0.5
 
-    def branch_rank(self, n):
+    def branch_rank(self):
         return 1
 
     def keep_right(self, p):
@@ -345,11 +339,21 @@ def test_forced_single_event_matches_hand_computation():
     # One event with rank i=1: kill-leftmost (q=1) duplicates the leftmost in
     # place, kill-rightmost (q=0) shifts mass down.
     init = np.array([1.0, 2.0])
-    rec1 = simulate(init, 0.5, 1.0, streams=_OneEventStreams(1), record_configs=True)
+    rec1 = simulate(init, 0.5, 1.0, streams=_OneEventStreams(1, 2), record_configs=True)
     assert np.array_equal(rec1.full_configs[0], [1.0, 2.0])
-    rec0 = simulate(init, 0.5, 1.0, streams=_OneEventStreams(0), record_configs=True)
+    rec0 = simulate(init, 0.5, 1.0, streams=_OneEventStreams(0, 2), record_configs=True)
     assert np.array_equal(rec0.full_configs[0], [1.0, 1.0])
     assert rec0.event_count == 1
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5])
+def test_ranges_name_the_value_and_its_limit(bad):
+    msg = f"p must lie strictly in (0,1), got p={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        simulate([0.0], bad, 1.0, RandomSource(1))
+    msg = f"need T > burn_in >= 0, got T=1.0, burn_in={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        estimate_speed(0.5, 3, 1.0, RandomSource(1), burn_in=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Reference oracles for the two hot kernels, which must match them bit for bit.
+"""Reference oracles for the hot kernels, which must match them bit for bit.
 
 The particle loop and the killed-path kernel read their draws ahead in
-blocks, sort with quicksort and skip ``exp`` where it cannot matter.  The
-plain implementations below draw call by call, sort stably and evaluate
-everything; the fast kernels must return exactly their bits.
+blocks, sort with quicksort and skip ``exp`` where it cannot matter; the
+bounding systems branch level by level on whole arrays and sort with
+quicksort.  The plain implementations below draw call by call, sort stably
+and evaluate everything; the fast kernels must return exactly their bits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from npbbm import RandomSource, couple_simulate, simulate
+from npbbm import (
+    BoundSystemParams,
+    RandomSource,
+    bound_step,
+    couple_simulate,
+    run_bounds,
+    simulate,
+)
 from npbbm.exits import _candidate_bands, _run_paths, _time_grid
 from npbbm.randomness import (
     TAG_CLOCK,
@@ -120,6 +128,48 @@ def run_paths_reference(x0, left, right, t, h, src, bridge_correction=True):
         cur = nxt[~gone]
     final[idx] = cur
     return code, exit_time, final
+
+
+def run_bounds_reference(init, p, delta, side, k_steps, src):
+    """(configs, pre-truncation sizes) of one bounding run.
+
+    One particle at a time: each draws its lifetime and its move by a scalar
+    call, splits in two if it dies before the step ends, and the survivors
+    of a step are sorted stably.
+    """
+    moves = src.generator(TAG_DRIVING)
+    clocks = src.generator(TAG_CLOCK)
+    x = np.sort(np.asarray(init, dtype=np.float64), kind="stable")
+    n = x.size
+    q = p if side == "lower" else 1.0 - p
+    removed = round(n * q * (1.0 - math.exp(-delta)))
+    if removed >= n:
+        raise ValueError("removal count reached N")
+    configs, sizes = [x], []
+    for _ in range(k_steps):
+        survivors = x[removed:] if side == "lower" else x[: n - removed]
+        level = [(float(v), delta) for v in survivors]
+        finished = []
+        while level:
+            below = []
+            for pos, rem in level:
+                life = float(clocks.exponential(1.0))
+                g = float(moves.standard_normal())
+                if life >= rem:
+                    finished.append(pos + g * math.sqrt(rem))
+                else:
+                    below += [(pos + g * math.sqrt(life), rem - life)] * 2
+            level = below
+        grown = np.sort(np.array(finished), kind="stable")
+        sizes.append(grown.size)
+        if grown.size >= n:
+            x = grown[:n] if side == "lower" else grown[grown.size - n :]
+        elif side == "lower":
+            x = np.concatenate((np.full(n - grown.size, grown[0]), grown))
+        else:
+            x = np.concatenate((grown, np.full(n - grown.size, grown[-1])))
+        configs.append(x)
+    return configs, sizes
 
 
 def same_bits(a, b) -> bool:
@@ -364,3 +414,53 @@ def test_candidate_bands_hold_every_path_the_cutoff_can_pass(offset):
     a_left = -2.0 * (lo0 - lv[:-1]) * (lo1 - lv[1:]) / dt
     a_right = -2.0 * (rv[:-1] - hi0) * (rv[1:] - hi1) / dt
     assert np.all(a_left <= -37.0) and np.all(a_right <= -37.0)
+
+
+_sides = st.sampled_from(["lower", "upper"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    init=_configs,
+    p=_p,
+    delta=st.floats(0.01, 1.0),
+    side=_sides,
+    k_steps=st.integers(0, 4),
+    seed=_seed,
+)
+def test_run_bounds_matches_reference(init, p, delta, side, k_steps, seed):
+    src = RandomSource(seed, 5)
+    params = BoundSystemParams(p, delta, side)
+    try:
+        configs, sizes = run_bounds_reference(init, p, delta, side, k_steps, src)
+    except ValueError:
+        with pytest.raises(ValueError, match="removal count reached N"):
+            run_bounds(init, params, max(k_steps, 1), src)
+        return
+    run = run_bounds(init, params, k_steps, src)
+    assert len(run.configs) == len(configs)
+    for got, want in zip(run.configs, configs):
+        assert same_bits(got, want)
+    assert [s.pre_truncation_size for s in run.steps] == sizes
+    assert [s.padded for s in run.steps] == [size < len(init) for size in sizes]
+
+
+@settings(max_examples=40, deadline=None)
+@given(init=_configs, p=_p, delta=st.floats(0.01, 1.0), side=_sides, seed=_seed)
+def test_bound_step_matches_reference(init, p, delta, side, seed):
+    # mirror=True is the other side's step at 1-p on the reflected start
+    src = RandomSource(seed, 6)
+    params = BoundSystemParams(p, delta, side)
+    other = "upper" if side == "lower" else "lower"
+    refl = -np.sort(np.asarray(init, dtype=np.float64), kind="stable")[::-1]
+    for mirror, start, q, q_side in ((False, init, p, side), (True, refl, 1.0 - p, other)):
+        try:
+            configs, sizes = run_bounds_reference(start, q, delta, q_side, 1, src)
+        except ValueError:
+            with pytest.raises(ValueError, match="removal count reached N"):
+                bound_step(init, params, src, mirror=mirror)
+            continue
+        res = bound_step(init, params, src, mirror=mirror)
+        want = -configs[1][::-1] if mirror else configs[1]
+        assert same_bits(res.config, want)
+        assert res.pre_truncation_size == sizes[0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ def test_speed_domain():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             wave_speed(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_ranges_name_the_value_and_its_limit(bad):
+    msg = f"p must lie strictly in (0,1), got p={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        wave_speed(bad)
+    # t_max = nan used to return barriers
+    msg = f"t_max must be positive and finite, got t_max={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        wave_barriers(travelling_wave(0.75), bad)
 
 
 def test_wave_invariants_on_p_grid():
@@ -127,6 +139,24 @@ def test_wave_density_requires_covering_grid():
         wave_density(w, GridSpec(0.5, 1e-2, 400))  # left edge inside support
     with pytest.raises(ValueError):
         wave_density(w, GridSpec(-1.0, 1e-2, 100))  # stops short of R0
+
+
+@pytest.mark.parametrize("dx", [0.7, 0.75, 1.0, 3.0])
+def test_wave_density_needs_three_cells_across_the_support(dx):
+    # the rule ode_residual applies: at p = 1/2, R0 = 2.22 holds three cells
+    # of 0.7 but not of 0.75
+    w = travelling_wave(0.5)
+    grid = GridSpec(-2.0 * dx, dx, math.ceil(w.R0 / dx) + 4)
+    coarse = math.floor(w.R0 / dx) < 3
+    assert coarse == (dx >= 0.75)
+    if not coarse:
+        assert wave_density(w, grid).mass == pytest.approx(1.0, abs=1e-12)
+        ode_residual(w, dx)
+        return
+    msg = f"dx too coarse for the wave support: dx={dx!r} leaves fewer than three"
+    for build in (lambda: wave_density(w, grid), lambda: ode_residual(w, dx)):
+        with pytest.raises(ValueError, match=re.escape(msg) + r".*R0=2\.22"):
+            build()
 
 
 def test_ode_residual_small_and_second_order():
