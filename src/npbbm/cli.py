@@ -49,7 +49,7 @@ from .particles import (
     estimate_speed,
     simulate,
 )
-from .randomness import RandomSource
+from .randomness import DRAW_LAYOUT, RandomSource
 from .stats import empirical_tail, ks_critical, ks_distance
 from .wave import (
     travelling_wave,
@@ -243,6 +243,7 @@ class _OutputSet:
         payload = {
             "tool": "npbbm",
             "version": __version__,
+            "draw_layout": DRAW_LAYOUT,
             "command": command,
             "config": config,
             "master_seed": config["seed"],

@@ -311,9 +311,9 @@ def gaussian_propagate(f: GridDensity, t: float) -> GridDensity:
 
 
 def scale(f: GridDensity, c: float) -> GridDensity:
-    """Pointwise multiplication by c >= 0; mass scales by c."""
-    if c < 0.0:
-        raise ValueError("scale factor must be non-negative")
+    """Pointwise multiplication by a finite c >= 0; mass scales by c."""
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"scale factor must be finite and non-negative, got c={c!r}")
     return GridDensity(f.x0, f.dx, f.values * c)
 
 
@@ -361,36 +361,39 @@ def _trim_right(values: NDArray[np.float64], x0: float, dx: float, m: float, tot
     return out[::-1], -pos
 
 
-def _checked_amount(f: GridDensity, m: float, what: str) -> float:
-    if m < 0.0:
-        raise ValueError(f"{what} must be non-negative")
+def _checked_amount(f: GridDensity, m: float, what: str, name: str) -> float:
+    """m clipped to the mass of f; `what` and `name` describe it in messages."""
+    if not m >= 0.0:
+        raise ValueError(f"{what} must be non-negative, got {name}={m!r}")
     if m > f.mass * (1.0 + _CUT_SLACK) + 1e-300:
-        raise ValueError(f"{what} exceeds the available mass {f.mass!r}")
+        raise ValueError(f"{what} {name}={m!r} exceeds the available mass {f.mass!r}")
     return min(m, f.mass)
 
 
 def cut_left_amount(f: GridDensity, m: float) -> GridDensity:
     """Remove exactly mass m from the left (D-type cut)."""
-    out, _ = _trim_left(f.values, f.x0, f.dx, _checked_amount(f, m, "cut amount"), f.mass)
+    m = _checked_amount(f, m, "cut amount", "m")
+    out, _ = _trim_left(f.values, f.x0, f.dx, m, f.mass)
     return GridDensity(f.x0, f.dx, out)
 
 
 def cut_right_amount(f: GridDensity, m: float) -> GridDensity:
     """Remove exactly mass m from the right (D-type cut)."""
-    out, _ = _trim_right(f.values, f.x0, f.dx, _checked_amount(f, m, "cut amount"), f.mass)
+    m = _checked_amount(f, m, "cut amount", "m")
+    out, _ = _trim_right(f.values, f.x0, f.dx, m, f.mass)
     return GridDensity(f.x0, f.dx, out)
 
 
 def cut_left_keep(f: GridDensity, k: float) -> GridDensity:
     """Trim from the left until exactly mass k remains (C-type cut)."""
-    k = _checked_amount(f, k, "kept mass")
+    k = _checked_amount(f, k, "kept mass", "k")
     out, _ = _trim_left(f.values, f.x0, f.dx, f.mass - k, f.mass)
     return GridDensity(f.x0, f.dx, out)
 
 
 def cut_right_keep(f: GridDensity, k: float) -> GridDensity:
     """Trim from the right until exactly mass k remains (C-type cut)."""
-    k = _checked_amount(f, k, "kept mass")
+    k = _checked_amount(f, k, "kept mass", "k")
     out, _ = _trim_right(f.values, f.x0, f.dx, f.mass - k, f.mass)
     return GridDensity(f.x0, f.dx, out)
 
@@ -444,7 +447,7 @@ def step(f: GridDensity, params: SchemeParams) -> StepResult:
     d = params.delta
     lower = params.side == "lower"
     q = params.p if lower else 1.0 - params.p
-    m = _checked_amount(f, q * (1.0 - math.exp(-d)), "cut amount")
+    m = _checked_amount(f, q * (1.0 - math.exp(-d)), "cut amount", "m")
     if lower:
         v, left_pos, right_pos, grown = _lower_step(f.values, f.x0, f.dx, m, f.mass, d)
         return StepResult(GridDensity(f.x0, f.dx, v), left_pos, right_pos, grown)

@@ -133,8 +133,8 @@ def free_bbm(
     sorted positions of all particles alive at t.  ``mirror=True`` returns
     R(free_bbm(R(init))) with R(x) = -x[::-1].
     """
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time t must be finite and non-negative, got t={t!r}")
     arr = np.asarray(init, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("init must hold at least one particle")

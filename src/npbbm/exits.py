@@ -3,30 +3,33 @@
 Paths take exact Gaussian increments on a step grid that contains every
 barrier knot, so each step sees two linear barrier segments.  For a linear
 segment the probability that the Brownian bridge over one step crosses the
-barrier, given start and end distances d0, d1 > 0, is exp(-2 d0 d1 / h)
-exactly (Brownian motion minus a linear function is again Brownian motion),
-so the per-step crossing correction removes all discretization bias.  A
-uniform draw per barrier decides these hidden crossings.  The exponential
-is evaluated only where the exponent exceeds -37, which is exact: below
-that it is under 2^-53, the smallest positive uniform, so only a uniform of
-exactly 0 can fall below it, and those entries still evaluate it.
-Endpoint-side violations exit at the step end, hidden crossings are timed
-at the step midpoint (diagnostic only).  If both barriers trigger in one
-step the exit is attributed to the barrier nearer the path at the step
-start; the error of treating the two crossing events independently is
-O(exp(-2 (R-L)^2 / h)).
+barrier, given start and end distances d0, d1 > 0, is exp(a) with
+a = -2 d0 d1 / h exactly (Brownian motion minus a linear function is again
+Brownian motion), so the per-step crossing correction removes all
+discretization bias (Baldi 1995; Gobet 2000).  Endpoint-side violations
+exit at the step end, hidden crossings are timed at the step midpoint
+(diagnostic only).  If both barriers trigger in one step the exit is
+attributed to the barrier nearer the path at the step start; the error of
+treating the two crossing events independently is O(exp(-2 (R-L)^2 / h)).
 
-Each step draws the normal and the two uniforms for every alive path, but
-runs the exit logic only on the candidates: the paths that start or end
-within r = sqrt(18.5 h) of a barrier, or that drew a uniform of exactly 0.
-The rest cannot exit in the step.  They end strictly inside, and with
-d0, d1 > 0 an exponent above -37 needs d0 d1 < 18.5 h, hence
-min(d0, d1) < r.  r is widened by a relative 1e-9 and each band edge is
-rounded one ulp towards the strip's centre.  That is far more than the
-few-ulp error in the computed exponent, so every path the full evaluation
-would stop is a candidate.  The candidates run the exit logic on their
-gathered values in the same operation order, so the results are bit for
-bit those of evaluating every path.  On the wave strip at h = 1e-3 about
+Draw layout 2 (see ``randomness.DRAW_LAYOUT``).  Each step draws one normal
+for every alive path.  A uniform decides a hidden crossing, u < exp(a), and
+is drawn only where a is above -37: one ``random(m)`` call per barrier and
+step takes the m uniforms for those paths, in path order, from that
+barrier's stream.  Where a <= -37 the path draws nothing and does not cross.
+Layout 1 drew a uniform for every alive path and crossed there with
+probability 2^-53 (a uniform of exactly 0).  The true probability exp(a) <=
+8.5e-17 lies between 0 and 2^-53, so layout 2's per-step error is no larger
+than layout 1's.  Without bridge correction no uniform is drawn.
+
+The exit logic runs only on the candidates: the paths that start or end
+within r = sqrt(18.5 h) of a barrier.  The rest cannot exit in the step.
+They end strictly inside, and with d0, d1 > 0 an exponent above -37 needs
+d0 d1 < 18.5 h, hence min(d0, d1) < r.  r is widened by a relative 1e-9
+and each band edge is rounded one ulp towards the strip's centre.  That is
+far more than the few-ulp error in the computed exponent, so every path
+whose exponent is above -37 is a candidate, and the candidates draw their
+uniforms in the order the paths have.  On the wave strip at h = 1e-3 about
 2 % of the alive paths are candidates.  Without bridge correction, the
 candidates are the paths that end at or beyond a barrier.
 
@@ -57,6 +60,7 @@ from .stats import binomial_se
 from .wave import Barrier
 
 __all__ = [
+    "MAX_STEPS",
     "PathParams",
     "ExitOutcome",
     "ExitStats",
@@ -128,9 +132,25 @@ class ExitStats:
             raise ValueError("outcome counts must partition n_paths exactly")
 
 
+# Most time steps one run may plan.  A step costs about 50 us even for a
+# single path, so the cap keeps a run's step loop to about a minute.
+MAX_STEPS = 1 << 20
+
+
+def _step_count(t: float, h: float) -> int:
+    """ceil(t / h), the uniform steps over [0, t]; at most MAX_STEPS."""
+    planned = t / h - 1e-12
+    if not planned <= MAX_STEPS:
+        raise ValueError(
+            f"step h={h!r} over horizon t={t!r} plans {t / h:.6g} steps (t/h), "
+            f"above the cap of {MAX_STEPS}"
+        )
+    return max(1, math.ceil(planned))
+
+
 def _time_grid(t: float, h: float, left: Barrier, right: Barrier):
     """Uniform grid of step <= h on [0, t], refined by all barrier knots."""
-    n = max(1, math.ceil(t / h - 1e-12))
+    n = _step_count(t, h)
     base = np.linspace(0.0, t, n + 1)
     knots = np.concatenate([left.knot_times, right.knot_times])
     knots = knots[(knots > 0.0) & (knots < t)]
@@ -138,22 +158,23 @@ def _time_grid(t: float, h: float, left: Barrier, right: Barrier):
     return grid[np.concatenate(([True], np.diff(grid) > 1e-15))]
 
 
-# exp(-37) ~ 8.5e-17 is below 2^-53, the smallest positive uniform
+# a uniform is drawn only where the crossing exponent is above -37:
+# exp(-37) ~ 8.5e-17 bounds the crossing probability left out below it
 _EXP_CUTOFF = -37.0
 # relative widening of the candidate reach; far above the few-ulp error of
-# the exponent, so no path the full evaluation would stop is left out
+# the exponent, so no path with an exponent above the cutoff is left out
 _REACH_MARGIN = 1e-9
 
 
-def _bridge_crossed(a, u, inside):
-    """``u < exp(a)`` on the inside entries, False elsewhere.
+def _bridge_crossed(a, inside, uniforms):
+    """Hidden crossings: ``u < exp(a)`` where inside and a > _EXP_CUTOFF.
 
-    ``exp`` is evaluated only where the comparison can hold (a above the
-    cutoff) and where u == 0, so the result is exact.
+    Draws ``uniforms.random(m)`` for exactly those m entries, in order; the
+    others draw nothing and do not cross.
     """
-    live = inside & ((a > _EXP_CUTOFF) | (u == 0.0))
+    live = inside & (a > _EXP_CUTOFF)
     hit = np.zeros(a.size, dtype=bool)
-    hit[live] = u[live] < np.exp(a[live])
+    hit[live] = uniforms.random(np.count_nonzero(live)) < np.exp(a[live])
     return hit
 
 
@@ -162,9 +183,8 @@ def _candidate_bands(grid, lv, rv, bridge_correction: bool):
 
     A path can leave in step k only if its end lies below lo1[k] or above
     hi1[k], or, with bridge correction, its start lies below lo0[k] or
-    above hi0[k] or one of its uniforms is exactly 0.  Without bridge
-    correction the edges sit one ulp inside the barriers, so the end test
-    is the end-exit test itself.  With it, they sit r inside, r being
+    above hi0[k].  Without bridge correction the edges sit one ulp inside
+    the barriers, so the end test is the end-exit test itself.  With it, they sit r inside, r being
     sqrt(18.5 dt) widened by _REACH_MARGIN and each edge rounded one ulp
     towards the centre of the strip (see the module docstring).
     """
@@ -195,9 +215,10 @@ def _run_paths(
     code is 0 for survival, 1 for a left exit, 2 for a right exit; exit_time
     is NaN for survivors and final_position is NaN for exited paths.
 
-    Each step draws for every alive path, then gathers the candidates, the
-    few paths near a barrier (see _candidate_bands), and runs the exit
-    logic on them alone; every other path stays inside with certainty.
+    Each step draws a normal for every alive path, then gathers the
+    candidates, the few paths near a barrier (see _candidate_bands), and
+    runs the exit logic on them alone, drawing uniforms only where a bridge
+    can cross; every other path stays inside with certainty.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     grid = _time_grid(t, h, left, right)
@@ -227,16 +248,12 @@ def _run_paths(
         nxt = gauss.standard_normal(idx.size)
         nxt *= math.sqrt(dt)
         nxt += cur
-        u_l = uni_left.random(idx.size)
-        u_r = uni_right.random(idx.size)
 
         near = nxt < lo1[k]
         near |= nxt > hi1[k]
         if bridge_correction:
             near |= cur < lo0[k]
             near |= cur > hi0[k]
-            near |= u_l == 0.0
-            near |= u_r == 0.0
         cand = np.flatnonzero(near)
 
         c_nxt = nxt[cand]
@@ -250,8 +267,8 @@ def _run_paths(
             c_cur = cur[cand]
             d0l = c_cur - lv[k]
             d0r = rv[k] - c_cur
-            hid_left = _bridge_crossed(-2.0 * d0l * d1l / dt, u_l[cand], inside)
-            hid_right = _bridge_crossed(-2.0 * d0r * d1r / dt, u_r[cand], inside)
+            hid_left = _bridge_crossed(-2.0 * d0l * d1l / dt, inside, uni_left)
+            hid_right = _bridge_crossed(-2.0 * d0r * d1r / dt, inside, uni_right)
             both = hid_left & hid_right
             if np.any(both):
                 to_left = both & (d0l <= d0r)
@@ -405,10 +422,11 @@ def representation_check(
     binomial, scaled by e^t.
     """
     t = params.t
-    # checked before any path is drawn: e^t must be a finite float
+    # checked before any work: e^t must be a finite float, the steps capped
     t_max = math.log(sys.float_info.max)
     if not t <= t_max:
         raise ValueError(f"t={t!r} exceeds {t_max!r}, the largest t with e^t finite")
+    _step_count(t, params.h)
     # deterministic, so run first: its argument checks precede the paths
     refined = refine_limit(rho, p, t, n_max=n_max, tol=tol)
     x_grid = np.asarray(x_grid, dtype=np.float64)

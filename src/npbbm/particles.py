@@ -420,8 +420,8 @@ def stationarity_diagnostic(
     X_N - X_1 at t1 and t2.  A small distance for two large times is the
     operational signature of convergence to the stationary shape.
     """
-    if not 0.0 < t1 <= t2:
-        raise ValueError("need 0 < t1 <= t2")
+    if not 0.0 < t1 <= t2 < math.inf:
+        raise ValueError(f"need 0 < t1 <= t2 < inf, got t1={t1!r}, t2={t2!r}")
     if replicas < 1:
         raise ValueError("replicas must be at least 1")
     times = [t1] if t1 == t2 else [t1, t2]

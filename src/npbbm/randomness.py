@@ -24,6 +24,20 @@ and reads each one through a single :class:`ReadAhead`.  The draws fetched
 past the last one used are discarded with the generator.  A block holds at
 most ``BLOCK_ITEMS`` draws (64 KB of float64 or int64), unless one request
 alone is larger.
+
+Draw layout.  :data:`DRAW_LAYOUT` numbers the layout: which draws each
+routine takes from which substream, and in which order.  A new layout
+changes output bits at the same seed; the CLI manifest records it as
+``"draw_layout"``.
+
+* Layout 1 (package 0.1.x): the killed-path kernel in ``exits`` drew one
+  uniform per alive path and step from each of TAG_UNIFORM_A and
+  TAG_UNIFORM_B, whether the path was near a barrier or not.
+* Layout 2 (package 0.2.0): the kernel draws those uniforms only for the
+  paths whose bridge-crossing exponent -2 d0 d1 / h is above -37, in path
+  order, one call per barrier and step, and none without bridge
+  correction.  Only the outputs of ``exit`` moved; every other substream
+  is drawn as in layout 1.
 """
 
 from __future__ import annotations
@@ -44,6 +58,9 @@ TAG_SELECT = 3     # Bernoulli left/right selection
 TAG_UNIFORM_A = 4  # auxiliary uniforms (bridge crossings, left barrier)
 TAG_UNIFORM_B = 5  # auxiliary uniforms (bridge crossings, right barrier)
 TAG_INITIAL = 6    # initial-condition sampling
+
+# the draw layout this package implements; see the module docstring
+DRAW_LAYOUT = 2
 
 # Largest read-ahead block, 64 KB of 8-byte draws: larger blocks fall out of
 # the cache and made the particle loop slower.

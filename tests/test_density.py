@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,26 @@ def test_ranges_name_the_value_and_its_limit(bad):
     msg = f"time must be non-negative and finite, got t={bad!r}"
     with pytest.raises(ValueError, match=re.escape(msg)):
         gaussian_propagate(f, bad)
+
+
+@pytest.mark.parametrize(
+    "cut, msg",
+    [
+        (cut_left_amount, "cut amount must be non-negative, got m=nan"),
+        (cut_right_amount, "cut amount must be non-negative, got m=nan"),
+        (cut_left_keep, "kept mass must be non-negative, got k=nan"),
+        (cut_right_keep, "kept mass must be non-negative, got k=nan"),
+        (scale, "scale factor must be finite and non-negative, got c=nan"),
+    ],
+)
+def test_a_nan_amount_or_factor_is_named(cut, msg):
+    # each used to fail in GridDensity with "density values must be finite
+    # and non-negative", scale after numpy's "invalid value" warning
+    f = uniform_density(0.0, 1.0, -8.0, 1e-2, 1700)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            cut(f, math.nan)
 
 
 def test_step_names_the_mass_it_rejects():

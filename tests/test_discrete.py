@@ -124,6 +124,14 @@ def test_free_bbm_rejects_a_population_plan_above_the_cap():
         free_bbm(np.zeros(n), math.nan, RandomSource(1))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_free_bbm_names_a_bad_time(bad):
+    # t = nan used to report a plan of nan particles, -inf no value
+    msg = f"time t must be finite and non-negative, got t={bad!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        free_bbm([0.0], bad, RandomSource(1))
+
+
 @pytest.mark.parametrize("mirror", [False, True])
 def test_free_bbm_rejects_an_empty_start(mirror):
     # it used to fail inside the branching with numpy's "need at least one

@@ -22,7 +22,7 @@ from npbbm import (
     small_delta_flux,
 )
 from npbbm.cli import _OutputSet
-from npbbm.exits import _bridge_crossed, _run_paths
+from npbbm.exits import MAX_STEPS, _bridge_crossed, _run_paths, _step_count
 
 from helpers import uniform_density, wave_fixture
 
@@ -59,6 +59,20 @@ def test_path_params_name_the_value_and_its_limit(bad):
     msg = f"horizon t must be positive and finite, got t={bad!r}"
     with pytest.raises(ValueError, match=re.escape(msg)):
         PathParams(bad, 1e-3, 10)
+
+
+def test_step_plan_is_capped():
+    assert _step_count(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+    msg = (
+        "step h=1e-07 over horizon t=2.0 plans 2e+07 steps (t/h), "
+        f"above the cap of {MAX_STEPS}"
+    )
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        _step_count(2.0, 1e-7)
+    # one path at h = 1e-7 used to take about 8 minutes
+    params = PathParams(t=1.0, h=1e-7, n_paths=1)
+    with pytest.raises(ValueError, match="above the cap"):
+        sample_exit(0.5, _constant(0.0), _constant(1.0), params, RandomSource(1))
 
 
 def test_exit_stats_partition_enforced():
@@ -287,8 +301,22 @@ def test_richardson_extrapolation_protocol():
         richardson_extrapolate([0.01], [1.0], [0.0])
 
 
-def test_bridge_filter_equals_full_exp():
-    # exp is skipped for a <= -37; the verdict must equal u < exp(a) everywhere
+class _FixedUniforms:
+    """Hands out one fixed value for every uniform drawn, counting them."""
+
+    def __init__(self, value):
+        self.value = value
+        self.drawn = 0
+
+    def random(self, size):
+        self.drawn += size
+        return np.full(size, self.value)
+
+
+def test_bridge_crossed_draws_only_above_the_cutoff():
+    # Draw layout 2: one uniform per inside entry whose exponent is above
+    # -37, taken in order; the verdict there is u < exp(a), and the other
+    # entries draw nothing and do not cross.
     rng = np.random.default_rng(20260815)
     cut = -37.0
     a = np.concatenate(
@@ -298,10 +326,19 @@ def test_bridge_filter_equals_full_exp():
             [-745.2, -745.1, -708.4, -36.7368005696771, 0.0, -0.0],
         ]
     )
-    for u_value in (0.0, 2.0**-53, None):
-        u = rng.random(a.size) if u_value is None else np.full(a.size, u_value)
-        for inside in (np.ones(a.size, dtype=bool), rng.random(a.size) < 0.5):
-            got = _bridge_crossed(a, u, inside)
-            assert np.array_equal(got, inside & (u < np.exp(a)))
-    # at the cutoff exp is already below the smallest positive uniform
-    assert np.exp(np.nextafter(cut, np.inf)) < 2.0**-53
+    for inside in (np.ones(a.size, dtype=bool), rng.random(a.size) < 0.5):
+        live = inside & (a > cut)
+        for u_value in (0.0, 2.0**-53, 0.5):
+            uniforms = _FixedUniforms(u_value)
+            got = _bridge_crossed(a, inside, uniforms)
+            assert uniforms.drawn == np.count_nonzero(live)
+            assert np.array_equal(got, live & (u_value < np.exp(a)))
+        gen, ref = RandomSource(3).generator(4), RandomSource(3).generator(4)
+        got = _bridge_crossed(a, inside, gen)
+        want = np.zeros(a.size, dtype=bool)
+        want[live] = ref.random(np.count_nonzero(live)) < np.exp(a[live])
+        assert np.array_equal(got, want)
+        # both streams stand at the same draw
+        assert np.array_equal(gen.random(4), ref.random(4))
+    # the crossing probability left out at or below the cutoff
+    assert np.exp(cut) < 8.6e-17

@@ -404,6 +404,15 @@ def test_stationarity_equal_times_zero_distance():
     assert d == 0.0
 
 
+@pytest.mark.parametrize(
+    "t1, t2", [(math.nan, 1.0), (0.5, math.nan), (0.0, 1.0), (2.0, 1.0), (1.0, math.inf)]
+)
+def test_stationarity_names_bad_times(t1, t2):
+    msg = f"need 0 < t1 <= t2 < inf, got t1={t1!r}, t2={t2!r}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        stationarity_diagnostic(0.5, 5, t1, t2, 2, RandomSource(1))
+
+
 def test_stationarity_two_large_times_close():
     d = stationarity_diagnostic(0.75, 20, 20.0, 40.0, 200, RandomSource(71))
     assert d < ks_critical(200, 200, 0.01)

@@ -1,10 +1,12 @@
 """Reference oracles for the hot kernels, which must match them bit for bit.
 
-The particle loop and the killed-path kernel read their draws ahead in
-blocks, sort with quicksort and skip ``exp`` where it cannot matter; the
-bounding systems branch level by level on whole arrays and sort with
-quicksort.  The plain implementations below draw call by call, sort stably
-and evaluate everything; the fast kernels must return exactly their bits.
+The particle loop reads its draws ahead in blocks and sorts with quicksort;
+the killed-path kernel runs its exit logic only on the paths near a barrier
+and draws a bridge uniform only where the crossing exponent is above -37
+(draw layout 2); the bounding systems branch level by level on whole arrays
+and sort with quicksort.  The plain implementations below draw call by
+call, sort stably and evaluate everything; the fast kernels must return
+exactly their bits.
 """
 
 from __future__ import annotations
@@ -80,7 +82,12 @@ def simulate_reference(init, p, T, src, sample_times=None):
 
 
 def run_paths_reference(x0, left, right, t, h, src, bridge_correction=True):
-    """The killed-path kernel with exp evaluated on every inside path."""
+    """The killed-path kernel with exp evaluated on every inside path.
+
+    Draw layout 2: each barrier's stream gives one scalar uniform to every
+    inside path whose crossing exponent is above -37, in path order, and
+    nothing to the other paths, which do not cross.
+    """
     grid = _time_grid(t, h, left, right)
     lv = left.value(grid)
     rv = right.value(grid)
@@ -98,8 +105,6 @@ def run_paths_reference(x0, left, right, t, h, src, bridge_correction=True):
             break
         dt = grid[k + 1] - grid[k]
         nxt = cur + gauss.standard_normal(idx.size) * math.sqrt(dt)
-        u_l = uni_left.random(idx.size)
-        u_r = uni_right.random(idx.size)
         d1l = nxt - lv[k + 1]
         d1r = rv[k + 1] - nxt
         end_left = d1l <= 0.0
@@ -110,10 +115,16 @@ def run_paths_reference(x0, left, right, t, h, src, bridge_correction=True):
         d0l = cur - lv[k]
         d0r = rv[k] - cur
         if bridge_correction:
-            a_l = -2.0 * d0l[inside] * d1l[inside] / dt
-            a_r = -2.0 * d0r[inside] * d1r[inside] / dt
-            hid_left[inside] = u_l[inside] < np.exp(a_l)
-            hid_right[inside] = u_r[inside] < np.exp(a_r)
+            for uni, d0, d1, hid in (
+                (uni_left, d0l, d1l, hid_left),
+                (uni_right, d0r, d1r, hid_right),
+            ):
+                a = -2.0 * d0[inside] * d1[inside] / dt
+                crossing = np.exp(a)
+                hit = np.zeros(a.size, dtype=bool)
+                for j in np.flatnonzero(a > -37.0):
+                    hit[j] = uni.random() < crossing[j]
+                hid[inside] = hit
         both = hid_left & hid_right
         to_left = both & (d0l <= d0r)
         hid_left = (hid_left & ~both) | to_left
@@ -364,40 +375,86 @@ def test_run_paths_matches_reference_into_an_approaching_barrier():
         assert 10 < np.count_nonzero((code > 0) & (when == 0.5 * h))
 
 
-class _ZeroUniformSource:
-    """A source whose uniform streams return exactly 0.0 at every fifth draw.
+class _UniformStub:
+    """A source whose two uniform streams record their calls.
 
-    A uniform of 0 falls below exp(a) for any a above about -745, so with it
-    a path far from both barriers (a far below -37) still crosses.
+    With ``zero_every_fifth`` they also return exactly 0.0 at every fifth
+    draw, counted along the stream, whether drawn one at a time or in
+    arrays.  A uniform of 0 falls below exp(a) for any a above about -745.
     """
 
-    def __init__(self, src):
+    def __init__(self, src, zero_every_fifth=False):
         self.src = src
+        self.zero = zero_every_fifth
+        self.calls = {TAG_UNIFORM_A: [], TAG_UNIFORM_B: []}
 
     def generator(self, tag):
         gen = self.src.generator(tag)
-        return _ZeroEveryFifth(gen) if tag in (TAG_UNIFORM_A, TAG_UNIFORM_B) else gen
+        if tag not in self.calls:
+            return gen
+        return _StubStream(gen, self.calls[tag], self.zero)
 
 
-class _ZeroEveryFifth:
-    def __init__(self, gen):
+class _StubStream:
+    def __init__(self, gen, calls, zero):
         self.gen = gen
+        self.calls = calls
+        self.zero = zero
+        self.drawn = 0
 
-    def random(self, size):
-        u = self.gen.random(size)
-        u[::5] = 0.0
-        return u
+    def random(self, size=None):
+        m = 1 if size is None else size
+        self.calls.append(size)
+        u = np.atleast_1d(self.gen.random(m))
+        if self.zero:
+            u[(self.drawn + np.arange(m)) % 5 == 0] = 0.0
+        self.drawn += m
+        return float(u[0]) if size is None else u
 
 
 def test_run_paths_matches_reference_with_zero_uniforms():
     for seed in (20260815, 7):
         left, right, x0 = _wave_strip_starts(seed, 1000)
         for h in (1e-3, 1e-2, 0.2):
-            src = _ZeroUniformSource(RandomSource(seed, 9))
+            src = _UniformStub(RandomSource(seed, 9), zero_every_fifth=True)
             code, _, _ = _check_paths(x0, left, right, 1.0, h, src)
             plain, _, _ = run_paths_reference(x0, left, right, 1.0, h, src.src)
-            # the zeros stop paths far from the barriers
+            # the zeros stop paths near the barriers that would have survived
             assert np.count_nonzero(code) > np.count_nonzero(plain)
+
+
+def test_zero_uniforms_cannot_stop_a_path_below_the_cutoff():
+    # From 0.25 above a barrier, one step of h = 1e-3 gives a crossing
+    # exponent near -125: exp(a) > 0, so a uniform of 0 would stop the path,
+    # but below -37 no uniform is drawn and no path crosses.
+    h = 1e-3
+    times = np.array([0.0, h])
+    left, right = Barrier(times, np.zeros(2)), Barrier(times, np.full(2, 1e6))
+    x0 = np.full(1000, 0.25)
+    src = _UniformStub(RandomSource(20260815, 11), zero_every_fifth=True)
+    code, _, _ = _check_paths(x0, left, right, h, h, src)
+    assert not np.any(code)
+    assert src.calls[TAG_UNIFORM_A] == src.calls[TAG_UNIFORM_B] == []
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 0.2])
+def test_uniform_streams_draw_exactly_the_live_entries(h):
+    # The kernel draws, per barrier, as many uniforms as the oracle draws
+    # scalars, in at most one call per step, and none without bridge
+    # correction; the oracle draws one per inside path above the cutoff.
+    left, right, x0 = _wave_strip_starts(20260815, 2000)
+    steps = _time_grid(1.0, h, left, right).size - 1
+    for bridge in (True, False):
+        fast = _UniformStub(RandomSource(7, 12))
+        slow = _UniformStub(RandomSource(7, 12))
+        _run_paths(x0, left, right, 1.0, h, fast, bridge_correction=bridge)
+        run_paths_reference(x0, left, right, 1.0, h, slow, bridge)
+        for tag in (TAG_UNIFORM_A, TAG_UNIFORM_B):
+            sizes = fast.calls[tag]
+            assert len(sizes) <= steps
+            assert sum(sizes) == len(slow.calls[tag])
+            assert set(slow.calls[tag]) <= {None}
+            assert (sum(sizes) > 0) == bridge
 
 
 @pytest.mark.parametrize("offset", [0.0, 0.3, -7.5, 1e6])
