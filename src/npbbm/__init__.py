@@ -8,7 +8,7 @@ wave of the limiting free boundary problem; `exits` cross-validates both
 against killed Brownian motion.  `cli` exposes all of it as subcommands.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .randomness import RandomSource
 from .particles import (
@@ -64,7 +64,6 @@ from .wave import (
     wave_speed,
 )
 from .exits import (
-    ExitOutcome,
     ExitStats,
     FluxSequence,
     PathParams,
@@ -72,7 +71,6 @@ from .exits import (
     exit_statistics,
     representation_check,
     richardson_extrapolate,
-    sample_exit,
     small_delta_flux,
 )
 
@@ -123,7 +121,6 @@ __all__ = [
     "wave_density",
     "wave_profile",
     "wave_speed",
-    "ExitOutcome",
     "ExitStats",
     "FluxSequence",
     "PathParams",
@@ -131,6 +128,5 @@ __all__ = [
     "exit_statistics",
     "representation_check",
     "richardson_extrapolate",
-    "sample_exit",
     "small_delta_flux",
 ]

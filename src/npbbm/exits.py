@@ -1,37 +1,48 @@
 """Monte Carlo Brownian motion killed at two moving piecewise-linear barriers.
 
 Paths take exact Gaussian increments on a step grid that contains every
-barrier knot, so each step sees two linear barrier segments.  For a linear
-segment the probability that the Brownian bridge over one step crosses the
-barrier, given start and end distances d0, d1 > 0, is exp(a) with
-a = -2 d0 d1 / h exactly (Brownian motion minus a linear function is again
-Brownian motion), so the per-step crossing correction removes all
-discretization bias (Baldi 1995; Gobet 2000).  Endpoint-side violations
-exit at the step end, hidden crossings are timed at the step midpoint
-(diagnostic only).  If both barriers trigger in one step the exit is
-attributed to the barrier nearer the path at the step start; the error of
-treating the two crossing events independently is O(exp(-2 (R-L)^2 / h)).
+barrier knot, so each step sees two linear barrier segments, and one
+uniform per step decides whether the Brownian bridge between the step's
+ends has left the strip, and on which side.  Brownian motion minus a linear
+function is again Brownian motion, so the laws below hold for moving
+barriers as they are.
 
-Draw layout 2 (see ``randomness.DRAW_LAYOUT``).  Each step draws one normal
-for every alive path.  A uniform decides a hidden crossing, u < exp(a), and
-is drawn only where a is above -37: one ``random(m)`` call per barrier and
-step takes the m uniforms for those paths, in path order, from that
-barrier's stream.  Where a <= -37 the path draws nothing and does not cross.
-Layout 1 drew a uniform for every alive path and crossed there with
-probability 2^-53 (a uniform of exactly 0).  The true probability exp(a) <=
-8.5e-17 lies between 0 and 2^-53, so layout 2's per-step error is no larger
-than layout 1's.  Without bridge correction no uniform is drawn.
+The exact two-sided law.  On a step of length dt over which the strip has
+constant width W (the barriers are parallel), take distances from the
+barriers: x, y from the left one at the step's start and end, and W - x,
+W - y from the right one.  The bridge from x to y leaves (0, W) through 0
+first with probability
 
-The exit logic runs only on the candidates: the paths that start or end
-within r = sqrt(18.5 h) of a barrier.  The rest cannot exit in the step.
-They end strictly inside, and with d0, d1 > 0 an exponent above -37 needs
-d0 d1 < 18.5 h, hence min(d0, d1) < r.  r is widened by a relative 1e-9
-and each band edge is rounded one ulp towards the strip's centre.  That is
-far more than the few-ulp error in the computed exponent, so every path
-whose exponent is above -37 is a candidate, and the candidates draw their
-uniforms in the order the paths have.  On the wave strip at h = 1e-3 about
-2 % of the alive paths are candidates.  Without bridge correction, the
-candidates are the paths that end at or beyond a barrier.
+    P(x, y) = sum_{k>=0} exp(-2 (x + kW)(y + kW) / dt)
+              - sum_{k>=1} exp(-2 kW (kW + y - x) / dt)
+
+(alternating reflections; Anderson 1960, Hall 1997), and through W first
+with P(W - x, W - y).  A path that ends inside leaves left with P(x, y),
+right with P(W - x, W - y), and stays otherwise.  A path that ends on or
+beyond a barrier has left for sure: the far side gets its series and the
+near side the rest, so every term evaluated is at most 1.  The sums keep
+k = 1..K, K <= 7 the fewest for which every dropped term is below
+exp(-37); this needs dt <= 56 W^2 / 18.5, about 3 W^2.  With bridge
+correction a parallel piece between barrier knots is therefore taken in
+the fewest equal steps of at most that length: on the CLI's wave strip
+that is one step for any t up to about 14, whatever h is.
+
+Steps on pieces that are not parallel are at most h long and keep only
+the k = 0 terms, exp(-2 x y / dt) on each side, each exact for its own
+barrier, with the same one-uniform decision; leaving through one barrier
+after touching the other is then missed, an error of O(exp(-2 W^2 / h)).
+Without bridge correction the steps are at most h long too, and a path
+exits only where its end is on or beyond a barrier.
+
+Draw layout 3 (see ``randomness.DRAW_LAYOUT``).  Each step draws one normal
+for every alive path from TAG_DRIVING.  The candidates are the paths whose
+larger k = 0 exponent -2 x y / dt is above -37, which takes in every path
+that ends on or beyond a barrier.  One ``random(m)`` call per step from
+TAG_UNIFORM_A gives the m candidates one uniform each, in path order; u <
+P_left exits left, else u < P_left + P_right exits right.  The other paths
+draw nothing and stay: their exit probability is below about 2 exp(-37).
+Without bridge correction the candidates are the paths that end on or
+beyond a barrier, and no uniform is drawn.
 
 The module cross-validates the killed semigroup against the grid scheme
 (the exit-mass identity behind the probabilistic representation) and
@@ -49,24 +60,16 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .density import GridDensity, refine_limit, sample_from_density, tail_mass
-from .randomness import (
-    RandomSource,
-    TAG_DRIVING,
-    TAG_INITIAL,
-    TAG_UNIFORM_A,
-    TAG_UNIFORM_B,
-)
+from .randomness import RandomSource, TAG_DRIVING, TAG_INITIAL, TAG_UNIFORM_A
 from .stats import binomial_se
 from .wave import Barrier
 
 __all__ = [
     "MAX_STEPS",
     "PathParams",
-    "ExitOutcome",
     "ExitStats",
     "RepresentationResult",
     "FluxSequence",
-    "sample_exit",
     "exit_statistics",
     "representation_check",
     "small_delta_flux",
@@ -76,7 +79,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PathParams:
-    """Time horizon, step bound, and path count for one Monte Carlo run."""
+    """Time horizon, step bound, and path count for one Monte Carlo run.
+
+    With bridge correction h bounds the step only on pieces where the
+    barriers are not parallel; parallel pieces take the exact law's steps.
+    """
 
     t: float
     h: float
@@ -93,19 +100,6 @@ class PathParams:
             )
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
-
-
-@dataclass(frozen=True)
-class ExitOutcome:
-    """Result of one path: kind is 'left', 'right', or 'survive'.
-
-    Exits carry the (diagnostic) exit time; survivors carry the final
-    position.
-    """
-
-    kind: str
-    time: float | None = None
-    position: float | None = None
 
 
 @dataclass(frozen=True)
@@ -136,68 +130,111 @@ class ExitStats:
 # single path, so the cap keeps a run's step loop to about a minute.
 MAX_STEPS = 1 << 20
 
+# a path draws a uniform only where its larger k = 0 exponent is above -37;
+# exp(-37) ~ 8.5e-17 bounds each dropped term of the series too
+_EXP_CUTOFF = -37.0
+# the most reflection terms k = 1..K a parallel step keeps; the first one
+# dropped is at most exp(-2 K (K + 1) W^2 / dt), so a step may be as long
+# as K (K + 1) W^2 / 18.5
+_MAX_REFLECTIONS = 7
+_LONGEST_STEP = _MAX_REFLECTIONS * (_MAX_REFLECTIONS + 1) / (-0.5 * _EXP_CUTOFF)
+# relative change of the strip's width below which a piece is parallel; it
+# covers the rounding of wave_barriers' knot values
+_PARALLEL_RTOL = 1e-12
 
-def _step_count(t: float, h: float) -> int:
-    """ceil(t / h), the uniform steps over [0, t]; at most MAX_STEPS."""
-    planned = t / h - 1e-12
-    if not planned <= MAX_STEPS:
+
+def _plan(t: float, h: float, left: Barrier, right: Barrier, bridge_correction: bool):
+    """The step grid on [0, t], the barriers on it, and each step's reflections.
+
+    Returns (grid, lv, rv, reflections): reflections[k] is the K of step k,
+    0 where only the k = 0 terms apply.  The grid holds every barrier knot.
+    With bridge correction a parallel piece between knots is cut into the
+    fewest equal steps of at most _LONGEST_STEP W^2, W its smaller end
+    width.  Every other piece takes the points of the uniform grid of
+    ceil(t/h) steps that fall inside it, so without bridge correction the
+    grid is that uniform grid with the knots added.  The steps are counted
+    against MAX_STEPS before any of them is built.
+    """
+    knots = np.concatenate((left.knot_times, right.knot_times))
+    edges = np.union1d([0.0, t], knots[(knots > 0.0) & (knots < t)])
+    width = right.value(edges) - left.value(edges)
+    if not np.all(width > 0.0):
+        raise ValueError("barriers must satisfy L < R on the whole horizon")
+    a, b = edges[:-1], edges[1:]
+    w = np.minimum(width[:-1], width[1:])
+    flat = bridge_correction & (
+        np.abs(np.diff(width)) <= _PARALLEL_RTOL * np.maximum(width[:-1], width[1:])
+    )
+    with np.errstate(over="ignore"):  # a tiny h plans inf steps, refused below
+        steps = np.where(
+            flat, np.ceil((b - a) / (_LONGEST_STEP * w * w)), np.ceil((b - a) / h - 1e-12)
+        )
+    plan = float(np.sum(steps))
+    if not plan <= MAX_STEPS:
         raise ValueError(
-            f"step h={h!r} over horizon t={t!r} plans {t / h:.6g} steps (t/h), "
+            f"step h={h!r} over horizon t={t!r} plans {plan:.6g} steps, "
             f"above the cap of {MAX_STEPS}"
         )
-    return max(1, math.ceil(planned))
+    parts = [edges]
+    if not np.all(flat):
+        n = max(1, math.ceil(t / h - 1e-12))
+        s = t / n  # np.linspace(0, t, n + 1) holds the points i * s and t
+    for j in range(a.size):
+        if flat[j]:
+            parts.append(np.linspace(a[j], b[j], int(steps[j]) + 1)[1:-1])
+        else:
+            base = np.arange(math.floor(a[j] / s), math.ceil(b[j] / s) + 1) * s
+            parts.append(base[(base > a[j]) & (base < b[j])])
+    grid = np.unique(np.concatenate(parts))
+    grid = grid[np.concatenate(([True], np.diff(grid) > 1e-15))]
+    piece = np.searchsorted(edges, grid[:-1], side="right") - 1
+    dt = np.diff(grid)
+    # the fewest K >= 1 with K (K + 1) >= 18.5 dt / W^2
+    need = np.ceil(np.sqrt(0.25 - 0.5 * _EXP_CUTOFF * dt / w[piece] ** 2) - 0.5)
+    reflections = np.where(flat[piece], np.clip(need, 1, _MAX_REFLECTIONS), 0)
+    return grid, left.value(grid), right.value(grid), reflections.astype(np.int64)
 
 
-def _time_grid(t: float, h: float, left: Barrier, right: Barrier):
-    """Uniform grid of step <= h on [0, t], refined by all barrier knots."""
-    n = _step_count(t, h)
-    base = np.linspace(0.0, t, n + 1)
-    knots = np.concatenate([left.knot_times, right.knot_times])
-    knots = knots[(knots > 0.0) & (knots < t)]
-    grid = np.union1d(base, knots)
-    return grid[np.concatenate(([True], np.diff(grid) > 1e-15))]
+def _series(x, y, w, s, reflections):
+    """P(x, y) of the module docstring, with s = -2 / dt.
 
-
-# a uniform is drawn only where the crossing exponent is above -37:
-# exp(-37) ~ 8.5e-17 bounds the crossing probability left out below it
-_EXP_CUTOFF = -37.0
-# relative widening of the candidate reach; far above the few-ulp error of
-# the exponent, so no path with an exponent above the cutoff is left out
-_REACH_MARGIN = 1e-9
-
-
-def _bridge_crossed(a, inside, uniforms):
-    """Hidden crossings: ``u < exp(a)`` where inside and a > _EXP_CUTOFF.
-
-    Draws ``uniforms.random(m)`` for exactly those m entries, in order; the
-    others draw nothing and do not cross.
+    Summed as e_0 + (e_1 - e'_1) + ... + (e_K - e'_K), e_k the k-th term
+    of the first sum and e'_k of the second, each exponent formed as
+    ((x + kw) (y + kw)) s and (kw ((kw + y) - x)) s.
     """
-    live = inside & (a > _EXP_CUTOFF)
-    hit = np.zeros(a.size, dtype=bool)
-    hit[live] = uniforms.random(np.count_nonzero(live)) < np.exp(a[live])
-    return hit
+    p = x * y
+    p *= s
+    np.exp(p, out=p)
+    for k in range(1, reflections + 1):
+        kw = k * w
+        term = (x + kw) * (y + kw)
+        term *= s
+        p += np.exp(term, out=term)
+        term = (kw + y) - x
+        term *= kw
+        term *= s
+        p -= np.exp(term, out=term)
+    return p
 
 
-def _candidate_bands(grid, lv, rv, bridge_correction: bool):
-    """Per-step band edges (lo0, hi0, lo1, hi1) outside which a path may exit.
+def _exit_probabilities(x, y, left, right, s, reflections):
+    """(P_left, P_right) for the bridges from x to y over one step, s = -2 / dt.
 
-    A path can leave in step k only if its end lies below lo1[k] or above
-    hi1[k], or, with bridge correction, its start lies below lo0[k] or
-    above hi0[k].  Without bridge correction the edges sit one ulp inside
-    the barriers, so the end test is the end-exit test itself.  With it, they sit r inside, r being
-    sqrt(18.5 dt) widened by _REACH_MARGIN and each edge rounded one ulp
-    towards the centre of the strip (see the module docstring).
+    left and right hold each barrier's values at the step's start and end;
+    an end on or beyond one barrier has that side get the rest of the other
+    side's series.  The distances are formed one side at a time, so at most
+    two of them are alive at once.
     """
-    if bridge_correction:
-        r = np.sqrt(-0.5 * _EXP_CUTOFF * np.diff(grid)) * (1.0 + _REACH_MARGIN)
-    else:
-        r = 0.0
-    return (
-        np.nextafter(lv[:-1] + r, np.inf),
-        np.nextafter(rv[:-1] - r, -np.inf),
-        np.nextafter(lv[1:] + r, np.inf),
-        np.nextafter(rv[1:] - r, -np.inf),
-    )
+    w = right[0] - left[0]
+    d1 = y - left[1]
+    left_beyond = d1 <= 0.0
+    p_left = _series(x - left[0], np.maximum(d1, 0.0, out=d1), w, s, reflections)
+    d1 = right[1] - y
+    right_beyond = d1 <= 0.0
+    p_right = _series(right[0] - x, np.maximum(d1, 0.0, out=d1), w, s, reflections)
+    np.subtract(1.0, p_right, out=p_left, where=left_beyond)
+    np.subtract(1.0, p_left, out=p_right, where=right_beyond)
+    return p_left, p_right
 
 
 def _run_paths(
@@ -210,38 +247,28 @@ def _run_paths(
     *,
     bridge_correction: bool = True,
 ):
-    """Drive a batch of paths; returns (code, exit_time, final_position).
+    """Drive a batch of paths; returns (code, final_position).
 
-    code is 0 for survival, 1 for a left exit, 2 for a right exit; exit_time
-    is NaN for survivors and final_position is NaN for exited paths.
-
-    Each step draws a normal for every alive path, then gathers the
-    candidates, the few paths near a barrier (see _candidate_bands), and
-    runs the exit logic on them alone, drawing uniforms only where a bridge
-    can cross; every other path stays inside with certainty.
+    code is 0 for survival, 1 for a left exit, 2 for a right exit, and
+    final_position is NaN for exited paths.  Each step draws a normal for
+    every alive path and runs the exit logic on the candidates alone (see
+    the module docstring); every other path stays inside.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    grid = _time_grid(t, h, left, right)
-    lv = left.value(grid)
-    rv = right.value(grid)
-    if np.any(lv >= rv):
-        raise ValueError("barriers must satisfy L < R on the whole horizon")
+    grid, lv, rv, reflections = _plan(t, h, left, right, bridge_correction)
     if np.any(x0 <= lv[0]) or np.any(x0 >= rv[0]):
         raise ValueError("initial positions must lie strictly between the barriers")
-    lo0, hi0, lo1, hi1 = _candidate_bands(grid, lv, rv, bridge_correction)
 
     gauss = src.generator(TAG_DRIVING)
-    uni_left = src.generator(TAG_UNIFORM_A)
-    uni_right = src.generator(TAG_UNIFORM_B)
+    uniforms = src.generator(TAG_UNIFORM_A)
 
     n = x0.size
     code = np.zeros(n, dtype=np.int64)
-    exit_time = np.full(n, np.nan)
     final = np.full(n, np.nan)
     idx = np.arange(n)
-    cur = x0.copy()
+    cur = x0  # never written in place
 
-    for k in range(len(grid) - 1):
+    for k in range(grid.size - 1):
         if idx.size == 0:
             break
         dt = grid[k + 1] - grid[k]
@@ -249,42 +276,32 @@ def _run_paths(
         nxt *= math.sqrt(dt)
         nxt += cur
 
-        near = nxt < lo1[k]
-        near |= nxt > hi1[k]
         if bridge_correction:
-            near |= cur < lo0[k]
-            near |= cur > hi0[k]
-        cand = np.flatnonzero(near)
-
-        c_nxt = nxt[cand]
-        d1l = c_nxt - lv[k + 1]
-        d1r = rv[k + 1] - c_nxt
-        end_left = d1l <= 0.0
-        end_right = ~end_left & (d1r <= 0.0)
-        inside = ~(end_left | end_right)
-
-        if bridge_correction and np.any(inside):
-            c_cur = cur[cand]
-            d0l = c_cur - lv[k]
-            d0r = rv[k] - c_cur
-            hid_left = _bridge_crossed(-2.0 * d0l * d1l / dt, inside, uni_left)
-            hid_right = _bridge_crossed(-2.0 * d0r * d1r / dt, inside, uni_right)
-            both = hid_left & hid_right
-            if np.any(both):
-                to_left = both & (d0l <= d0r)
-                hid_left = (hid_left & ~both) | to_left
-                hid_right = (hid_right & ~both) | (both & ~to_left)
+            s = -2.0 / dt
+            a = (cur - lv[k]) * (nxt - lv[k + 1])
+            a *= s
+            b = (rv[k] - cur) * (rv[k + 1] - nxt)
+            b *= s
+            cand = np.flatnonzero(np.maximum(a, b, out=a) > _EXP_CUTOFF)
+            del a, b
+            side = np.zeros(cand.size, dtype=np.int64)
+            if cand.size:
+                p_left, p_right = _exit_probabilities(
+                    cur[cand], nxt[cand], lv[k : k + 2], rv[k : k + 2],
+                    s, int(reflections[k]),
+                )
+                u = uniforms.random(cand.size)
+                side[u < p_left + p_right] = 2
+                side[u < p_left] = 1
         else:
-            hid_left = hid_right = np.zeros(cand.size, dtype=bool)
+            end_left = nxt <= lv[k + 1]
+            cand = np.flatnonzero(end_left | (nxt >= rv[k + 1]))
+            side = np.where(end_left[cand], 1, 2)
 
-        gone = end_left | end_right | hid_left | hid_right
+        gone = side > 0
         if np.any(gone):
             out = cand[gone]
-            sel = idx[out]
-            code[sel] = np.where((end_left | hid_left)[gone], 1, 2)
-            exit_time[sel] = np.where(
-                (end_left | end_right)[gone], grid[k + 1], grid[k] + 0.5 * dt
-            )
+            code[idx[out]] = side[gone]
             keep = np.ones(idx.size, dtype=bool)
             keep[out] = False
             idx = idx[keep]
@@ -293,32 +310,7 @@ def _run_paths(
             cur = nxt
 
     final[idx] = cur
-    return code, exit_time, final
-
-
-def sample_exit(
-    x0: float,
-    left: Barrier,
-    right: Barrier,
-    params: PathParams,
-    src: RandomSource,
-    *,
-    bridge_correction: bool = True,
-) -> ExitOutcome:
-    """Run a single path from x0; see the module docstring for the stepping."""
-    code, when, final = _run_paths(
-        np.array([x0]),
-        left,
-        right,
-        params.t,
-        params.h,
-        src,
-        bridge_correction=bridge_correction,
-    )
-    if code[0] == 0:
-        return ExitOutcome(kind="survive", position=float(final[0]))
-    side = "left" if code[0] == 1 else "right"
-    return ExitOutcome(kind=side, time=float(when[0]))
+    return code, final
 
 
 def _support_interval(rho: GridDensity) -> tuple[float, float]:
@@ -359,7 +351,7 @@ def exit_statistics(
 ) -> ExitStats:
     """Aggregate outcomes of n_paths paths started i.i.d. from rho."""
     x0 = _draw_initial(rho, left, right, params.n_paths, src)
-    code, _, final = _run_paths(
+    code, final = _run_paths(
         x0, left, right, params.t, params.h, src, bridge_correction=bridge_correction
     )
     n = params.n_paths
@@ -426,12 +418,12 @@ def representation_check(
     t_max = math.log(sys.float_info.max)
     if not t <= t_max:
         raise ValueError(f"t={t!r} exceeds {t_max!r}, the largest t with e^t finite")
-    _step_count(t, params.h)
+    _plan(t, params.h, left, right, True)
     # deterministic, so run first: its argument checks precede the paths
     refined = refine_limit(rho, p, t, n_max=n_max, tol=tol)
     x_grid = np.asarray(x_grid, dtype=np.float64)
     x0 = _draw_initial(rho, left, right, params.n_paths, src)
-    code, _, final = _run_paths(x0, left, right, t, params.h, src)
+    code, final = _run_paths(x0, left, right, t, params.h, src)
     survivors = final[code == 0]
     n = params.n_paths
     scale = math.exp(t)
@@ -504,8 +496,9 @@ def small_delta_flux(
     """Measure exit_side probability / delta over a decreasing delta ladder.
 
     Each delta runs params.n_paths fresh paths (independent sub-source per
-    delta) up to horizon delta with step min(params.h, delta/100), so the
-    step is always at least a hundred times finer than the horizon.  The
+    delta) up to horizon delta, with the step bound min(params.h, delta).
+    The exact two-sided law needs no finer steps on parallel barriers: on
+    the wave strip each delta is one step, whatever params.h is.  The
     caller supplies a density vanishing at both barriers; the fluxes then
     converge linearly in delta to half the edge slopes, which the ratio-2
     extrapolation of :meth:`FluxSequence.extrapolate` recovers.
@@ -519,7 +512,7 @@ def small_delta_flux(
     sr = np.empty(d.size)
     for j, delta in enumerate(d):
         run = PathParams(
-            t=float(delta), h=min(params.h, float(delta) / 100.0), n_paths=params.n_paths
+            t=float(delta), h=min(params.h, float(delta)), n_paths=params.n_paths
         )
         stats = exit_statistics(f, left, right, run, src.child(j))
         fl[j] = stats.exit_left_prob / delta

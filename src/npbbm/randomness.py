@@ -38,6 +38,15 @@ changes output bits at the same seed; the CLI manifest records it as
   order, one call per barrier and step, and none without bridge
   correction.  Only the outputs of ``exit`` moved; every other substream
   is drawn as in layout 1.
+* Layout 3 (package 0.3.0): the kernel applies the exact two-sided law of
+  Brownian motion in a strip, and with bridge correction takes a parallel
+  barrier piece in as few steps as that law allows (one on the wave
+  strip).  Each step draws one normal per alive path and then one
+  ``random(m)`` call from TAG_UNIFORM_A, one uniform for each of the m
+  paths whose larger crossing exponent is above -37, in path order; that
+  uniform decides left, right or stay.  TAG_UNIFORM_B is retired: no
+  routine draws from it.  Without bridge correction the draws are those of
+  layout 2.  Only the outputs of ``exit`` moved.
 """
 
 from __future__ import annotations
@@ -55,12 +64,12 @@ TAG_DRIVING = 0    # Brownian increments
 TAG_CLOCK = 1      # exponential event clocks
 TAG_INDEX = 2      # uniform particle index at branch events
 TAG_SELECT = 3     # Bernoulli left/right selection
-TAG_UNIFORM_A = 4  # auxiliary uniforms (bridge crossings, left barrier)
-TAG_UNIFORM_B = 5  # auxiliary uniforms (bridge crossings, right barrier)
+TAG_UNIFORM_A = 4  # auxiliary uniforms (bridge exits)
+TAG_UNIFORM_B = 5  # retired in layout 3; drawn by nothing
 TAG_INITIAL = 6    # initial-condition sampling
 
 # the draw layout this package implements; see the module docstring
-DRAW_LAYOUT = 2
+DRAW_LAYOUT = 3
 
 # Largest read-ahead block, 64 KB of 8-byte draws: larger blocks fall out of
 # the cache and made the particle loop slower.

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,6 @@ from npbbm import (
 )
 from npbbm.cli import COMMAND_IDS, _wave_fixture, main
 from npbbm.density import load_density
-from npbbm.exits import MAX_STEPS
 from npbbm.randomness import DRAW_LAYOUT
 
 
@@ -363,28 +363,29 @@ def test_manifest_records_version_and_draw_layout(tmp_path):
     out = tmp_path / "x"
     assert main(["exit", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["version"] == npbbm.__version__ == "0.2.0"
-    assert manifest["draw_layout"] == DRAW_LAYOUT == 2
+    assert manifest["version"] == npbbm.__version__ == "0.3.0"
+    assert manifest["draw_layout"] == DRAW_LAYOUT == 3
 
 
 @pytest.mark.parametrize("mode", ["stats", "representation", "flux"])
-def test_exit_step_plan_above_the_cap_returns_2(tmp_path, capsys, mode):
-    # h = 1e-12 plans 1e12 steps (2e10 for flux's first delta): the time
-    # grid alone would take 8 TB.  The check comes before any of it, so the
-    # run stays below the 8 MB of one time grid at the cap.
-    cfg = _write_config(tmp_path, "e.json", {"mode": mode, "h": 1e-12, "n_paths": 10})
+def test_exit_tiny_step_on_the_wave_strip_returns_0(tmp_path, mode):
+    # h = 1e-12 once planned 1e12 steps and was refused.  With bridge
+    # correction the wave strip's parallel barriers take the exact law's
+    # steps, one per horizon, so h no longer sets the work: the run ends at
+    # once and stays below the 8 MB of one time grid at the step cap.
+    cfg = _write_config(
+        tmp_path, "e.json", {"mode": mode, "h": 1e-12, "n_paths": 10, "n_max": 1}
+    )
+    started = time.perf_counter()
     tracemalloc.start()
     try:
         rc = main(["exit", "--config", cfg, "--out", str(tmp_path / "x")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 2
+    assert rc == 0
+    assert time.perf_counter() - started < 1.0
     assert peak < 8 * 2**20
-    err = capsys.readouterr().err
-    t = "0.02" if mode == "flux" else "1.0"
-    assert f"step h=1e-12 over horizon t={t} plans" in err
-    assert f"above the cap of {MAX_STEPS}" in err
 
 
 def test_bounds_population_overshoot_returns_3(tmp_path, capsys, monkeypatch):

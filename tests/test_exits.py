@@ -18,11 +18,10 @@ from npbbm import (
     exit_statistics,
     representation_check,
     richardson_extrapolate,
-    sample_exit,
     small_delta_flux,
 )
 from npbbm.cli import _OutputSet
-from npbbm.exits import MAX_STEPS, _bridge_crossed, _run_paths, _step_count
+from npbbm.exits import MAX_STEPS, _exit_probabilities, _plan, _run_paths, _series
 
 from helpers import uniform_density, wave_fixture
 
@@ -62,17 +61,35 @@ def test_path_params_name_the_value_and_its_limit(bad):
 
 
 def test_step_plan_is_capped():
-    assert _step_count(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
-    msg = (
-        "step h=1e-07 over horizon t=2.0 plans 2e+07 steps (t/h), "
-        f"above the cap of {MAX_STEPS}"
-    )
-    with pytest.raises(ValueError, match=re.escape(msg)):
-        _step_count(2.0, 1e-7)
+    # without bridge correction h sets the step, and 1/MAX_STEPS plans the cap
+    left, right = _constant(0.0), _constant(1.0)
+    grid = _plan(1.0, 1.0 / MAX_STEPS, left, right, False)[0]
+    assert grid.size - 1 == MAX_STEPS
     # one path at h = 1e-7 used to take about 8 minutes
-    params = PathParams(t=1.0, h=1e-7, n_paths=1)
-    with pytest.raises(ValueError, match="above the cap"):
-        sample_exit(0.5, _constant(0.0), _constant(1.0), params, RandomSource(1))
+    msg = f"step h=1e-07 over horizon t=1.0 plans 1e+07 steps, above the cap of {MAX_STEPS}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        _run_paths(
+            np.array([0.5]), left, right, 1.0, 1e-7, RandomSource(1),
+            bridge_correction=False,
+        )
+    # with bridge correction the parallel strip is one step, whatever h is
+    grid, _, _, reflections = _plan(1.0, 1e-12, left, right, True)
+    assert np.array_equal(grid, [0.0, 1.0]) and reflections.tolist() == [4]
+
+
+def test_non_parallel_piece_plan_is_capped():
+    # h bounds the steps where the barriers are not parallel: one such
+    # piece over [0.5, 1] at h = 1e-7 plans 5e6 steps, while the parallel
+    # piece over [0, 0.5] needs one
+    times = np.array([0.0, 0.5, 1.0])
+    left = Barrier(times, np.zeros(3))
+    right = Barrier(times, np.array([1.0, 1.0, 2.0]))
+    msg = f"step h=1e-07 over horizon t=1.0 plans 5e+06 steps, above the cap of {MAX_STEPS}"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        _run_paths(np.array([0.5]), left, right, 1.0, 1e-7, RandomSource(1))
+    grid, _, _, reflections = _plan(1.0, 0.1, left, right, True)
+    assert np.allclose(grid, np.linspace(0.0, 1.0, 11)[np.r_[0, 5:11]], atol=1e-15)
+    assert reflections.tolist() == [3, 0, 0, 0, 0, 0]
 
 
 def test_exit_stats_partition_enforced():
@@ -96,36 +113,33 @@ def test_unreachable_barriers_always_survive():
     stats = exit_statistics(rho, _constant(-1e6), _constant(1e6), params, RandomSource(90))
     assert stats.survive_prob == 1.0
     assert stats.exit_left_prob == 0.0 and stats.exit_right_prob == 0.0
-    out = sample_exit(0.0, _constant(-1e6), _constant(1e6), PathParams(1.0, 1e-2, 1), RandomSource(91))
-    assert out.kind == "survive"
-    assert out.position is not None and out.time is None
+    code, final = _run_paths(
+        np.array([0.0]), _constant(-1e6), _constant(1e6), 1.0, 1e-2, RandomSource(91)
+    )
+    assert code.tolist() == [0] and np.isfinite(final[0])
 
 
-def test_sample_exit_validates_start_and_barriers():
-    params = PathParams(1.0, 1e-2, 1)
-    with pytest.raises(ValueError):
-        sample_exit(2.0, _constant(0.0), _constant(1.0), params, RandomSource(1))
-    with pytest.raises(ValueError):
-        sample_exit(0.5, _constant(1.0), _constant(0.0), params, RandomSource(1))
+def test_run_paths_validates_start_and_barriers():
+    with pytest.raises(ValueError, match="strictly between"):
+        _run_paths(np.array([2.0]), _constant(0.0), _constant(1.0), 1.0, 1e-2, RandomSource(1))
+    with pytest.raises(ValueError, match="L < R"):
+        _run_paths(np.array([0.5]), _constant(1.0), _constant(0.0), 1.0, 1e-2, RandomSource(1))
 
 
-def test_sample_exit_kinds():
-    # strip so narrow almost every path exits quickly on one side
-    params = PathParams(1.0, 1e-3, 1)
-    kinds = set()
-    for r in range(20):
-        out = sample_exit(0.0, _constant(-0.05), _constant(0.05), params, RandomSource(92, r))
-        kinds.add(out.kind)
-        if out.kind != "survive":
-            assert 0.0 < out.time <= 1.0
-    assert {"left", "right"} <= kinds
+def test_run_paths_exits_on_both_sides():
+    # strip so narrow almost every path exits, on either side
+    code, final = _run_paths(
+        np.zeros(20), _constant(-0.05), _constant(0.05), 1.0, 1e-3, RandomSource(92)
+    )
+    assert {1, 2} <= set(code.tolist())
+    assert np.all(np.isnan(final[code > 0]))
 
 
 def test_one_sided_benchmark():
     # Reflection principle: exit probability 2*Phi(-1) for barrier at
     # distance 1 over unit time.
     n = 20_000
-    code, _, _ = _run_paths(
+    code, _ = _run_paths(
         np.full(n, 1.0), _constant(0.0), _constant(1e6), 1.0, 1e-3, RandomSource(93)
     )
     est = np.mean(code == 1)
@@ -135,7 +149,7 @@ def test_one_sided_benchmark():
 
 def test_symmetric_strip_balances_sides():
     n = 20_000
-    code, _, _ = _run_paths(
+    code, _ = _run_paths(
         np.zeros(n), _constant(-1.0), _constant(1.0), 1.0, 1e-3, RandomSource(94)
     )
     pl = np.mean(code == 1)
@@ -151,13 +165,13 @@ def test_bridge_correction_removes_step_bias():
     n = 20_000
     left, right = _constant(0.0), _constant(1e6)
     x0 = np.full(n, 1.0)
-    code_a, _, _ = _run_paths(x0, left, right, 1.0, 1e-3, RandomSource(105))
-    code_b, _, _ = _run_paths(x0, left, right, 1.0, 5e-4, RandomSource(105, 1))
+    code_a, _ = _run_paths(x0, left, right, 1.0, 1e-3, RandomSource(105))
+    code_b, _ = _run_paths(x0, left, right, 1.0, 5e-4, RandomSource(105, 1))
     est_a, est_b = np.mean(code_a == 1), np.mean(code_b == 1)
     se = math.sqrt((est_a * (1 - est_a) + est_b * (1 - est_b)) / n)
     assert abs(est_a - est_b) <= se
 
-    code_u, _, _ = _run_paths(
+    code_u, _ = _run_paths(
         x0, left, right, 1.0, 1e-2, RandomSource(96), bridge_correction=False
     )
     est_u = np.mean(code_u == 1)
@@ -301,44 +315,92 @@ def test_richardson_extrapolation_protocol():
         richardson_extrapolate([0.01], [1.0], [0.0])
 
 
-class _FixedUniforms:
-    """Hands out one fixed value for every uniform drawn, counting them."""
-
-    def __init__(self, value):
-        self.value = value
-        self.drawn = 0
-
-    def random(self, size):
-        self.drawn += size
-        return np.full(size, self.value)
+# ---------------------------------------------------------------------------
+# the exact two-sided law
 
 
-def test_bridge_crossed_draws_only_above_the_cutoff():
-    # Draw layout 2: one uniform per inside entry whose exponent is above
-    # -37, taken in order; the verdict there is u < exp(a), and the other
-    # entries draw nothing and do not cross.
-    rng = np.random.default_rng(20260815)
-    cut = -37.0
-    a = np.concatenate(
-        [
-            np.linspace(-800.0, 0.0, 4001),
-            [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf)],
-            [-745.2, -745.1, -708.4, -36.7368005696771, 0.0, -0.0],
-        ]
-    )
-    for inside in (np.ones(a.size, dtype=bool), rng.random(a.size) < 0.5):
-        live = inside & (a > cut)
-        for u_value in (0.0, 2.0**-53, 0.5):
-            uniforms = _FixedUniforms(u_value)
-            got = _bridge_crossed(a, inside, uniforms)
-            assert uniforms.drawn == np.count_nonzero(live)
-            assert np.array_equal(got, live & (u_value < np.exp(a)))
-        gen, ref = RandomSource(3).generator(4), RandomSource(3).generator(4)
-        got = _bridge_crossed(a, inside, gen)
-        want = np.zeros(a.size, dtype=bool)
-        want[live] = ref.random(np.count_nonzero(live)) < np.exp(a[live])
-        assert np.array_equal(got, want)
-        # both streams stand at the same draw
-        assert np.array_equal(gen.random(4), ref.random(4))
-    # the crossing probability left out at or below the cutoff
-    assert np.exp(cut) < 8.6e-17
+def _heat_kernel(x, y, w, dt):
+    """Density of ending at y alive in (0, w) from x after dt, by eigenfunctions."""
+    n = np.arange(1, 400)[:, None]
+    modes = np.sin(n * np.pi * x / w) * np.sin(n * np.pi * y / w)
+    return (2.0 / w) * np.sum(modes * np.exp(-((n * np.pi / w) ** 2) * dt / 2.0), axis=0)
+
+
+@pytest.mark.parametrize("width", [0.05, 0.3, 1.0, 2.5])
+@pytest.mark.parametrize("t", [0.01, 1.0, 7.0, 40.0])
+def test_parallel_plan_takes_the_fewest_steps_the_series_allows(width, t):
+    # Each step keeps the fewest K <= 7 for which the first dropped term,
+    # at most exp(-2 K (K + 1) W^2 / dt), is below exp(-37), and one step
+    # fewer over the piece would need more than seven terms.
+    left, right = _constant(-0.3, t), _constant(width - 0.3, t)
+    grid, _, _, reflections = _plan(t, 1e-9, left, right, True)
+    dt = np.diff(grid)
+    k = reflections
+    assert np.all((1 <= k) & (k <= 7))
+    assert np.all(2.0 * k * (k + 1) * width**2 / dt >= 37.0 * (1.0 - 1e-12))
+    assert np.all((k == 1) | (2.0 * (k - 1) * k * width**2 / dt < 37.0))
+    assert np.allclose(dt, t / dt.size, rtol=1e-12)
+    if dt.size > 1:
+        assert 2.0 * 7 * 8 * width**2 / (t / (dt.size - 1)) < 37.0 * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("dt_over_w2", [0.05, 0.5, 1.0, 3.0])
+def test_series_matches_the_strip_heat_kernel(dt_over_w2):
+    # The Gaussian density times the bridge's survival, 1 - P0 - PW, is the
+    # Dirichlet heat kernel of the strip.  The plan's K for this dt keeps
+    # every dropped term below exp(-37).
+    w = 1.3
+    dt = dt_over_w2 * w * w
+    left, right = _constant(0.0, dt), _constant(w, dt)
+    _, _, _, reflections = _plan(dt, dt, left, right, True)
+    assert 1 <= reflections[0] <= 7
+    rng = np.random.default_rng(4)
+    x = w * rng.uniform(0.01, 0.99, 400)
+    y = w * rng.uniform(0.01, 0.99, 400)
+    p_left, p_right = _exit_probabilities(x, y, (0.0, 0.0), (w, w), -2.0 / dt, int(reflections[0]))
+    gauss = np.exp(-((y - x) ** 2) / (2.0 * dt)) / math.sqrt(2.0 * math.pi * dt)
+    assert np.allclose(gauss * (1.0 - p_left - p_right), _heat_kernel(x, y, w, dt), rtol=1e-9, atol=1e-14)
+
+
+def test_series_far_barrier_is_the_one_barrier_law():
+    # with W -> infinity every reflection term vanishes: P0 = exp(-2 x y / dt)
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0.0, 3.0, (2, 1000))
+    s = -2.0 / 0.7
+    for reflections in (0, 1, 7):
+        assert np.array_equal(_series(x, y, 1e6, s, reflections), np.exp(x * y * s))
+
+
+def test_exit_probabilities_are_mirror_symmetric_and_sub_stochastic():
+    # P0(x, y) = PW(W - x, W - y), bit for bit: the mirror image of the
+    # strip swaps the two exit probabilities.  With the K the plan gives
+    # this step (7), the two exit probabilities inside the strip sum to at
+    # most 1, up to the rounding of the sums; the k = 0 terms alone do not.
+    rng = np.random.default_rng(6)
+    w, dt = 0.8, 1.5
+    x = w * rng.uniform(0.0, 1.0, 5000)
+    y = w * rng.uniform(-0.5, 1.5, 5000)
+    inside = (y > 0.0) & (y < w)
+    assert _plan(dt, dt, _constant(0.0, dt), _constant(w, dt), True)[3].tolist() == [7]
+    for reflections in (0, 7):
+        pl, pr = _exit_probabilities(x, y, (0.0, 0.0), (w, w), -2.0 / dt, reflections)
+        ml, mr = _exit_probabilities(-x, -y, (-w, -w), (0.0, 0.0), -2.0 / dt, reflections)
+        assert np.array_equal(pl, mr) and np.array_equal(pr, ml)
+        assert np.all(pl >= 0.0) and np.all(pr >= 0.0)
+        # an end on or beyond a barrier has left for sure
+        assert np.all(pl[~inside] + pr[~inside] == 1.0)
+    assert np.all(pl[inside] + pr[inside] <= 1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("p, seed", [(0.5, 110), (0.75, 111), (0.9, 112)])
+def test_one_step_law_on_the_wave_strip(p, seed):
+    # over t = 1 the wave strip is one step of the exact law, and the left,
+    # right and survive frequencies are p(1-1/e), (1-p)(1-1/e) and 1/e
+    _, rho, left, right = wave_fixture(p, 1.0)
+    params = PathParams(1.0, 1e-3, 500_000)
+    assert _plan(params.t, params.h, left, right, True)[0].size == 2
+    stats = exit_statistics(rho, left, right, params, RandomSource(seed))
+    killed = -math.expm1(-1.0)
+    assert abs(stats.exit_left_prob - p * killed) <= 3.0 * stats.exit_left_se
+    assert abs(stats.exit_right_prob - (1.0 - p) * killed) <= 3.0 * stats.exit_right_se
+    assert abs(stats.survive_prob - math.exp(-1.0)) <= 3.0 * stats.survive_se

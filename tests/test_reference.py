@@ -1,12 +1,11 @@
 """Reference oracles for the hot kernels, which must match them bit for bit.
 
 The particle loop reads its draws ahead in blocks and sorts with quicksort;
-the killed-path kernel runs its exit logic only on the paths near a barrier
-and draws a bridge uniform only where the crossing exponent is above -37
-(draw layout 2); the bounding systems branch level by level on whole arrays
-and sort with quicksort.  The plain implementations below draw call by
-call, sort stably and evaluate everything; the fast kernels must return
-exactly their bits.
+the killed-path kernel gathers the paths that may leave in a step and
+draws their uniforms in one call (draw layout 3); the bounding systems
+branch level by level on whole arrays and sort with quicksort.  The plain
+implementations below draw call by call, sort stably and decide path by
+path; the fast kernels must return exactly their bits.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from npbbm import (
     run_bounds,
     simulate,
 )
-from npbbm.exits import _candidate_bands, _run_paths, _time_grid
+from npbbm.exits import _plan, _run_paths
 from npbbm.randomness import (
     TAG_CLOCK,
     TAG_DRIVING,
@@ -81,22 +80,32 @@ def simulate_reference(init, p, T, src, sample_times=None):
     return np.array(configs), events
 
 
-def run_paths_reference(x0, left, right, t, h, src, bridge_correction=True):
-    """The killed-path kernel with exp evaluated on every inside path.
+def _series_reference(x, y, w, s, reflections):
+    """The alternating-reflection series, term by term, with s = -2 / dt."""
+    p = np.exp(x * y * s)
+    for k in range(1, reflections + 1):
+        kw = k * w
+        p = p + np.exp((x + kw) * (y + kw) * s)
+        p = p - np.exp(kw * ((kw + y) - x) * s)
+    return p
 
-    Draw layout 2: each barrier's stream gives one scalar uniform to every
-    inside path whose crossing exponent is above -37, in path order, and
-    nothing to the other paths, which do not cross.
+
+def run_paths_reference(x0, left, right, t, h, src, bridge_correction=True):
+    """The killed-path kernel with one scalar uniform per candidate.
+
+    Draw layout 3: each step draws a normal for every alive path.  With
+    bridge correction each path whose larger k = 0 exponent is above -37
+    then takes one scalar uniform, in path order: below P_left it exits
+    left, else below P_left + P_right right.  A path that ends on or beyond
+    a barrier gives that side the rest of the other side's series.
+    Without bridge correction a path exits where its end is on or beyond a
+    barrier, and no uniform is drawn.
     """
-    grid = _time_grid(t, h, left, right)
-    lv = left.value(grid)
-    rv = right.value(grid)
+    grid, lv, rv, reflections = _plan(t, h, left, right, bridge_correction)
     gauss = src.generator(TAG_DRIVING)
-    uni_left = src.generator(TAG_UNIFORM_A)
-    uni_right = src.generator(TAG_UNIFORM_B)
+    uni = src.generator(TAG_UNIFORM_A)
     n = x0.size
     code = np.zeros(n, dtype=np.int64)
-    exit_time = np.full(n, np.nan)
     final = np.full(n, np.nan)
     idx = np.arange(n)
     cur = x0.copy()
@@ -105,40 +114,36 @@ def run_paths_reference(x0, left, right, t, h, src, bridge_correction=True):
             break
         dt = grid[k + 1] - grid[k]
         nxt = cur + gauss.standard_normal(idx.size) * math.sqrt(dt)
-        d1l = nxt - lv[k + 1]
-        d1r = rv[k + 1] - nxt
-        end_left = d1l <= 0.0
-        end_right = ~end_left & (d1r <= 0.0)
-        inside = ~(end_left | end_right)
-        hid_left = np.zeros(idx.size, dtype=bool)
-        hid_right = np.zeros(idx.size, dtype=bool)
-        d0l = cur - lv[k]
-        d0r = rv[k] - cur
+        d0l, d1l = cur - lv[k], nxt - lv[k + 1]
+        d0r, d1r = rv[k] - cur, rv[k + 1] - nxt
+        side = np.zeros(idx.size, dtype=np.int64)
         if bridge_correction:
-            for uni, d0, d1, hid in (
-                (uni_left, d0l, d1l, hid_left),
-                (uni_right, d0r, d1r, hid_right),
-            ):
-                a = -2.0 * d0[inside] * d1[inside] / dt
-                crossing = np.exp(a)
-                hit = np.zeros(a.size, dtype=bool)
-                for j in np.flatnonzero(a > -37.0):
-                    hit[j] = uni.random() < crossing[j]
-                hid[inside] = hit
-        both = hid_left & hid_right
-        to_left = both & (d0l <= d0r)
-        hid_left = (hid_left & ~both) | to_left
-        hid_right = (hid_right & ~both) | (both & ~to_left)
-        gone = end_left | end_right | hid_left | hid_right
-        sel = idx[gone]
-        code[sel] = np.where((end_left | hid_left)[gone], 1, 2)
-        exit_time[sel] = np.where(
-            (end_left | end_right)[gone], grid[k + 1], grid[k] + 0.5 * dt
-        )
-        idx = idx[~gone]
-        cur = nxt[~gone]
+            s = -2.0 / dt
+            w = rv[k] - lv[k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                p_left = _series_reference(d0l, d1l, w, s, reflections[k])
+                p_right = _series_reference(d0r, d1r, w, s, reflections[k])
+            for j in range(idx.size):
+                if max(d0l[j] * d1l[j] * s, d0r[j] * d1r[j] * s) <= -37.0:
+                    continue
+                pl, pr = p_left[j], p_right[j]
+                if d1l[j] <= 0.0:
+                    pl = 1.0 - pr
+                elif d1r[j] <= 0.0:
+                    pr = 1.0 - pl
+                u = uni.random()
+                if u < pl:
+                    side[j] = 1
+                elif u < pl + pr:
+                    side[j] = 2
+        else:
+            side[d1r <= 0.0] = 2
+            side[d1l <= 0.0] = 1
+        code[idx[side > 0]] = side[side > 0]
+        idx = idx[side == 0]
+        cur = nxt[side == 0]
     final[idx] = cur
-    return code, exit_time, final
+    return code, final
 
 
 def run_bounds_reference(init, p, delta, side, k_steps, src):
@@ -247,6 +252,7 @@ def test_couple_simulate_matches_reference(init, shift, p, T, seed):
 def _check_paths(x0, left, right, t, h, src, bridge_correction=True):
     got = _run_paths(x0, left, right, t, h, src, bridge_correction=bridge_correction)
     want = run_paths_reference(x0, left, right, t, h, src, bridge_correction)
+    assert len(got) == len(want)
     for a, b in zip(got, want):
         assert same_bits(a, b)
     return want
@@ -259,8 +265,28 @@ def test_run_paths_matches_reference_on_the_wave_strip():
     for seed in (20260815, 7):
         x0 = np.random.default_rng(seed).uniform(lo, hi, 2000)
         x0 = np.clip(x0, np.nextafter(lo, np.inf), np.nextafter(hi, -np.inf))
-        for h in (1e-3, 1e-2, 0.2):
-            _check_paths(x0, left, right, 1.0, h, RandomSource(seed, 1))
+        for t in (1.0, 0.3):
+            _check_paths(x0, left, right, t, 1e-3, RandomSource(seed, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.floats(0.05, 3.0),
+    slope=st.floats(-3.0, 3.0),
+    kink=st.floats(-3.0, 3.0),
+    fracs=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=50),
+    t=st.floats(0.01, 5.0),
+    seed=_seed,
+)
+def test_run_paths_matches_reference_on_parallel_strips(width, slope, kink, fracs, t, seed):
+    # Parallel barriers that bend together at t/2: each half is one parallel
+    # piece, cut into as many steps as the width needs (several for narrow
+    # strips), and the reflection terms of the series come into play.
+    times = np.array([0.0, 0.5 * t, t])
+    path = np.array([0.0, 0.5 * slope * t, 0.5 * (slope + kink) * t])
+    left, right = Barrier(times, path), Barrier(times, path + width)
+    x0 = width * np.asarray(fracs)
+    _check_paths(x0, left, right, t, t, RandomSource(seed, 2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -325,7 +351,8 @@ def test_run_paths_matches_reference_across_barrier_knots(
     knots, slopes, fracs, steps, seed
 ):
     # interior knots that are off the step grid shorten the steps next to
-    # them, so dt and with it the candidate reach change from step to step
+    # them, and pieces where both slopes agree are parallel, so dt and the
+    # law change from step to step
     t = 0.5
     times = np.concatenate(([0.0], t * np.sort(knots), [t]))
     gaps = np.diff(times)
@@ -341,28 +368,37 @@ def test_run_paths_matches_reference_across_barrier_knots(
     _check_paths(x0, left, right, t, t / steps, RandomSource(seed, 7), False)
 
 
+def _hidden_exits(x0, left, right, h, src):
+    """Paths that exit in one step of h although they end inside the strip.
+
+    Both runs draw the same normals, so a path the bridge stops and the
+    run without bridge correction keeps ended inside.
+    """
+    code, _ = _check_paths(x0, left, right, h, h, src)
+    plain, _ = _check_paths(x0, left, right, h, h, src, False)
+    return (code > 0) & (plain == 0)
+
+
 def test_run_paths_matches_reference_from_starts_at_a_receding_barrier():
     # The barriers move apart at speed 100, so a path that starts within
-    # sqrt(18.5 dt) of one ends about 100 dt = 1 from it: only its start
+    # sqrt(18.5 h) of one ends about 100 h = 1 from it: its start alone
     # makes it a candidate, yet its bridge crosses with probability about
     # exp(-200 d0), near 1 for the closest starts.
-    t, h = 0.05, 0.01
-    left = Barrier(np.array([0.0, t]), np.array([0.0, -100.0 * t]))
-    right = Barrier(np.array([0.0, t]), np.array([1.0, 1.0 + 100.0 * t]))
+    h = 0.01
+    left = Barrier(np.array([0.0, h]), np.array([0.0, -100.0 * h]))
+    right = Barrier(np.array([0.0, h]), np.array([1.0, 1.0 + 100.0 * h]))
     reach = math.sqrt(18.5 * h)
     near = np.geomspace(1e-6, reach, 200)
     inner = np.random.default_rng(11).uniform(0.0, 1.0, 200)
     x0 = np.concatenate((near, 1.0 - near, inner))
     for seed in (20260815, 7):
-        code, when, _ = _check_paths(x0, left, right, t, h, RandomSource(seed, 8))
-        # hidden crossings in the first step, all from starts near a barrier
-        first = (code > 0) & (when == 0.5 * h)
-        assert 100 < np.count_nonzero(first[:400])
+        hidden = _hidden_exits(x0, left, right, h, RandomSource(seed, 8))
+        assert 100 < np.count_nonzero(hidden[:400])
 
 
 def test_run_paths_matches_reference_into_an_approaching_barrier():
-    # The barriers close in by 1.1 r in one step, r = sqrt(18.5 dt), on
-    # paths that start between r and 1.2 r from them: only their end makes
+    # The barriers close in by 1.1 r in one step, r = sqrt(18.5 h), on
+    # paths that start between r and 1.2 r from them: their end alone makes
     # them candidates, and a bridge that ends just inside crosses.
     h = 0.01
     reach = math.sqrt(18.5 * h)
@@ -371,8 +407,8 @@ def test_run_paths_matches_reference_into_an_approaching_barrier():
     far = reach * np.random.default_rng(12).uniform(1.0 + 1e-6, 1.2, 1000)
     x0 = np.concatenate((far, 3.0 - far))
     for seed in (20260815, 7):
-        code, when, _ = _check_paths(x0, left, right, h, h, RandomSource(seed, 10))
-        assert 10 < np.count_nonzero((code > 0) & (when == 0.5 * h))
+        hidden = _hidden_exits(x0, left, right, h, RandomSource(seed, 10))
+        assert 10 < np.count_nonzero(hidden)
 
 
 class _UniformStub:
@@ -380,7 +416,8 @@ class _UniformStub:
 
     With ``zero_every_fifth`` they also return exactly 0.0 at every fifth
     draw, counted along the stream, whether drawn one at a time or in
-    arrays.  A uniform of 0 falls below exp(a) for any a above about -745.
+    arrays.  A uniform of 0 stops any candidate whose exit probability is
+    positive.
     """
 
     def __init__(self, src, zero_every_fifth=False):
@@ -413,12 +450,19 @@ class _StubStream:
 
 
 def test_run_paths_matches_reference_with_zero_uniforms():
+    # the wave strip at t = 1, one step, and at t = 0.05 on a strip of the
+    # same width cut by barrier knots every 0.01, five steps
+    wave_left, wave_right, x0 = _wave_strip_starts(20260815, 1000)
+    knots = np.linspace(0.0, 0.05, 6)
+    drift = np.array([0.0, 1.0, -2.0, 0.5, 3.0, -1.0]).cumsum() * 0.01
+    width = float(wave_right.value(0.0) - wave_left.value(0.0))
+    cut_left = Barrier(knots, drift + float(wave_left.value(0.0)))
+    cut_right = Barrier(knots, drift + float(wave_left.value(0.0)) + width)
     for seed in (20260815, 7):
-        left, right, x0 = _wave_strip_starts(seed, 1000)
-        for h in (1e-3, 1e-2, 0.2):
+        for left, right, t in ((wave_left, wave_right, 1.0), (cut_left, cut_right, 0.05)):
             src = _UniformStub(RandomSource(seed, 9), zero_every_fifth=True)
-            code, _, _ = _check_paths(x0, left, right, 1.0, h, src)
-            plain, _, _ = run_paths_reference(x0, left, right, 1.0, h, src.src)
+            code, _ = _check_paths(x0, left, right, t, 1e-3, src)
+            plain, _ = run_paths_reference(x0, left, right, t, 1e-3, src.src)
             # the zeros stop paths near the barriers that would have survived
             assert np.count_nonzero(code) > np.count_nonzero(plain)
 
@@ -432,45 +476,32 @@ def test_zero_uniforms_cannot_stop_a_path_below_the_cutoff():
     left, right = Barrier(times, np.zeros(2)), Barrier(times, np.full(2, 1e6))
     x0 = np.full(1000, 0.25)
     src = _UniformStub(RandomSource(20260815, 11), zero_every_fifth=True)
-    code, _, _ = _check_paths(x0, left, right, h, h, src)
+    code, _ = _check_paths(x0, left, right, h, h, src)
     assert not np.any(code)
     assert src.calls[TAG_UNIFORM_A] == src.calls[TAG_UNIFORM_B] == []
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 0.2])
 def test_uniform_streams_draw_exactly_the_live_entries(h):
-    # The kernel draws, per barrier, as many uniforms as the oracle draws
-    # scalars, in at most one call per step, and none without bridge
-    # correction; the oracle draws one per inside path above the cutoff.
+    # Layout 3: with bridge correction the kernel makes at most one
+    # TAG_UNIFORM_A call per step, for as many uniforms as the oracle draws
+    # scalars (one per candidate); the wave strip is one step, so one call.
+    # TAG_UNIFORM_B is never drawn, and without bridge correction neither is.
     left, right, x0 = _wave_strip_starts(20260815, 2000)
-    steps = _time_grid(1.0, h, left, right).size - 1
     for bridge in (True, False):
+        steps = _plan(1.0, h, left, right, bridge)[0].size - 1
         fast = _UniformStub(RandomSource(7, 12))
         slow = _UniformStub(RandomSource(7, 12))
         _run_paths(x0, left, right, 1.0, h, fast, bridge_correction=bridge)
         run_paths_reference(x0, left, right, 1.0, h, slow, bridge)
-        for tag in (TAG_UNIFORM_A, TAG_UNIFORM_B):
-            sizes = fast.calls[tag]
-            assert len(sizes) <= steps
-            assert sum(sizes) == len(slow.calls[tag])
-            assert set(slow.calls[tag]) <= {None}
-            assert (sum(sizes) > 0) == bridge
-
-
-@pytest.mark.parametrize("offset", [0.0, 0.3, -7.5, 1e6])
-def test_candidate_bands_hold_every_path_the_cutoff_can_pass(offset):
-    # The exponent is monotone in d0 and d1, so if the first positions
-    # outside the bands keep it at or below -37, every path outside does.
-    rng = np.random.default_rng(3)
-    steps = np.concatenate((np.geomspace(1e-6, 1.0, 5000), rng.uniform(1e-6, 1.0, 20000)))
-    grid = np.concatenate(([0.0], np.cumsum(steps)))
-    dt = np.diff(grid)
-    lv = offset + 1e-3 * rng.standard_normal(grid.size)
-    rv = lv + 1e3
-    lo0, hi0, lo1, hi1 = _candidate_bands(grid, lv, rv, True)
-    a_left = -2.0 * (lo0 - lv[:-1]) * (lo1 - lv[1:]) / dt
-    a_right = -2.0 * (rv[:-1] - hi0) * (rv[1:] - hi1) / dt
-    assert np.all(a_left <= -37.0) and np.all(a_right <= -37.0)
+        sizes = fast.calls[TAG_UNIFORM_A]
+        assert sum(sizes) == len(slow.calls[TAG_UNIFORM_A])
+        assert set(slow.calls[TAG_UNIFORM_A]) <= {None}
+        assert fast.calls[TAG_UNIFORM_B] == slow.calls[TAG_UNIFORM_B] == []
+        if bridge:
+            assert steps == 1 and len(sizes) == 1 and sizes[0] > 0
+        else:
+            assert steps == round(1.0 / h) and sizes == []
 
 
 _sides = st.sampled_from(["lower", "upper"])
