@@ -18,10 +18,8 @@ from .particles import (
     SpeedEstimate,
     branch_select_step,
     couple_simulate,
-    dominance_check,
     estimate_speed,
     simulate,
-    stationarity_diagnostic,
 )
 from .discrete import (
     BoundStepResult,
@@ -60,7 +58,6 @@ from .wave import (
     travelling_wave,
     wave_barriers,
     wave_density,
-    wave_profile,
     wave_speed,
 )
 from .exits import (
@@ -83,10 +80,8 @@ __all__ = [
     "SpeedEstimate",
     "branch_select_step",
     "couple_simulate",
-    "dominance_check",
     "estimate_speed",
     "simulate",
-    "stationarity_diagnostic",
     "BoundStepResult",
     "BoundSystemParams",
     "BoundsRun",
@@ -119,7 +114,6 @@ __all__ = [
     "travelling_wave",
     "wave_barriers",
     "wave_density",
-    "wave_profile",
     "wave_speed",
     "ExitStats",
     "FluxSequence",

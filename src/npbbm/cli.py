@@ -1,12 +1,11 @@
 """Command-line front end: config parsing, orchestration, and output files.
 
 Every subcommand reads an optional JSON config file, applies flag overrides
-(flags win), resolves a master seed, and checks every key against the
-command's table in `_KEYS` before it creates the output directory.  It then
-runs the corresponding module operations and writes CSV/JSON outputs plus a
-manifest with SHA-256 checksums into the output directory.  This module
-writes every output file except `psi.csv`, which `density.save_density`
-writes in the format that `density.load_density` reads.  Numeric output
+(flags win), and checks every key, the master seed and the output directory
+among them, against the command's table in `_KEYS` before it creates the
+output directory.  It then runs the corresponding module operations and
+writes CSV/JSON outputs plus a manifest with SHA-256 checksums into the
+output directory.  This module writes every output file.  Numeric output
 carries 17 significant digits so re-running a config reproduces files byte
 for byte.
 
@@ -31,12 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import (
-    GridTooSmallError,
-    plan_grid,
-    refine_limit,
-    save_density,
-)
+from .density import GridTooSmallError, plan_grid, refine_limit
 from .discrete import BoundSystemParams, run_bounds
 from .exits import (
     PathParams,
@@ -87,6 +81,20 @@ def _count(least: int):
     return check
 
 
+def _seed(key: str, value) -> int:
+    """A master seed: an integer in [0, 2^64)."""
+    if not 0 <= _int(key, value) < 1 << 64:
+        raise ValueError(f"{key}={value} must lie in [0, 2^64)")
+    return value
+
+
+def _path(key: str, value) -> str:
+    """A file-system path: a non-empty string without NUL characters."""
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ValueError(f"{key}={value!r} is not a path")
+    return value
+
+
 def _real(key: str, value) -> float:
     """A config real: a finite int or float, and not a bool or a string."""
     if not isinstance(value, bool) and isinstance(value, (int, float)):
@@ -123,9 +131,12 @@ def _one_of(*choices: str):
     return check
 
 
-# Each command's config keys: key -> (checker, default).  The checkers hold
-# types and count bounds; the ranges of reals are checked by the library
-# functions that use them, whose messages name the value and its limit.
+# Each command's config keys: key -> (checker, default), the command's own
+# keys followed by the master seed and the output directory.  The checkers
+# hold types, count bounds and the seed's range; the ranges of reals are
+# checked by the library functions that use them, whose messages name the
+# value and its limit.
+_COMMON = {"seed": (_seed, 20260815), "out": (_path, ".")}
 _KEYS = {
     "simulate": {
         "p": (_real, 0.5),
@@ -134,12 +145,14 @@ _KEYS = {
         "n_samples": (_count(1), 50),
         "replicas": (_count(2), 20),
         "burn_in": (_optional(_real), None),
+        **_COMMON,
     },
     "bounds": {
         "p": (_real, 0.5),
         "n_particles": (_count(1), 200),
         "delta": (_real, 0.1),
         "k_steps": (_count(0), 10),
+        **_COMMON,
     },
     "scheme": {
         "p": (_real, 0.75),
@@ -147,11 +160,13 @@ _KEYS = {
         "n_max": (_count(0), 6),
         "tol": (_real, 1e-2),
         "dx": (_real, 1e-3),
+        **_COMMON,
     },
     "wave": {
         "p_grid": (_non_empty(_real), [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]),
         "dx_residual": (_real, 1e-3),
         "dx_mass": (_real, 1e-3),
+        **_COMMON,
     },
     "exit": {
         "mode": (_one_of("stats", "representation", "flux"), "stats"),
@@ -164,6 +179,7 @@ _KEYS = {
         "n_max": (_count(0), 5),
         "tol": (_real, 1e-2),
         "deltas": (_non_empty(_real), [0.02, 0.01, 0.005]),
+        **_COMMON,
     },
     "speedscan": {
         "p": (_real, 0.75),
@@ -171,6 +187,7 @@ _KEYS = {
         "horizon": (_real, 50.0),
         "burn_in": (_real, 10.0),
         "replicas": (_count(2), 20),
+        **_COMMON,
     },
 }
 
@@ -178,7 +195,6 @@ _KEYS = {
 def _load_config(command: str, args: argparse.Namespace) -> dict:
     keys = _KEYS[command]
     config = {key: default for key, (_, default) in keys.items()}
-    config.update({"seed": 20260815, "out": ".", "threads": 1})
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             loaded = json.load(fh)
@@ -188,16 +204,9 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.out is not None:
-        config["out"] = args.out
-    if args.threads is not None:
-        config["threads"] = args.threads
-    threads = config["threads"]
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    _int("seed", config["seed"])
+    for key in _COMMON:
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
     for key, (check, _) in keys.items():
         config[key] = check(key, config[key])
     return config
@@ -219,7 +228,12 @@ class _OutputSet:
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
         self.files: list[Path] = []
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(
+                f"out={str(out_dir)!r} cannot be made a directory: {exc.strerror}"
+            ) from exc
 
     def path(self, name: str) -> Path:
         p = self.out_dir / name
@@ -227,7 +241,10 @@ class _OutputSet:
         return p
 
     def write_csv(self, name: str, header: str, rows) -> None:
-        row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+        """Write `header`, then one line per row; the header's last line names
+        the columns."""
+        columns = header.rsplit("\n", 1)[-1].count(",") + 1
+        row = ",".join(["%.17g"] * columns) + "\n"
         with open(self.path(name), "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
             fh.writelines(row % tuple(values) for values in rows)
@@ -370,7 +387,13 @@ def cmd_scheme(config: dict, out: _OutputSet) -> None:
             for lvl, w in enumerate(result.widths)
         ),
     )
-    save_density(result.psi, out.path("psi.csv"))
+    psi = result.psi
+    out.write_csv(
+        "psi.csv",
+        '{"x0": %.17g, "dx": %.17g, "count": %d, "mass": %.17g}\nx,value'
+        % (psi.x0, psi.dx, psi.n, psi.mass),
+        zip(psi.centers(), psi.values),
+    )
     out.write_json(
         "scheme_summary.json",
         {
@@ -506,6 +529,13 @@ _RUNNERS = {
 }
 
 
+def _threads(text: str) -> int:
+    """The --threads flag: an integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="npbbm",
@@ -518,7 +548,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=str, default=None)
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--out", type=str, default=None)
-        cmd.add_argument("--threads", type=int, default=None)
+        # accepted for scripts that pass it; every command runs on one thread
+        cmd.add_argument("--threads", type=_threads, default=None)
     return parser
 
 
@@ -526,11 +557,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _load_config(args.command, args)
+        out = _OutputSet(Path(config["out"]))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    out = _OutputSet(Path(config["out"]))
     try:
         _RUNNERS[args.command](config, out)
     except (ValueError, TypeError, KeyError) as exc:

@@ -22,7 +22,6 @@ zero); operations that would push mass past the edge raise
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -54,8 +53,6 @@ __all__ = [
     "dominates",
     "refine_limit",
     "sample_from_density",
-    "save_density",
-    "load_density",
 ]
 
 # Relative slack accepted when a requested cut mass overshoots the actual
@@ -404,7 +401,10 @@ def cut_right_keep(f: GridDensity, k: float) -> GridDensity:
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """One-step parameters of a bounding scheme."""
+    """One-step parameters of a bounding scheme or bounding particle system.
+
+    :mod:`npbbm.discrete` uses this type as ``BoundSystemParams``.
+    """
 
     p: float
     delta: float
@@ -500,7 +500,6 @@ class SchemeRun:
 
     density: GridDensity
     masses: NDArray[np.float64]
-    post_scale_masses: NDArray[np.float64]
     left_cuts: NDArray[np.float64]
     right_cuts: NDArray[np.float64]
 
@@ -510,7 +509,6 @@ def iterate_scheme(f: GridDensity, params: SchemeParams, k_steps: int) -> Scheme
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
     masses = np.empty(k_steps)
-    post_scale = np.empty(k_steps)
     lefts = np.empty(k_steps)
     rights = np.empty(k_steps)
     cur = f
@@ -518,10 +516,9 @@ def iterate_scheme(f: GridDensity, params: SchemeParams, k_steps: int) -> Scheme
         res = step(cur, params)
         cur = res.density
         masses[i] = cur.mass
-        post_scale[i] = res.post_scale_mass
         lefts[i] = res.left_cut
         rights[i] = res.right_cut
-    return SchemeRun(cur, masses, post_scale, lefts, rights)
+    return SchemeRun(cur, masses, lefts, rights)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +628,7 @@ def refine_limit(
 
 
 # ---------------------------------------------------------------------------
-# sampling and I/O
+# sampling
 
 
 def sample_from_density(f: GridDensity, n: int, rng: np.random.Generator):
@@ -653,36 +650,3 @@ def sample_from_density(f: GridDensity, n: int, rng: np.random.Generator):
     )
     return f.x0 + (idx + np.clip(frac, 0.0, 1.0)) * f.dx
 
-
-def save_density(f: GridDensity, path) -> None:
-    """Write a density as a JSON header line plus x,value CSV rows.
-
-    All floats carry 17 significant digits, enough to reproduce the double-
-    precision values bit for bit on reload.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            '{"x0": %s, "dx": %s, "count": %d, "mass": %s}\n'
-            % (format(f.x0, ".17g"), format(f.dx, ".17g"), f.n, format(f.mass, ".17g"))
-        )
-        fh.write("x,value\n")
-        for x, v in zip(f.centers(), f.values):
-            fh.write(f"{x:.17g},{v:.17g}\n")
-
-
-def load_density(path) -> GridDensity:
-    """Inverse of :func:`save_density`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        if fh.readline().strip() != "x,value":
-            raise ValueError("malformed density file: missing x,value header")
-        values = np.array(
-            [float(line.split(",")[1]) for line in fh if line.strip()],
-            dtype=np.float64,
-        )
-    if len(values) != int(header["count"]):
-        raise ValueError("malformed density file: row count mismatch")
-    out = GridDensity(float(header["x0"]), float(header["dx"]), values)
-    if abs(out.mass - float(header["mass"])) > 1e-12 * max(1.0, out.mass):
-        raise ValueError("density file mass header disagrees with the values")
-    return out

@@ -10,8 +10,9 @@ Selection acts only at multiples of the step delta:
 
 Run at matching times these two systems bracket the continuously selected
 process in distribution from below and above.  A step takes its parameters
-as ``BoundSystemParams(p, delta, side)``, the shape of the grid scheme's
-``SchemeParams``; N is the size of the configuration, which every step keeps.
+as ``BoundSystemParams(p, delta, side)``, another name for the grid scheme's
+:class:`~npbbm.density.SchemeParams`; N is the size of the configuration,
+which every step keeps.
 :func:`bound_step` and :func:`run_bounds` take their start through
 :func:`npbbm.particles.order` (stable sort, non-empty, finite).  With
 R(x) = -x[::-1], ``bound_step(..., mirror=True)`` is R applied to the step
@@ -23,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
 
+from .density import SchemeParams
 from .particles import order
 from .randomness import RandomSource, TAG_CLOCK, TAG_DRIVING
 
@@ -60,23 +61,7 @@ def _check_population(n: int, t: float, name: str) -> None:
         )
 
 
-@dataclass(frozen=True)
-class BoundSystemParams:
-    """Step parameters for one bounding system; N is the configuration's size."""
-
-    p: float
-    delta: float
-    side: Literal["lower", "upper"]
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie strictly in (0,1), got p={self.p!r}")
-        if not 0.0 < self.delta < math.inf:
-            raise ValueError(
-                f"delta must be positive and finite, got delta={self.delta!r}"
-            )
-        if self.side not in ("lower", "upper"):
-            raise ValueError("side must be 'lower' or 'upper'")
+BoundSystemParams = SchemeParams
 
 
 def _free_bbm(

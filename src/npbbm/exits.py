@@ -385,7 +385,6 @@ class RepresentationResult:
     std_errors: NDArray[np.float64]
     scheme_width: float
     survive_prob: float
-    horizon: float
 
     def rows(self) -> NDArray[np.float64]:
         return np.column_stack(
@@ -440,7 +439,6 @@ def representation_check(
         std_errors=scale * ses,
         scheme_width=refined.width,
         survive_prob=survivors.size / n,
-        horizon=t,
     )
 
 
@@ -454,9 +452,6 @@ class FluxSequence:
     se_left: NDArray[np.float64]
     se_right: NDArray[np.float64]
 
-    def rows(self) -> NDArray[np.float64]:
-        return np.column_stack((self.deltas, self.flux_left, self.flux_right))
-
     def extrapolate(self, side: str) -> tuple[float, float]:
         """Linear-in-delta extrapolation to 0 from the two smallest deltas."""
         return richardson_extrapolate(
@@ -466,6 +461,21 @@ class FluxSequence:
         )
 
 
+def _delta_ladder(deltas) -> NDArray[np.float64]:
+    """deltas as an array, checked: at least two, positive, strictly
+    decreasing, and the two smallest in ratio 2 (to a relative 1e-12)."""
+    d = np.asarray(deltas, dtype=np.float64)
+    if d.ndim != 1 or d.size < 2:
+        problem = "must hold at least 2 values"
+    elif not np.all(d > 0.0) or np.any(np.diff(d) >= 0.0):
+        problem = "must be positive and strictly decreasing"
+    elif abs(d[-2] - 2.0 * d[-1]) > 1e-12 * d[-1]:
+        problem = f"must end in two values in ratio 2, got {float(d[-2] / d[-1])!r}"
+    else:
+        return d
+    raise ValueError(f"deltas={d.tolist()} {problem}")
+
+
 def richardson_extrapolate(deltas, values, ses) -> tuple[float, float]:
     """Eliminate the O(delta) error term from the two smallest deltas.
 
@@ -473,13 +483,9 @@ def richardson_extrapolate(deltas, values, ses) -> tuple[float, float]:
     O(d^2), 2 f(d) - f(2d) = f0 + O(d^2).  The standard error follows by
     independence of the two runs.
     """
-    d = np.asarray(deltas, dtype=np.float64)
+    d = _delta_ladder(deltas)
     v = np.asarray(values, dtype=np.float64)
     s = np.asarray(ses, dtype=np.float64)
-    if d.size < 2 or np.any(np.diff(d) >= 0.0):
-        raise ValueError("need at least two strictly decreasing deltas")
-    if abs(d[-2] - 2.0 * d[-1]) > 1e-12 * d[-1]:
-        raise ValueError("two smallest deltas must be in ratio 2 for the eliminant")
     value = 2.0 * v[-1] - v[-2]
     se = math.sqrt(4.0 * s[-1] ** 2 + s[-2] ** 2)
     return value, se
@@ -495,17 +501,24 @@ def small_delta_flux(
 ) -> FluxSequence:
     """Measure exit_side probability / delta over a decreasing delta ladder.
 
-    Each delta runs params.n_paths fresh paths (independent sub-source per
-    delta) up to horizon delta, with the step bound min(params.h, delta).
-    The exact two-sided law needs no finer steps on parallel barriers: on
-    the wave strip each delta is one step, whatever params.h is.  The
+    The ladder is checked before any path runs: at least two deltas, the
+    two smallest in ratio 2 (:func:`richardson_extrapolate`), the largest
+    no later than the barriers' last knot.  Each delta runs params.n_paths
+    fresh paths (independent sub-source per delta) up to horizon delta,
+    with the step bound min(params.h, delta).  The exact two-sided law
+    needs no finer steps on parallel barriers: on the wave strip each delta
+    is one step, whatever params.h is.  The
     caller supplies a density vanishing at both barriers; the fluxes then
     converge linearly in delta to half the edge slopes, which the ratio-2
     extrapolation of :meth:`FluxSequence.extrapolate` recovers.
     """
-    d = np.asarray(deltas, dtype=np.float64)
-    if d.size < 1 or np.any(d <= 0.0) or np.any(np.diff(d) >= 0.0):
-        raise ValueError("deltas must be positive and strictly decreasing")
+    d = _delta_ladder(deltas)
+    end = min(float(left.knot_times[-1]), float(right.knot_times[-1]))
+    if d[0] > end:
+        raise ValueError(
+            f"deltas={d.tolist()}: the largest, {float(d[0])!r}, is beyond "
+            f"{end!r}, the barriers' last knot"
+        )
     fl = np.empty(d.size)
     fr = np.empty(d.size)
     sl = np.empty(d.size)

@@ -52,12 +52,9 @@ __all__ = [
     "CouplingViolationError",
     "order",
     "branch_select_step",
-    "dominance_check",
-    "viewed_from_leftmost",
     "simulate",
     "couple_simulate",
     "estimate_speed",
-    "stationarity_diagnostic",
 ]
 
 
@@ -104,31 +101,6 @@ def _branch(v: NDArray[np.float64], i: int, q: int) -> None:
         v[..., : i - 1] = v[..., 1:i]
     else:
         v[..., i:] = v[..., i - 1 : -1]
-
-
-def dominance_check(a: NDArray[np.float64], b: NDArray[np.float64]) -> bool:
-    """True iff every right tail of A counts no more particles than B's.
-
-    Exact integer comparison at the only candidate thresholds, the elements
-    of A and B themselves.  For equal sizes this coincides with componentwise
-    comparison of the sorted configurations.
-    """
-    a = np.sort(np.asarray(a, dtype=np.float64))
-    b = np.sort(np.asarray(b, dtype=np.float64))
-    if len(a) == len(b):
-        return bool(np.all(a <= b))
-    xs = np.union1d(a, b)
-    count_a = len(a) - np.searchsorted(a, xs, side="left")
-    count_b = len(b) - np.searchsorted(b, xs, side="left")
-    return bool(np.all(count_a <= count_b))
-
-
-def viewed_from_leftmost(c: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Configuration shifted so its leftmost particle sits at 0."""
-    c = np.asarray(c, dtype=np.float64)
-    out = c - c[0]
-    out[0] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -405,32 +377,3 @@ def estimate_speed(
         samples_right=vr,
     )
 
-
-def stationarity_diagnostic(
-    p: float,
-    N: int,
-    t1: float,
-    t2: float,
-    replicas: int,
-    src: RandomSource,
-) -> float:
-    """KS distance between the particle-gap laws at two times.
-
-    Each replica starts with all particles at 0 and records the spread
-    X_N - X_1 at t1 and t2.  A small distance for two large times is the
-    operational signature of convergence to the stationary shape.
-    """
-    if not 0.0 < t1 <= t2 < math.inf:
-        raise ValueError(f"need 0 < t1 <= t2 < inf, got t1={t1!r}, t2={t2!r}")
-    if replicas < 1:
-        raise ValueError("replicas must be at least 1")
-    times = [t1] if t1 == t2 else [t1, t2]
-    g1 = np.empty(replicas)
-    g2 = np.empty(replicas)
-    for r in range(replicas):
-        rec = simulate(np.zeros(N), p, t2, src.child(r), sample_times=times)
-        g1[r] = rec.rightmost[0] - rec.leftmost[0]
-        g2[r] = rec.rightmost[-1] - rec.leftmost[-1]
-    from .stats import ks_distance
-
-    return ks_distance(g1, g2)

@@ -44,7 +44,6 @@ __all__ = [
     "ComparisonReport",
     "travelling_wave",
     "wave_speed",
-    "wave_profile",
     "wave_density",
     "ode_residual",
     "wave_barriers",
@@ -100,17 +99,9 @@ def travelling_wave(p: float) -> TravellingWave:
 
 
 def _profile_raw(w: TravellingWave, x):
-    """Closed form amplitude * e^{-cx} sin(omega x) without the support mask."""
+    """Closed form amplitude * e^{-cx} sin(omega x), the profile on [0, R0]."""
     x = np.asarray(x, dtype=np.float64)
     return w.amplitude * np.exp(-w.c * x) * np.sin(w.omega * x)
-
-
-def wave_profile(w: TravellingWave, x):
-    """Wave density at x (canonical support (0, R0), zero outside)."""
-    arr = np.asarray(x, dtype=np.float64)
-    inside = (arr > 0.0) & (arr < w.R0)
-    out = np.where(inside, np.maximum(_profile_raw(w, arr), 0.0), 0.0)
-    return float(out) if np.isscalar(x) else out
 
 
 def _profile_antiderivative(w: TravellingWave, x):
@@ -188,9 +179,13 @@ class Barrier:
 
     def value(self, t):
         t_arr = np.asarray(t, dtype=np.float64)
-        lo, hi = self.knot_times[0], self.knot_times[-1]
-        if np.any(t_arr < lo - 1e-12) or np.any(t_arr > hi + 1e-12):
-            raise ValueError("barrier evaluated outside its time domain")
+        lo, hi = float(self.knot_times[0]), float(self.knot_times[-1])
+        outside = (t_arr < lo - 1e-12) | (t_arr > hi + 1e-12)
+        if np.any(outside):
+            raise ValueError(
+                f"barrier evaluated at t={float(t_arr[outside].flat[0])!r}, "
+                f"outside its time domain [{lo!r}, {hi!r}]"
+            )
         out = np.interp(t_arr, self.knot_times, self.knot_values)
         return float(out) if np.isscalar(t) else out
 
@@ -213,12 +208,6 @@ def wave_barriers(w: TravellingWave, t_max: float) -> tuple[Barrier, Barrier]:
 class ComparisonReport:
     """Particle system against the scheme sandwich at one time."""
 
-    p: float
-    n_particles: int
-    t: float
-    delta: float
-    master_seed: int
-    stream_index: int
     sup_gap: float
     width: float
     dkw: float
@@ -281,12 +270,6 @@ def hydrodynamic_report(
     l_hat = float(upper.left_cuts[-1])
     r_hat = float(lower.right_cuts[-1])
     return ComparisonReport(
-        p=p,
-        n_particles=N,
-        t=t,
-        delta=delta,
-        master_seed=src.master_seed,
-        stream_index=src.stream_index,
         sup_gap=sup_gap,
         width=width,
         dkw=dkw_band(N, 0.01),

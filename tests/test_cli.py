@@ -19,12 +19,12 @@ from npbbm import (
     PathParams,
     RandomSource,
     exit_statistics,
+    refine_limit,
     run_bounds,
     simulate,
     wave_speed,
 )
 from npbbm.cli import COMMAND_IDS, _wave_fixture, main
-from npbbm.density import load_density
 from npbbm.randomness import DRAW_LAYOUT
 
 
@@ -144,12 +144,31 @@ def test_scheme_outputs(tmp_path):
     assert len(rows) == 4  # levels 0..2
     widths = [float(r[3]) for r in rows[1:]]
     assert widths == sorted(widths, reverse=True)
-    psi = load_density(out / "psi.csv")
-    assert abs(psi.mass - 1.0) <= 1e-6
     with open(out / "scheme_summary.json") as fh:
         summary = json.load(fh)
     assert summary["converged"] is False  # tol deliberately unreachable
     assert summary["width"] == pytest.approx(widths[-1])
+
+
+def test_scheme_psi_csv_reads_back_to_refine_limit(tmp_path):
+    # psi.csv is a JSON header line, then the x,value rows of the refined
+    # midpoint; 17 significant digits read every double back exactly
+    cfg = _write_config(
+        tmp_path, "s.json", {"p": 0.75, "t": 0.25, "n_max": 2, "tol": 1e-4, "dx": 2e-3}
+    )
+    out = tmp_path / "s"
+    assert main(["scheme", "--config", cfg, "--out", str(out)]) == 0
+    _, rho, _ = _wave_fixture(0.75, 0.25, 2e-3)
+    psi = refine_limit(rho, 0.75, 0.25, n_max=2, tol=1e-4).psi
+    with open(out / "psi.csv", encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+        assert fh.readline() == "x,value\n"
+        rows = np.array([[float(v) for v in line.split(",")] for line in fh])
+    assert header == {"x0": psi.x0, "dx": psi.dx, "count": psi.n, "mass": psi.mass}
+    assert abs(header["mass"] - 1.0) <= 1e-6
+    assert rows.shape == (psi.n, 2)
+    assert rows[:, 0].tobytes() == psi.centers().tobytes()
+    assert rows[:, 1].tobytes() == psi.values.tobytes()
 
 
 def test_exit_stats_mode(tmp_path):
@@ -208,6 +227,7 @@ def test_speedscan_outputs_and_thread_equivalence(tmp_path):
     assert main(["speedscan", "--config", cfg, "--out", str(out_a)]) == 0
     assert main(["speedscan", "--config", cfg, "--out", str(out_b), "--threads", "2"]) == 0
     assert (out_a / "speedscan.csv").read_bytes() == (out_b / "speedscan.csv").read_bytes()
+    assert "threads" not in json.loads((out_b / "manifest.json").read_text())["config"]
     rows = _read_csv(out_a / "speedscan.csv")
     assert rows[0] == ["n_particles", "v_hat", "std_error", "reference"]
     assert [int(float(r[0])) for r in rows[1:]] == [5, 10]
@@ -262,11 +282,56 @@ def test_numeric_failure_returns_3(tmp_path, monkeypatch):
     assert main(["wave", "--out", str(tmp_path / "x")]) == 3
 
 
-@pytest.mark.parametrize("threads", ["2", 1.5, True, 0])
+@pytest.mark.parametrize("threads", ["2", 1.5, True, 0, 1])
 def test_bad_threads_in_config_returns_2(tmp_path, capsys, threads):
+    # threads is a flag only: as a config key it is unknown, whatever its value
     cfg = _write_config(tmp_path, "w.json", {"threads": threads})
     assert main(["wave", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
-    assert f"threads must be an integer >= 1, got {threads!r}" in capsys.readouterr().err
+    assert "unknown config keys: ['threads']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "1.5", "two"])
+def test_bad_threads_flag_exits_2(tmp_path, capsys, threads):
+    with pytest.raises(SystemExit) as exc:
+        main(["wave", "--threads", threads, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize(
+    "command, entries, out, key",
+    [
+        # each of the three flux probes used to run paths first: [4.0, 2.0]
+        # failed in the barrier with a message naming no key, and the other
+        # two in the extrapolation, [0.02, 0.01, 0.004] after writing flux.csv
+        ("exit", {"mode": "flux", "deltas": [4.0, 2.0]}, "x", "deltas="),
+        ("exit", {"mode": "flux", "deltas": [0.02, 0.01, 0.004]}, "x", "deltas="),
+        ("exit", {"mode": "flux", "deltas": [0.01]}, "x", "deltas="),
+        # these three ended in a TypeError or OSError traceback with exit 1
+        ("wave", {"out": 5}, None, "out="),
+        ("wave", {}, "a_file", "out="),
+        ("wave", {}, "a_file/x", "out="),
+        # a negative seed used to exit 0 and write master_seed -1
+        ("wave", {"seed": -1}, "x", "seed="),
+        ("wave", {"seed": 2**64}, "x", "seed="),
+    ],
+)
+def test_probes_exit_2_at_once_naming_the_key(
+    tmp_path, capsys, command, entries, out, key
+):
+    cfg = _write_config(tmp_path, "c.json", entries)
+    (tmp_path / "a_file").write_text("")
+    files = {p for p in tmp_path.rglob("*") if p.is_file()}
+    argv = [command, "--config", cfg]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert key in err and err.count("\n") == 1
+    assert {p for p in tmp_path.rglob("*") if p.is_file()} == files
 
 
 def test_representation_horizon_beyond_exp_range_returns_2(

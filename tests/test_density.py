@@ -43,8 +43,6 @@ from npbbm.density import (
     _trim_left,
     _trim_right,
     l1_distance,
-    load_density,
-    save_density,
 )
 
 from helpers import gaussian_density, random_bump_density, uniform_density, wave_fixture
@@ -601,7 +599,7 @@ def test_refine_limit_reports_failure_honestly():
 
 
 # ---------------------------------------------------------------------------
-# sampling and serialization
+# sampling
 
 
 def test_sampling_inverse_cdf_matches_law():
@@ -620,28 +618,3 @@ def test_sampling_deterministic_given_generator():
     a = sample_from_density(f, 100, np.random.default_rng(5))
     b = sample_from_density(f, 100, np.random.default_rng(5))
     assert np.array_equal(a, b)
-
-
-def test_save_load_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(13)
-    f = random_bump_density(rng, x0=-6.0, dx=1e-2, n=1201)
-    path = tmp_path / "density.csv"
-    save_density(f, path)
-    g = load_density(path)
-    assert g.x0 == f.x0
-    assert g.dx == f.dx
-    assert np.array_equal(g.values, f.values)
-    assert g.mass == f.mass
-
-
-def test_load_rejects_mass_mismatch(tmp_path):
-    f = uniform_density(0.0, 1.0, -0.1, 1e-2, 130)
-    path = tmp_path / "density.csv"
-    save_density(f, path)
-    text = path.read_text().splitlines()
-    # corrupt one interior value
-    row = text[10].split(",")
-    text[10] = f"{row[0]},{float(row[1]) + 1.0}"
-    path.write_text("\n".join(text) + "\n")
-    with pytest.raises(ValueError):
-        load_density(path)

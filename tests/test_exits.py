@@ -282,7 +282,6 @@ def test_flux_matches_exact_exit_masses():
     assert abs(value - 0.75) <= 3.0 * se
     value_r, se_r = seq.extrapolate("right")
     assert abs(value_r - 0.25) <= 3.0 * se_r
-    assert seq.rows().shape == (3, 3)
 
 
 def test_flux_symmetric_at_half():
@@ -293,13 +292,26 @@ def test_flux_symmetric_at_half():
         assert abs(fl - fr) <= 3.0 * math.hypot(sl, sr)
 
 
-def test_flux_validates_delta_ladder():
+def test_flux_validates_delta_ladder(monkeypatch):
+    # every ladder is refused before any path runs, naming deltas and the limit
+    import npbbm.exits as exits
+
+    def no_paths(*args, **kwargs):
+        raise AssertionError("paths drawn before the deltas were checked")
+
+    monkeypatch.setattr(exits, "_run_paths", no_paths)
     _, rho, left, right = wave_fixture(0.75, 1.0)
     params = PathParams(1.0, 1e-3, 10)
-    with pytest.raises(ValueError):
-        small_delta_flux(rho, left, right, [0.01, 0.02], params, RandomSource(1))
-    with pytest.raises(ValueError):
-        small_delta_flux(rho, left, right, [-0.01], params, RandomSource(1))
+    for deltas, message in [
+        ([0.01, 0.02], " must be positive and strictly decreasing"),
+        ([-0.01], " must hold at least 2 values"),
+        ([0.02, -0.01], " must be positive and strictly decreasing"),
+        ([0.01], " must hold at least 2 values"),
+        ([0.02, 0.01, 0.004], " must end in two values in ratio 2, got 2.5"),
+        ([4.0, 2.0], ": the largest, 4.0, is beyond 1.0, the barriers' last knot"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"deltas={deltas}{message}")):
+            small_delta_flux(rho, left, right, deltas, params, RandomSource(1))
 
 
 def test_richardson_extrapolation_protocol():

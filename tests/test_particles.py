@@ -14,13 +14,10 @@ from npbbm import (
     SimulationStreams,
     branch_select_step,
     couple_simulate,
-    dominance_check,
     estimate_speed,
     simulate,
-    stationarity_diagnostic,
 )
-from npbbm.particles import order, viewed_from_leftmost
-from npbbm.stats import ks_critical
+from npbbm.particles import order
 
 from helpers import mean_and_se
 
@@ -106,58 +103,6 @@ def test_branch_on_a_stack_acts_row_by_row(q):
     for i in (1, 3, 6):
         rows = [branch_select_step(row, i, q) for row in stack]
         assert np.array_equal(branch_select_step(stack, i, q), rows)
-
-
-# ---------------------------------------------------------------------------
-# dominance_check
-
-
-def test_dominance_simple_true():
-    assert dominance_check(np.array([0.0]), np.array([1.0]))
-
-
-def test_dominance_counts_at_upper_values():
-    assert not dominance_check(np.array([0.0, 2.0]), np.array([1.0, 1.0]))
-
-
-def test_dominance_reflexive():
-    a = np.array([0.0, 1.0, 1.5])
-    assert dominance_check(a, a)
-
-
-def test_dominance_mixed_sizes_uses_counts():
-    assert dominance_check(np.array([1.0]), np.array([0.0, 1.0]))
-    assert not dominance_check(np.array([0.0, 1.0]), np.array([1.0]))
-
-
-def test_dominance_partial_order_properties():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        n = int(rng.integers(1, 8))
-        a = np.sort(rng.normal(size=n))
-        b = np.sort(a + rng.exponential(0.5, size=n))
-        c = np.sort(b + rng.exponential(0.5, size=n))
-        # constructed chain is ordered; transitivity closes it
-        assert dominance_check(a, b) and dominance_check(b, c)
-        assert dominance_check(a, c)
-        # antisymmetry: mutual dominance forces equal multisets
-        if dominance_check(b, a):
-            assert np.array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# viewed_from_leftmost
-
-
-def test_viewed_from_leftmost_examples():
-    assert np.array_equal(viewed_from_leftmost(np.array([2.0, 3.0, 5.0])), [0.0, 1.0, 3.0])
-    assert np.array_equal(viewed_from_leftmost(np.zeros(3)), np.zeros(3))
-
-
-def test_viewed_from_leftmost_translation_invariant():
-    c = np.array([1.25, 2.5, 2.75, 9.0])
-    for s in (-3.0, 0.5, 100.0):
-        assert np.array_equal(viewed_from_leftmost(c + s), viewed_from_leftmost(c))
 
 
 # ---------------------------------------------------------------------------
@@ -393,31 +338,3 @@ def test_speed_rejects_a_single_replica():
     # one replica has no spread; its standard error used to be reported as 0
     with pytest.raises(ValueError, match="replicas=1 must be at least 2"):
         estimate_speed(0.5, 10, 10.0, RandomSource(1), replicas=1)
-
-
-# ---------------------------------------------------------------------------
-# stationarity_diagnostic
-
-
-def test_stationarity_equal_times_zero_distance():
-    d = stationarity_diagnostic(0.75, 10, 5.0, 5.0, 40, RandomSource(70))
-    assert d == 0.0
-
-
-@pytest.mark.parametrize(
-    "t1, t2", [(math.nan, 1.0), (0.5, math.nan), (0.0, 1.0), (2.0, 1.0), (1.0, math.inf)]
-)
-def test_stationarity_names_bad_times(t1, t2):
-    msg = f"need 0 < t1 <= t2 < inf, got t1={t1!r}, t2={t2!r}"
-    with pytest.raises(ValueError, match=re.escape(msg)):
-        stationarity_diagnostic(0.5, 5, t1, t2, 2, RandomSource(1))
-
-
-def test_stationarity_two_large_times_close():
-    d = stationarity_diagnostic(0.75, 20, 20.0, 40.0, 200, RandomSource(71))
-    assert d < ks_critical(200, 200, 0.01)
-
-
-def test_stationarity_degenerate_start_far():
-    d = stationarity_diagnostic(0.75, 20, 0.01, 40.0, 200, RandomSource(71))
-    assert d > ks_critical(200, 200, 0.01)
