@@ -36,9 +36,7 @@ from .density import (
     RefineResult,
     SchemeParams,
     cut_left_amount,
-    cut_left_keep,
     cut_right_amount,
-    cut_right_keep,
     dominates,
     gaussian_propagate,
     iterate_scheme,
@@ -94,9 +92,7 @@ __all__ = [
     "RefineResult",
     "SchemeParams",
     "cut_left_amount",
-    "cut_left_keep",
     "cut_right_amount",
-    "cut_right_keep",
     "dominates",
     "gaussian_propagate",
     "iterate_scheme",

@@ -298,13 +298,14 @@ def cmd_simulate(config: dict, out: _OutputSet) -> None:
     src = _command_source(config, "simulate")
     times = np.linspace(0.0, horizon, config["n_samples"] + 1)[1:]
     rec = simulate(np.zeros(n), p, horizon, src, sample_times=times)
+    burn, replicas = config["burn_in"], config["replicas"]
+    # both results first, so a rejected burn_in leaves no file behind
+    est = estimate_speed(p, n, horizon, src.child(1), burn_in=burn, replicas=replicas)
     out.write_csv(
         "trajectory.csv",
         "time,leftmost,rightmost",
         zip(rec.sample_times, rec.leftmost, rec.rightmost),
     )
-    burn, replicas = config["burn_in"], config["replicas"]
-    est = estimate_speed(p, n, horizon, src.child(1), burn_in=burn, replicas=replicas)
     out.write_json(
         "speed.json",
         {
@@ -536,8 +537,15 @@ def _threads(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports a usage error on one stderr line."""
+
+    def error(self, message: str):
+        self.exit(2, f"usage error: {self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="npbbm",
         description="Branching Brownian motion with two-sided selection: "
         "simulation and verification runs.",

@@ -42,8 +42,6 @@ __all__ = [
     "plan_grid",
     "gaussian_propagate",
     "scale",
-    "cut_left_keep",
-    "cut_right_keep",
     "cut_left_amount",
     "cut_right_amount",
     "step",
@@ -56,7 +54,7 @@ __all__ = [
 ]
 
 # Relative slack accepted when a requested cut mass overshoots the actual
-# mass through float rounding (e.g. keep-mass 1.0 against a mass 1-1ulp).
+# mass through float rounding (e.g. a cut of 1.0 against a mass 1-1ulp).
 _CUT_SLACK = 1e-9
 
 # Largest grid a step size may plan (2^22 cells, 32 MiB a float64 array); the
@@ -358,40 +356,26 @@ def _trim_right(values: NDArray[np.float64], x0: float, dx: float, m: float, tot
     return out[::-1], -pos
 
 
-def _checked_amount(f: GridDensity, m: float, what: str, name: str) -> float:
-    """m clipped to the mass of f; `what` and `name` describe it in messages."""
+def _checked_amount(f: GridDensity, m: float) -> float:
+    """The cut amount m, clipped to the mass of f."""
     if not m >= 0.0:
-        raise ValueError(f"{what} must be non-negative, got {name}={m!r}")
+        raise ValueError(f"cut amount must be non-negative, got m={m!r}")
     if m > f.mass * (1.0 + _CUT_SLACK) + 1e-300:
-        raise ValueError(f"{what} {name}={m!r} exceeds the available mass {f.mass!r}")
+        raise ValueError(f"cut amount m={m!r} exceeds the available mass {f.mass!r}")
     return min(m, f.mass)
 
 
 def cut_left_amount(f: GridDensity, m: float) -> GridDensity:
     """Remove exactly mass m from the left (D-type cut)."""
-    m = _checked_amount(f, m, "cut amount", "m")
+    m = _checked_amount(f, m)
     out, _ = _trim_left(f.values, f.x0, f.dx, m, f.mass)
     return GridDensity(f.x0, f.dx, out)
 
 
 def cut_right_amount(f: GridDensity, m: float) -> GridDensity:
     """Remove exactly mass m from the right (D-type cut)."""
-    m = _checked_amount(f, m, "cut amount", "m")
+    m = _checked_amount(f, m)
     out, _ = _trim_right(f.values, f.x0, f.dx, m, f.mass)
-    return GridDensity(f.x0, f.dx, out)
-
-
-def cut_left_keep(f: GridDensity, k: float) -> GridDensity:
-    """Trim from the left until exactly mass k remains (C-type cut)."""
-    k = _checked_amount(f, k, "kept mass", "k")
-    out, _ = _trim_left(f.values, f.x0, f.dx, f.mass - k, f.mass)
-    return GridDensity(f.x0, f.dx, out)
-
-
-def cut_right_keep(f: GridDensity, k: float) -> GridDensity:
-    """Trim from the right until exactly mass k remains (C-type cut)."""
-    k = _checked_amount(f, k, "kept mass", "k")
-    out, _ = _trim_right(f.values, f.x0, f.dx, f.mass - k, f.mass)
     return GridDensity(f.x0, f.dx, out)
 
 
@@ -447,7 +431,7 @@ def step(f: GridDensity, params: SchemeParams) -> StepResult:
     d = params.delta
     lower = params.side == "lower"
     q = params.p if lower else 1.0 - params.p
-    m = _checked_amount(f, q * (1.0 - math.exp(-d)), "cut amount", "m")
+    m = _checked_amount(f, q * (1.0 - math.exp(-d)))
     if lower:
         v, left_pos, right_pos, grown = _lower_step(f.values, f.x0, f.dx, m, f.mass, d)
         return StepResult(GridDensity(f.x0, f.dx, v), left_pos, right_pos, grown)
@@ -496,29 +480,26 @@ def _lower_step(
 
 @dataclass(frozen=True)
 class SchemeRun:
-    """k-step iteration record: final density plus per-step diagnostics."""
+    """k-step iteration record: final density plus per-step cut positions."""
 
     density: GridDensity
-    masses: NDArray[np.float64]
     left_cuts: NDArray[np.float64]
     right_cuts: NDArray[np.float64]
 
 
 def iterate_scheme(f: GridDensity, params: SchemeParams, k_steps: int) -> SchemeRun:
-    """Apply `step` k_steps times, recording masses and cut positions."""
+    """Apply `step` k_steps times, recording the cut positions."""
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
-    masses = np.empty(k_steps)
     lefts = np.empty(k_steps)
     rights = np.empty(k_steps)
     cur = f
     for i in range(k_steps):
         res = step(cur, params)
         cur = res.density
-        masses[i] = cur.mass
         lefts[i] = res.left_cut
         rights[i] = res.right_cut
-    return SchemeRun(cur, masses, lefts, rights)
+    return SchemeRun(cur, lefts, rights)
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,13 @@ as ``BoundSystemParams(p, delta, side)``, another name for the grid scheme's
 :class:`~npbbm.density.SchemeParams`; N is the size of the configuration,
 which every step keeps.
 :func:`bound_step` and :func:`run_bounds` take their start through
-:func:`npbbm.particles.order` (stable sort, non-empty, finite).  With
-R(x) = -x[::-1], ``bound_step(..., mirror=True)`` is R applied to the step
-of the other side at 1-p on R(config), on the same draws, so the
-lower/upper mirror identity is exact by construction.
+:func:`npbbm.particles.order` (stable sort, non-empty, finite).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -103,20 +100,13 @@ def _free_bbm(
     return out
 
 
-def free_bbm(
-    init,
-    t: float,
-    src: RandomSource,
-    *,
-    mirror: bool = False,
-) -> NDArray[np.float64]:
+def free_bbm(init, t: float, src: RandomSource) -> NDArray[np.float64]:
     """Branching Brownian motion without selection for time t.
 
     Every initial particle starts an independent unit-rate binary branching
     tree; split times are exact Exponential(1) clocks, so the population size
     rooted at one particle is Geometric(e^{-t}) with mean e^t.  Output is the
-    sorted positions of all particles alive at t.  ``mirror=True`` returns
-    R(free_bbm(R(init))) with R(x) = -x[::-1].
+    sorted positions of all particles alive at t.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time t must be finite and non-negative, got t={t!r}")
@@ -126,10 +116,7 @@ def free_bbm(
     if not np.all(np.isfinite(arr)):
         raise ValueError("init entries must be finite")
     _check_population(arr.size, t, "t")
-    moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
-    if mirror:
-        return -_free_bbm(-arr[::-1], t, moves, clocks)[::-1]
-    return _free_bbm(arr, t, moves, clocks)
+    return _free_bbm(arr, t, src.generator(TAG_DRIVING), src.generator(TAG_CLOCK))
 
 
 @dataclass(frozen=True)
@@ -169,13 +156,7 @@ def _one_step(
     return BoundStepResult(out, removed, pre, padded)
 
 
-def bound_step(
-    config,
-    params: BoundSystemParams,
-    src: RandomSource,
-    *,
-    mirror: bool = False,
-) -> BoundStepResult:
+def bound_step(config, params: BoundSystemParams, src: RandomSource) -> BoundStepResult:
     """One step of the bounding system on the side ``params.side``.
 
     Lower side: removes round(N p (1-e^{-delta})) leftmost particles,
@@ -183,17 +164,11 @@ def bound_step(
     round(N (1-p) (1-e^{-delta})) rightmost particles, branches, keeps the N
     rightmost.  Too few survivors (possible but vanishingly rare at
     practical sizes) pad with copies of the extreme that is kept and set the
-    ``padded`` flag.  ``mirror=True`` returns the reflection of the other
-    side's step at 1-p on the reflected configuration.
+    ``padded`` flag.
     """
     x = order(config)
     moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
-    if not mirror:
-        return _one_step(x, params, moves, clocks)
-    other = "upper" if params.side == "lower" else "lower"
-    swapped = BoundSystemParams(1.0 - params.p, params.delta, other)
-    res = _one_step(-x[::-1], swapped, moves, clocks)
-    return replace(res, config=-res.config[::-1])
+    return _one_step(x, params, moves, clocks)
 
 
 @dataclass(frozen=True)

@@ -423,20 +423,16 @@ def representation_check(
     x_grid = np.asarray(x_grid, dtype=np.float64)
     x0 = _draw_initial(rho, left, right, params.n_paths, src)
     code, final = _run_paths(x0, left, right, t, params.h, src)
-    survivors = final[code == 0]
+    survivors = np.sort(final[code == 0])
     n = params.n_paths
     scale = math.exp(t)
-    frac = np.array(
-        [np.sum(survivors >= x) / n for x in x_grid], dtype=np.float64
-    )
-    ses = np.array([binomial_se(f, n) for f in frac], dtype=np.float64)
-
-    scheme = np.array([tail_mass(refined.psi, x) for x in x_grid])
+    # survivors at or beyond each x, as a fraction of all paths
+    frac = (survivors.size - np.searchsorted(survivors, x_grid, side="left")) / n
     return RepresentationResult(
         xs=x_grid,
         mc_values=scale * frac,
-        scheme_values=scheme,
-        std_errors=scale * ses,
+        scheme_values=tail_mass(refined.psi, x_grid),
+        std_errors=scale * binomial_se(frac, n),
         scheme_width=refined.width,
         survive_prob=survivors.size / n,
     )

@@ -181,25 +181,20 @@ def simulate(
     init,
     p: float,
     T: float,
-    src: RandomSource | None = None,
+    src: RandomSource,
     sample_times=None,
     *,
     record_configs: bool = False,
     mirror: bool = False,
-    streams: SimulationStreams | None = None,
 ) -> TrajectoryRecord:
     """Run one (N,p)-BBM trajectory; deterministic given its arguments.
 
-    Exactly one of ``src`` and ``streams`` must be given; ``streams`` exists
-    so tests can stub the event clock.  ``mirror=True`` returns the
-    reflection of the run at 1-p from the reflected start, on the same
-    streams: extremes swap and change sign, configurations become -x[::-1].
+    ``mirror=True`` returns the reflection of the run at 1-p from the
+    reflected start, on the same streams: extremes swap and change sign,
+    configurations become -x[::-1].
     """
     x, times = _prepare(init, p, T, sample_times)
-    if (src is None) == (streams is None):
-        raise ValueError("pass exactly one of src and streams")
-    if streams is None:
-        streams = SimulationStreams(src, len(x))
+    streams = SimulationStreams(src, len(x))
     if not mirror:
         return _run(x[None], p, T, times, streams, record_configs)[0]
     rec = _run(-x[None, ::-1], 1.0 - p, T, times, streams, record_configs)[0]

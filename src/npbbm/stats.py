@@ -36,6 +36,6 @@ def dkw_band(n: int, alpha: float) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
-def binomial_se(p_hat: float, n: int) -> float:
-    """Standard error of an empirical proportion."""
-    return math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
+def binomial_se(p_hat, n: int):
+    """Standard error of an empirical proportion, elementwise on arrays."""
+    return np.sqrt(np.maximum(p_hat * (1.0 - p_hat), 0.0) / n)

@@ -230,8 +230,6 @@ def hydrodynamic_report(
     delta: float,
     rho: GridDensity,
     src: RandomSource,
-    *,
-    mirror: bool = False,
 ) -> ComparisonReport:
     """Run N particles from i.i.d. rho samples and compare with the schemes.
 
@@ -239,23 +237,12 @@ def hydrodynamic_report(
     must be an integer).  Tails are compared at every grid edge; the moving
     boundaries are estimated by the final recorded cut positions (the upper
     scheme cuts the left boundary at time t, the lower scheme the right).
-
-    ``mirror=True`` is the reflection-coupling hook: the initial particles
-    become the exact spatial reflection of the base sample (so their law is
-    the reflection of rho) and the simulation runs with ``mirror=True``.  The
-    trajectory is then the exact negation of the base run for parameter 1-p;
-    the scheme sandwich is still computed for (p, rho) as supplied.
     """
     k = round(t / delta)
     if abs(t - k * delta) > 1e-9 or k < 1:
         raise ValueError("t must be a positive integer multiple of delta")
-    init = np.sort(
-        sample_from_density(rho, N, src.generator(TAG_INITIAL)), kind="stable"
-    )
-    if mirror:
-        init = -init[::-1]
-    rec = simulate(init, p, t, src, sample_times=[t], mirror=mirror,
-                   record_configs=True)
+    init = sample_from_density(rho, N, src.generator(TAG_INITIAL))
+    rec = simulate(init, p, t, src, sample_times=[t], record_configs=True)
     final = rec.full_configs[0]
 
     lower = iterate_scheme(rho, SchemeParams(p, delta, "lower"), k)

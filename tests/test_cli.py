@@ -675,3 +675,61 @@ def test_count_below_its_bound_returns_2(
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"{shown} must be at least {least}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_representation_counts_many_points_at_once(tmp_path):
+    # each point used to recount the survivors and recompute the scheme's
+    # tails, so 20 000 points took about 4 s
+    config = {"mode": "representation", "n_x": 20_000, "n_paths": 1000, "n_max": 2}
+    cfg = _write_config(tmp_path, "e.json", config)
+    out = tmp_path / "e"
+    start = time.perf_counter()
+    assert main(["exit", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 2.0
+    xs, mc, _, se = np.array(_read_csv(out / "representation.csv")[1:], dtype=float).T
+    assert xs.size == 20_000
+    # the survivors are those of exit_statistics on the same source
+    _, rho, (left, right) = _wave_fixture(0.75, 1.0, 1e-3)
+    src = RandomSource(5, COMMAND_IDS["exit"] << 32)
+    survivors = exit_statistics(rho, left, right, PathParams(1.0, 1e-3, 1000), src)
+    survivors = survivors.survivor_positions
+    for j in range(0, xs.size, 997):
+        frac = np.sum(survivors >= xs[j]) / 1000
+        assert mc[j] == math.e * frac
+        assert se[j] == math.e * math.sqrt(frac * (1.0 - frac) / 1000)
+
+
+def test_bad_burn_in_returns_2_before_any_output(tmp_path, capsys):
+    # the trajectory used to be written before estimate_speed refused burn_in
+    cfg = _write_config(tmp_path, "s.json", {"burn_in": 20.0, "horizon": 10.0})
+    out = tmp_path / "x"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "need T > burn_in >= 0, got T=10.0, burn_in=20.0" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "abc"],
+        ["simulate", "--threads", "0"],
+        ["frobnicate"],
+        [],
+    ],
+)
+def test_usage_errors_are_one_line(capsys, argv):
+    # argparse used to print two usage lines before the error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error: npbbm")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out

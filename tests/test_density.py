@@ -22,9 +22,7 @@ from npbbm import (
     GridTooSmallError,
     SchemeParams,
     cut_left_amount,
-    cut_left_keep,
     cut_right_amount,
-    cut_right_keep,
     dominates,
     gaussian_propagate,
     iterate_scheme,
@@ -212,19 +210,19 @@ def test_scale_multiplies_mass():
 # mass cuts
 
 
-def test_cut_left_keep_uniform_restriction():
-    # Keeping mass 0.75 of the uniform law on [0,1] from the right leaves the
-    # uniform restriction to [0.25, 1].
+def test_cut_left_amount_uniform_restriction():
+    # Cutting all but mass 0.75 of the uniform law on [0,1] from the left
+    # leaves the uniform restriction to [0.25, 1].
     f = uniform_density(0.0, 1.0, -0.1, 1e-3, 1202)
-    g = cut_left_keep(f, 0.75)
+    g = cut_left_amount(f, f.mass - 0.75)
     want = uniform_density(0.25, 1.0, -0.1, 1e-3, 1202)
     assert g.mass == pytest.approx(0.75, abs=1e-12)
     assert l1_distance(g, scale(want, 0.75)) <= 1e-9
 
 
-def test_cut_right_keep_uniform_restriction():
+def test_cut_right_amount_uniform_restriction():
     f = uniform_density(0.0, 1.0, -0.1, 1e-3, 1202)
-    g = cut_right_keep(f, 0.5)
+    g = cut_right_amount(f, f.mass - 0.5)
     want = uniform_density(0.0, 0.5, -0.1, 1e-3, 1202)
     assert g.mass == pytest.approx(0.5, abs=1e-12)
     assert l1_distance(g, scale(want, 0.5)) <= 1e-9
@@ -248,7 +246,7 @@ def test_cut_rejects_overdraw():
     with pytest.raises(ValueError):
         cut_right_amount(f, -0.1)
     with pytest.raises(ValueError):
-        cut_left_keep(f, f.mass * 1.001)
+        cut_right_amount(f, f.mass * 1.001)
 
 
 def test_cut_removes_exact_mass():
@@ -348,8 +346,6 @@ def test_ranges_name_the_value_and_its_limit(bad):
     [
         (cut_left_amount, "cut amount must be non-negative, got m=nan"),
         (cut_right_amount, "cut amount must be non-negative, got m=nan"),
-        (cut_left_keep, "kept mass must be non-negative, got k=nan"),
-        (cut_right_keep, "kept mass must be non-negative, got k=nan"),
         (scale, "scale factor must be finite and non-negative, got c=nan"),
     ],
 )
@@ -513,7 +509,6 @@ def test_iterate_zero_steps_identity():
     _, rho, _, _ = wave_fixture(0.6, 1.0, dx=1e-2)
     run = iterate_scheme(rho, SchemeParams(0.6, 0.1, "upper"), 0)
     assert np.array_equal(run.density.values, rho.values)
-    assert run.masses.size == 0
 
 
 def test_iterate_sandwich_bound_unit_time():

@@ -72,14 +72,6 @@ def test_free_bbm_size_is_geometric():
     assert stat.pvalue > 0.01
 
 
-def test_free_bbm_mirror_identity_exact():
-    init = np.array([-2.0, 0.0, 1.5])
-    src = RandomSource(25)
-    base = free_bbm(init, 0.8, src)
-    refl = free_bbm(-init[::-1], 0.8, src, mirror=True)
-    assert np.array_equal(refl, -base[::-1])
-
-
 def test_free_bbm_max_mean_bounded_by_sqrt2():
     # E[max position] at t=1 is at most sqrt(2); test the sample mean.
     src = RandomSource(26)
@@ -97,20 +89,16 @@ def test_free_bbm_rejects_bad_arguments():
         free_bbm([0.0], 1.0)
 
 
-@pytest.mark.parametrize("mirror", [False, True])
-def test_free_bbm_signed_zeros_match_a_stable_sort(mirror):
+def test_free_bbm_signed_zeros_match_a_stable_sort():
     # at t = 0 every particle moves by g * 0.0, so -0.0 and +0.0 meet in the
     # final sort, the one sort where quicksort and a stable sort can differ
     rng = np.random.default_rng(5)
     init = np.where(rng.random(200) < 0.5, 0.0, -0.0)
     init[::7] = rng.normal(size=init[::7].size)
     src = RandomSource(27)
-    start = -init[::-1] if mirror else init
     g = src.generator(TAG_DRIVING).standard_normal(init.size)
-    ref = np.sort(start + g * np.sqrt(0.0), kind="stable")
-    if mirror:
-        ref = -ref[::-1]
-    out = free_bbm(init, 0.0, src, mirror=mirror)
+    ref = np.sort(init + g * np.sqrt(0.0), kind="stable")
+    out = free_bbm(init, 0.0, src)
     assert np.array_equal(np.signbit(out), np.signbit(ref))
     assert out.tobytes() == ref.tobytes()
 
@@ -132,12 +120,11 @@ def test_free_bbm_names_a_bad_time(bad):
         free_bbm([0.0], bad, RandomSource(1))
 
 
-@pytest.mark.parametrize("mirror", [False, True])
-def test_free_bbm_rejects_an_empty_start(mirror):
+def test_free_bbm_rejects_an_empty_start():
     # it used to fail inside the branching with numpy's "need at least one
     # array to concatenate"
     with pytest.raises(ValueError, match="init must hold at least one particle"):
-        free_bbm([], 1.0, RandomSource(1), mirror=mirror)
+        free_bbm([], 1.0, RandomSource(1))
 
 
 def test_free_bbm_overshoot_raises_overflow(monkeypatch):
@@ -151,9 +138,8 @@ def test_free_bbm_overshoot_raises_overflow(monkeypatch):
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_steps_reject_a_population_plan_above_the_cap(side):
     params = BoundSystemParams(0.5, 50.0, side)
-    for mirror in (False, True):
-        with pytest.raises(ValueError, match=r"delta=50.0 with N=5 plans .* cap"):
-            bound_step(np.zeros(5), params, RandomSource(1), mirror=mirror)
+    with pytest.raises(ValueError, match=r"delta=50.0 with N=5 plans .* cap"):
+        bound_step(np.zeros(5), params, RandomSource(1))
     with pytest.raises(ValueError, match="delta=50.0"):
         run_bounds(np.zeros(5), params, 3, RandomSource(1))
 
@@ -197,28 +183,13 @@ def test_pre_truncation_mean_size():
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
-def test_step_mirror_identity_exact(side):
-    other = "upper" if side == "lower" else "lower"
-    config = np.sort(np.random.default_rng(8).normal(size=50))
-    p, d = 0.7, 0.1
-    src = RandomSource(33)
-    base = bound_step(config, BoundSystemParams(1.0 - p, d, other), src)
-    refl = bound_step(-config[::-1], BoundSystemParams(p, d, side), src, mirror=True)
-    assert refl.removed == base.removed
-    assert refl.pre_truncation_size == base.pre_truncation_size
-    assert refl.padded == base.padded
-    assert np.array_equal(refl.config, -base.config[::-1])
-
-
-@pytest.mark.parametrize("side", ["lower", "upper"])
-@pytest.mark.parametrize("mirror", [False, True])
-def test_step_sorts_its_start(side, mirror):
+def test_step_sorts_its_start(side):
     # an unsorted start used to be cut as given: at p = 0.9 the lower step
     # removed the first 4 entries instead of the 4 leftmost
     config = np.random.default_rng(9).normal(size=10)
     params = BoundSystemParams(0.9 if side == "lower" else 0.1, 0.5, side)
-    got = bound_step(config, params, RandomSource(36), mirror=mirror)
-    ref = bound_step(np.sort(config), params, RandomSource(36), mirror=mirror)
+    got = bound_step(config, params, RandomSource(36))
+    ref = bound_step(np.sort(config), params, RandomSource(36))
     assert got.config.tobytes() == ref.config.tobytes()
     assert got.removed == ref.removed == 4
     assert got.pre_truncation_size == ref.pre_truncation_size

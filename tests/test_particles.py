@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -17,6 +18,7 @@ from npbbm import (
     estimate_speed,
     simulate,
 )
+from npbbm import particles
 from npbbm.particles import order
 
 from helpers import mean_and_se
@@ -117,6 +119,11 @@ def test_simulate_zero_horizon_returns_init():
     assert rec.event_count == 0
 
 
+def _stub_streams(monkeypatch, make):
+    """Have simulate take its streams from make(n) instead of its source."""
+    monkeypatch.setattr(particles, "SimulationStreams", lambda src, n: make(n))
+
+
 class _NoEventStreams(SimulationStreams):
     """Suppress branching; diffusion draws come from a fixed table."""
 
@@ -134,10 +141,11 @@ class _NoEventStreams(SimulationStreams):
         return math.inf
 
 
-def test_simulate_without_events_is_sorted_diffusion():
+def test_simulate_without_events_is_sorted_diffusion(monkeypatch):
     init = np.array([0.0, 1.0, 5.0])
     g = np.array([2.5, -0.5, -4.0])
-    rec = simulate(init, 0.5, 4.0, streams=_NoEventStreams(g, 3), record_configs=True)
+    _stub_streams(monkeypatch, functools.partial(_NoEventStreams, g))
+    rec = simulate(init, 0.5, 4.0, RandomSource(1), record_configs=True)
     expected = np.sort(init + g * 2.0)
     assert np.array_equal(rec.full_configs[0], expected)
     assert rec.event_count == 0
@@ -190,8 +198,6 @@ def test_simulate_validates_arguments():
         simulate([0.0], 0.5, 1.0, RandomSource(1), [0.5, 0.25])
     with pytest.raises(ValueError):
         simulate([0.0], 0.5, 1.0, RandomSource(1), [0.5, 2.0])
-    with pytest.raises(ValueError):
-        simulate([0.0], 0.5, 1.0)  # neither src nor streams
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf])
@@ -280,15 +286,15 @@ class _OneEventStreams(SimulationStreams):
         return bool(self._q)
 
 
-def test_forced_single_event_matches_hand_computation():
+def test_forced_single_event_matches_hand_computation(monkeypatch):
     # One event with rank i=1: kill-leftmost (q=1) duplicates the leftmost in
     # place, kill-rightmost (q=0) shifts mass down.
     init = np.array([1.0, 2.0])
-    rec1 = simulate(init, 0.5, 1.0, streams=_OneEventStreams(1, 2), record_configs=True)
-    assert np.array_equal(rec1.full_configs[0], [1.0, 2.0])
-    rec0 = simulate(init, 0.5, 1.0, streams=_OneEventStreams(0, 2), record_configs=True)
-    assert np.array_equal(rec0.full_configs[0], [1.0, 1.0])
-    assert rec0.event_count == 1
+    for q, want in ((1, [1.0, 2.0]), (0, [1.0, 1.0])):
+        _stub_streams(monkeypatch, functools.partial(_OneEventStreams, q))
+        rec = simulate(init, 0.5, 1.0, RandomSource(1), record_configs=True)
+        assert np.array_equal(rec.full_configs[0], want)
+        assert rec.event_count == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5])

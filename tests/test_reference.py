@@ -536,19 +536,14 @@ def test_run_bounds_matches_reference(init, p, delta, side, k_steps, seed):
 @settings(max_examples=40, deadline=None)
 @given(init=_configs, p=_p, delta=st.floats(0.01, 1.0), side=_sides, seed=_seed)
 def test_bound_step_matches_reference(init, p, delta, side, seed):
-    # mirror=True is the other side's step at 1-p on the reflected start
     src = RandomSource(seed, 6)
     params = BoundSystemParams(p, delta, side)
-    other = "upper" if side == "lower" else "lower"
-    refl = -np.sort(np.asarray(init, dtype=np.float64), kind="stable")[::-1]
-    for mirror, start, q, q_side in ((False, init, p, side), (True, refl, 1.0 - p, other)):
-        try:
-            configs, sizes = run_bounds_reference(start, q, delta, q_side, 1, src)
-        except ValueError:
-            with pytest.raises(ValueError, match="removal count reached N"):
-                bound_step(init, params, src, mirror=mirror)
-            continue
-        res = bound_step(init, params, src, mirror=mirror)
-        want = -configs[1][::-1] if mirror else configs[1]
-        assert same_bits(res.config, want)
-        assert res.pre_truncation_size == sizes[0]
+    try:
+        configs, sizes = run_bounds_reference(init, p, delta, side, 1, src)
+    except ValueError:
+        with pytest.raises(ValueError, match="removal count reached N"):
+            bound_step(init, params, src)
+        return
+    res = bound_step(init, params, src)
+    assert same_bits(res.config, configs[1])
+    assert res.pre_truncation_size == sizes[0]

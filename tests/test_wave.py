@@ -225,25 +225,6 @@ def test_hydrodynamic_report_fields():
     assert rep.lower_tail[-1] == 0.0
 
 
-def test_hydrodynamic_report_mirror_reflects():
-    rho = _dyadic_uniform()
-    src = RandomSource(322)
-    base = hydrodynamic_report(0.75, 400, 0.25, 0.05, rho, src)
-    mirr = hydrodynamic_report(0.25, 400, 0.25, 0.05, rho, src, mirror=True)
-    # particle-level quantities reflect bit for bit
-    assert mirr.leftmost == -base.rightmost
-    assert mirr.rightmost == -base.leftmost
-    counts = np.rint(mirr.empirical * 400)
-    assert np.array_equal(counts, 400 - np.rint(base.empirical[::-1] * 400))
-    # scheme-level quantities reflect through the symmetric initial density,
-    # exactly up to FFT rounding
-    assert np.allclose(mirr.lower_tail, 1.0 - base.upper_tail[::-1], atol=1e-8)
-    assert np.allclose(mirr.upper_tail, 1.0 - base.lower_tail[::-1], atol=1e-8)
-    assert mirr.gap_left == pytest.approx(base.gap_right, abs=1e-8)
-    assert mirr.gap_right == pytest.approx(base.gap_left, abs=1e-8)
-    assert mirr.sup_gap == pytest.approx(base.sup_gap, abs=1e-8)
-
-
 def test_hydrodynamic_report_requires_integer_steps():
     rho = _dyadic_uniform()
     with pytest.raises(ValueError):
