@@ -22,6 +22,7 @@ from .particles import (
     simulate,
 )
 from .discrete import (
+    BoundStep,
     BoundStepResult,
     BoundSystemParams,
     BoundsRun,
@@ -80,6 +81,7 @@ __all__ = [
     "couple_simulate",
     "estimate_speed",
     "simulate",
+    "BoundStep",
     "BoundStepResult",
     "BoundSystemParams",
     "BoundsRun",

@@ -348,7 +348,7 @@ def cmd_bounds(config: dict, out: _OutputSet) -> None:
                 ],
             },
         )
-    lower, upper = runs["lower"].configs[-1], runs["upper"].configs[-1]
+    lower, upper = runs["lower"].config, runs["upper"].config
     out.write_csv(
         "bounds_final.csv",
         "rank,lower,upper",
@@ -532,9 +532,15 @@ _RUNNERS = {
 
 def _threads(text: str) -> int:
     """The --threads flag: an integer of at least 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
-    return int(text)
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer of at least 1, got {text!r}"
+        )
+    return threads
 
 
 class _Parser(argparse.ArgumentParser):

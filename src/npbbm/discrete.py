@@ -32,6 +32,7 @@ from .randomness import RandomSource, TAG_CLOCK, TAG_DRIVING
 __all__ = [
     "MAX_POPULATION",
     "BoundSystemParams",
+    "BoundStep",
     "BoundStepResult",
     "BoundsRun",
     "free_bbm",
@@ -120,13 +121,19 @@ def free_bbm(init, t: float, src: RandomSource) -> NDArray[np.float64]:
 
 
 @dataclass(frozen=True)
-class BoundStepResult:
-    """One selection step plus the bookkeeping the tests need."""
+class BoundStep:
+    """The bookkeeping of one selection step."""
 
-    config: NDArray[np.float64]
     removed: int
     pre_truncation_size: int
     padded: bool
+
+
+@dataclass(frozen=True)
+class BoundStepResult(BoundStep):
+    """One selection step: its bookkeeping and the new configuration."""
+
+    config: NDArray[np.float64]
 
 
 def _one_step(
@@ -134,7 +141,7 @@ def _one_step(
     params: BoundSystemParams,
     moves: np.random.Generator,
     clocks: np.random.Generator,
-) -> BoundStepResult:
+) -> tuple[NDArray[np.float64], BoundStep]:
     """One step from a sorted configuration; N is its size."""
     n = len(config)
     _check_population(n, params.delta, "delta")
@@ -153,7 +160,7 @@ def _one_step(
         out = np.concatenate([np.full(n - pre, grown[0]), grown])
     else:
         out = np.concatenate([grown, np.full(n - pre, grown[-1])])
-    return BoundStepResult(out, removed, pre, padded)
+    return out, BoundStep(removed, pre, padded)
 
 
 def bound_step(config, params: BoundSystemParams, src: RandomSource) -> BoundStepResult:
@@ -168,15 +175,16 @@ def bound_step(config, params: BoundSystemParams, src: RandomSource) -> BoundSte
     """
     x = order(config)
     moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
-    return _one_step(x, params, moves, clocks)
+    out, step = _one_step(x, params, moves, clocks)
+    return BoundStepResult(step.removed, step.pre_truncation_size, step.padded, out)
 
 
 @dataclass(frozen=True)
 class BoundsRun:
-    """Configs at times 0, delta, ..., k*delta plus per-step metadata."""
+    """The configuration after the last step plus every step's bookkeeping."""
 
-    configs: list[NDArray[np.float64]]
-    steps: list[BoundStepResult]
+    config: NDArray[np.float64]
+    steps: list[BoundStep]
 
 
 def run_bounds(
@@ -185,16 +193,13 @@ def run_bounds(
     k_steps: int,
     src: RandomSource,
 ) -> BoundsRun:
-    """Iterate one bounding system k_steps times, recording every config."""
+    """Iterate one bounding system k_steps times; keep only the last config."""
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
     config = order(init)
     moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
-    configs = [config]
-    steps: list[BoundStepResult] = []
+    steps: list[BoundStep] = []
     for _ in range(k_steps):
-        res = _one_step(config, params, moves, clocks)
-        config = res.config
-        configs.append(config)
-        steps.append(res)
-    return BoundsRun(configs, steps)
+        config, step = _one_step(config, params, moves, clocks)
+        steps.append(step)
+    return BoundsRun(config, steps)

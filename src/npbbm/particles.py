@@ -12,15 +12,27 @@ There is no path-discretization error.
 
 One event loop, ``_run``, advances a (K, N) stack of sorted configurations
 on one draw sequence: every row takes the same clock gap, the same increment
-vector, the same rank and the same selection bit.  The four streams are read
-ahead in blocks (:class:`~npbbm.randomness.ReadAhead`), which hands out the
-very draws call-by-call sampling would.  The loop re-sorts with numpy's
-quicksort, which gives the same bits as a stable sort: the two can differ
-only in the order of +0.0 and -0.0, and x + g is -0.0 only when both are,
-so after an increment a -0.0 needs a -0.0 start and a normal draw of exactly
--0.0, which comes with probability 2^-53 a draw.  K = 1 is a single run
-(:func:`simulate`); K = 2 is the monotone coupling (:func:`couple_simulate`),
-under which two copies started in dominance order stay ordered pathwise.
+vector, the same rank and the same selection bit.  It works through events
+in batches of B: BLOCK_ITEMS // N events (163 at N = 50), but at least
+MIN_BATCH = 16 where the increments of 16 fit in 16 blocks (1 MB), and else
+as many as fit there (16 at N = 4000, 6 at N = 20 000, 1 above N = 65 536).
+For each batch it takes B clock gaps, B ranks and B selection uniforms in
+one call per stream, sums the gaps from the last event time into event
+times in order, merges the sample times into that schedule (a sample at an
+event's time comes first; the first event after T ends the run), and takes
+the normals for the positive intervals of up to B stops in one call, scaled
+row by row by the square root of the interval.  Python then only adds a row, re-sorts and
+records the sample or shifts for the event.  The streams are read ahead in
+blocks (:class:`~npbbm.randomness.ReadAhead`), and each is consumed in the
+order of call-by-call sampling, so the draws, the event times (each the
+last one plus its gap) and the increments are those of one event at a time.
+The loop re-sorts with numpy's quicksort, which gives the same bits as a
+stable sort: the two can differ only in the order of +0.0 and -0.0, and
+x + g is -0.0 only when both are, so after an increment a -0.0 needs a -0.0
+start and a normal draw of exactly -0.0, which comes with probability 2^-53
+a draw.  K = 1 is a single run (:func:`simulate`); K = 2 is the monotone
+coupling (:func:`couple_simulate`), under which two copies started in
+dominance order stay ordered pathwise.
 The reflection coupling between parameters p and 1-p is built from the base
 run: with R(x) = -x[::-1], the mirrored run at p from x is R applied to the
 run at 1-p from R(x) on the same streams, so it is exact by construction.
@@ -28,6 +40,7 @@ run at 1-p from R(x) on the same streams, so it is exact by construction.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -37,6 +50,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .randomness import (
+    BLOCK_ITEMS,
     RandomSource,
     ReadAhead,
     TAG_CLOCK,
@@ -56,6 +70,13 @@ __all__ = [
     "couple_simulate",
     "estimate_speed",
 ]
+
+
+# Fewest events in a batch, where the increments of that many fit in
+# MIN_BATCH blocks.  A batch costs about a dozen vector calls: at two events
+# a batch (BLOCK_ITEMS // N at N = 4000) an event took 105 us against 99 us
+# one event at a time, and at 16 it takes 98 us.
+MIN_BATCH = 16
 
 
 class CouplingViolationError(RuntimeError):
@@ -110,35 +131,47 @@ def _branch(v: NDArray[np.float64], i: int, q: int) -> None:
 class SimulationStreams:
     """The four independent substreams driving one run of n particles.
 
-    n is bound at construction.  Each stream is read ahead in blocks; the
-    draws equal those of the calls ``standard_normal(n)``,
-    ``exponential(1/n)``, ``integers(1, n + 1)`` and ``random()`` made one
-    at a time.
+    n is bound at construction, and so is ``batch``, the number of events
+    one :meth:`events` call hands out (see the module docstring).  Each
+    stream is read ahead in blocks; the draws equal those of the calls
+    ``standard_normal(n)``, ``exponential(1/n)``, ``integers(1, n + 1)``
+    and ``random()`` made one at a time.
     """
 
     def __init__(self, src: RandomSource, n: int) -> None:
         self._n = n
         self._mean_gap = 1.0 / n
+        self.batch = max(
+            1, BLOCK_ITEMS // n, min(MIN_BATCH, MIN_BATCH * BLOCK_ITEMS // n)
+        )
         self._driving = ReadAhead(src.generator(TAG_DRIVING).standard_normal)
         self._clock = ReadAhead(src.generator(TAG_CLOCK).standard_exponential)
         self._ranks = ReadAhead(partial(src.generator(TAG_INDEX).integers, 1, n + 1))
         self._select = ReadAhead(src.generator(TAG_SELECT).random)
 
-    def increments(self, dt: float) -> NDArray[np.float64]:
-        """Gaussian increments over dt for ranks 1..n (rank j takes entry j)."""
-        return self._driving.take(self._n) * math.sqrt(dt)
+    def events(self, t: float, p: float) -> tuple[NDArray, NDArray, NDArray]:
+        """The next ``batch`` branch events after time t: times, ranks, kill bits.
 
-    def event_gap(self) -> float:
-        """Time to the next branch event: Exponential with rate n."""
-        return self._mean_gap * self._clock.one()
+        The times add Exponential gaps of rate n to t in order, so each is
+        the last one plus its gap, as one event at a time.  Ranks are uniform
+        in 1..n; a Bernoulli(p) kill bit of True removes the leftmost
+        particle, False the rightmost.
+        """
+        b = self.batch
+        times = self._mean_gap * self._clock.take(b)
+        times[0] += t
+        np.add.accumulate(times, out=times)  # np.cumsum, less overhead
+        return times, self._ranks.take(b), self._select.take(b) < p
 
-    def branch_rank(self) -> int:
-        """Uniform rank in 1..n."""
-        return self._ranks.one()
+    def increments(self, dts: NDArray, out: NDArray) -> NDArray:
+        """Gaussian increments over the positive intervals dts, one row each.
 
-    def keep_right(self, p: float) -> bool:
-        """Bernoulli(p) selection bit: True kills the leftmost particle."""
-        return self._select.one() < p
+        Rank j takes entry j of a row.  The rows are written to
+        ``out[:len(dts)]``, which is returned.
+        """
+        r = len(dts)
+        z = self._driving.take(r * self._n).reshape(r, self._n)
+        return np.multiply(z, np.sqrt(dts)[:, None], out=out[:r])
 
 
 # ---------------------------------------------------------------------------
@@ -212,50 +245,71 @@ def _check_order(x) -> None:
 def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
     """The event loop: every row of the (K, N) stack x takes the same draws.
 
-    A pair (K = 2) is a monotone coupling, checked after every sample and
-    event.
+    Events come in batches from ``streams.events``.  A batch's events up to
+    T and the sample times up to its last event merge into one list of
+    stops, a sample at an event's time before the event.  At each stop a
+    positive interval adds one increment row and re-sorts; then the stop
+    records the sample or applies the event.  A pair (K = 2) is a monotone
+    coupling, checked after every stop.
     """
     k, n = x.shape
     x = x.copy()  # stepped in place
+    v = x[0] if k == 1 else x  # the same memory; one row steps faster as 1-d
     coupled = k == 2
     m = len(times)
     lefts = np.empty((k, m))
     rights = np.empty((k, m))
     configs = np.empty((k, m, n)) if record_configs else None
-    increments = streams.increments
-    event_gap = streams.event_gap
+    sample_times = times.tolist()  # for bisect
+    batch = streams.batch
+    buf = np.empty((batch, n))  # increment rows, reused by every chunk
 
     t = 0.0
     si = 0
     events = 0
-    next_event = t + event_gap()
-    while True:
-        horizon = next_event if next_event <= T else T
-        while si < m and times[si] <= horizon:
-            dt = times[si] - t
-            if dt > 0.0:
-                x += increments(dt)
-                x.sort(axis=1, kind="quicksort")
-                t = times[si]
-            if coupled:
-                _check_order(x)
-            lefts[:, si] = x[:, 0]
-            rights[:, si] = x[:, -1]
-            if configs is not None:
-                configs[:, si] = x
-            si += 1
-        if next_event > T:
+    ended = False
+    while not ended:
+        stops, ranks, kills = streams.events(t, p)
+        ended = stops[-1] > T
+        if ended:  # the first event after T ends the run
+            fired = int(np.searchsorted(stops, T, side="right"))
+            stops, ranks, kills = stops[:fired], ranks[:fired], kills[:fired]
+            sj = m
+        else:
+            fired = batch
+            sj = bisect.bisect_right(sample_times, stops[-1], si)
+        if sj > si:  # samples go before the first event at or after them
+            at = np.searchsorted(stops, times[si:sj])
+            stops = np.insert(stops, at, times[si:sj])
+            ranks = np.insert(ranks, at, 0)  # rank 0 marks a sample
+            kills = np.insert(kills, at, False)
+        events += fired
+        if not stops.size:
             break
-        dt = next_event - t
-        if dt > 0.0:
-            x += increments(dt)
-            x.sort(axis=1, kind="quicksort")
-        t = next_event
-        _branch(x, streams.branch_rank(), streams.keep_right(p))
-        events += 1
-        if coupled:
-            _check_order(x)
-        next_event = t + event_gap()
+        dts = stops - np.concatenate(([t], stops[:-1]))
+        t = stops[-1]
+        ranks, kills = ranks.tolist(), kills.tolist()
+        for c in range(0, len(dts), batch):
+            d = dts[c : c + batch]
+            moves = d > 0.0
+            rows = streams.increments(d[moves], buf)
+            if len(rows) < len(d):  # a stop at the time of the last one moves nothing
+                it = iter(rows)
+                rows = [next(it) if mv else None for mv in moves.tolist()]
+            for row, i, kill in zip(rows, ranks[c : c + batch], kills[c : c + batch]):
+                if row is not None:
+                    v += row
+                    v.sort()  # quicksort, numpy's default
+                if i:
+                    _branch(v, i, kill)
+                else:
+                    lefts[:, si] = x[:, 0]
+                    rights[:, si] = x[:, -1]
+                    if configs is not None:
+                        configs[:, si] = x
+                    si += 1
+                if coupled:
+                    _check_order(x)
 
     return [
         TrajectoryRecord(

@@ -16,14 +16,14 @@ Layout contract of :class:`ReadAhead`.  A Philox generator consumes its
 counter in order, so draws taken in one block equal the same draws taken
 call by call: ``standard_normal(n)`` with fixed or varying n,
 ``standard_exponential``, ``integers(lo, hi)`` for fixed bounds and
-``random()``; and ``exponential(1/n)`` equals ``(1/n) *
-standard_exponential()`` bit for bit.  Reading ahead is therefore invisible
-as long as each generator has exactly one consumer, which holds because
-every consumer makes its own generators from :meth:`RandomSource.generator`
-and reads each one through a single :class:`ReadAhead`.  The draws fetched
-past the last one used are discarded with the generator.  A block holds at
-most ``BLOCK_ITEMS`` draws (64 KB of float64 or int64), unless one request
-alone is larger.
+``random()``, whether each call asks for one draw or for many; and
+``exponential(1/n)`` equals ``(1/n) * standard_exponential()`` bit for bit.
+Reading ahead is therefore invisible as long as each generator has exactly
+one consumer, which holds because every consumer makes its own generators
+from :meth:`RandomSource.generator` and reads each one through a single
+:class:`ReadAhead`.  The draws fetched past the last one used are discarded
+with the generator.  A block holds at most ``BLOCK_ITEMS`` draws (64 KB of
+float64 or int64), unless one request alone is larger.
 
 Draw layout.  :data:`DRAW_LAYOUT` numbers the layout: which draws each
 routine takes from which substream, and in which order.  A new layout
@@ -108,18 +108,16 @@ class ReadAhead:
     """The draws of one generator method, fetched in blocks, handed out in order.
 
     ``draw`` takes a size, e.g. ``gen.standard_normal`` or
-    ``functools.partial(gen.integers, 1, n + 1)``.  :meth:`take` and
-    :meth:`one` return exactly the draws that successive calls of ``draw``
-    would, in the same order (see the module docstring), so the generator
-    must have no other consumer.  Arrays from :meth:`take` are read-only
-    views of the current block.
+    ``functools.partial(gen.integers, 1, n + 1)``.  :meth:`take` returns
+    exactly the draws that successive calls of ``draw`` would, in the same
+    order (see the module docstring), so the generator must have no other
+    consumer.  Its arrays are read-only views of the current block.
     """
 
     def __init__(self, draw: Callable[[int], NDArray]) -> None:
         self._draw = draw
         self._block: NDArray = np.empty(0)
         self._pos = 0
-        self._items: list | None = None  # the block as Python scalars, for one()
 
     def _refill(self, n: int) -> None:
         rest = self._block[self._pos :]
@@ -129,7 +127,6 @@ class ReadAhead:
         block.flags.writeable = False
         self._block = block
         self._pos = 0
-        self._items = None
 
     def take(self, n: int) -> NDArray:
         """The next n draws as an array."""
@@ -140,15 +137,3 @@ class ReadAhead:
         start = self._pos
         self._pos = start + n
         return self._block[start : self._pos]
-
-    def one(self):
-        """The next draw as a Python scalar."""
-        pos = self._pos
-        if pos == self._block.size:
-            self._refill(1)
-            pos = 0
-        items = self._items
-        if items is None:
-            items = self._items = self._block.tolist()
-        self._pos = pos + 1
-        return items[pos]

@@ -299,6 +299,19 @@ def test_bad_threads_flag_exits_2(tmp_path, capsys, threads):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("threads", ["abc", "1.5", "0"])
+def test_bad_threads_flag_names_its_rule(tmp_path, capsys, threads):
+    # the message used to name the private checker: "invalid _threads value"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--threads", threads, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.endswith(
+        f"argument --threads: must be an integer of at least 1, got {threads!r}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "command, entries, out, key",
     [
@@ -607,7 +620,7 @@ def test_bounds_metadata_json_records_the_run(tmp_path):
         ],
     }
     upper = [float(r[2]) for r in _read_csv(out / "bounds_final.csv")[1:]]
-    assert np.array_equal(upper, run.configs[-1])
+    assert np.array_equal(upper, run.config)
 
 
 def test_exit_stats_json_matches_exit_statistics(tmp_path):

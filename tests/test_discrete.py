@@ -241,8 +241,7 @@ def test_params_name_the_value_and_its_limit(bad):
 def test_run_bounds_zero_steps():
     init = np.array([0.0, 1.0, 2.0])
     run = run_bounds(init, BoundSystemParams(0.5, 0.1, "lower"), 0, RandomSource(40))
-    assert len(run.configs) == 1
-    assert np.array_equal(run.configs[0], init)
+    assert np.array_equal(run.config, init)
     assert run.steps == []
 
 
@@ -256,10 +255,10 @@ def test_run_bounds_distributional_sandwich():
     upper = run_bounds(np.zeros(N), BoundSystemParams(p, delta, "upper"), k, src.child(1))
     rec = simulate(np.zeros(N), p, t, src.child(2), record_configs=True)
     main = rec.full_configs[-1]
-    xs = np.unique(np.concatenate([lower.configs[-1], main, upper.configs[-1]]))
-    lo_tail = empirical_tail(lower.configs[-1], xs)
+    xs = np.unique(np.concatenate([lower.config, main, upper.config]))
+    lo_tail = empirical_tail(lower.config, xs)
     mid_tail = empirical_tail(main, xs)
-    hi_tail = empirical_tail(upper.configs[-1], xs)
+    hi_tail = empirical_tail(upper.config, xs)
     eps = dkw_band(N, 0.01)
     assert np.all(lo_tail <= mid_tail + eps)
     assert np.all(mid_tail <= hi_tail + eps)
@@ -283,6 +282,6 @@ def test_run_bounds_matches_grid_scheme():
     for side in ("lower", "upper"):
         run = run_bounds(init, BoundSystemParams(0.75, delta, side), k, src)
         scheme = iterate_scheme(rho, SchemeParams(0.75, delta, side), k)
-        emp = empirical_tail(run.configs[-1], scheme.density.edges())
+        emp = empirical_tail(run.config, scheme.density.edges())
         sup = float(np.max(np.abs(emp - _edge_tails(scheme.density))))
         assert sup <= band

@@ -131,14 +131,17 @@ class _NoEventStreams(SimulationStreams):
         self._table = np.asarray(gaussians, dtype=np.float64)
         self._used = 0
         self._n = n
+        self.batch = 1
 
-    def increments(self, dt):
-        g = self._table[self._used : self._used + self._n]
-        self._used += self._n
-        return g * math.sqrt(dt)
+    def increments(self, dts, out):
+        rows = []
+        for dt in dts:
+            rows.append(self._table[self._used : self._used + self._n] * math.sqrt(dt))
+            self._used += self._n
+        return np.array(rows).reshape(len(dts), self._n)
 
-    def event_gap(self):
-        return math.inf
+    def events(self, t, p):
+        return np.array([math.inf]), np.array([1]), np.array([False])
 
 
 def test_simulate_without_events_is_sorted_diffusion(monkeypatch):
@@ -269,21 +272,15 @@ class _OneEventStreams(SimulationStreams):
         self._q = q
         self._fired = False
         self._n = n
+        self.batch = 2
 
-    def increments(self, dt):
-        return np.zeros(self._n)
+    def increments(self, dts, out):
+        return np.zeros((len(dts), self._n))
 
-    def event_gap(self):
-        if self._fired:
-            return math.inf
+    def events(self, t, p):
+        when = math.inf if self._fired else 0.5
         self._fired = True
-        return 0.5
-
-    def branch_rank(self):
-        return 1
-
-    def keep_right(self, p):
-        return bool(self._q)
+        return np.array([when, math.inf]), np.array([1, 1]), np.full(2, bool(self._q))
 
 
 def test_forced_single_event_matches_hand_computation(monkeypatch):
@@ -295,6 +292,27 @@ def test_forced_single_event_matches_hand_computation(monkeypatch):
         rec = simulate(init, 0.5, 1.0, RandomSource(1), record_configs=True)
         assert np.array_equal(rec.full_configs[0], want)
         assert rec.event_count == 1
+
+
+def test_sample_at_an_event_time_comes_before_the_event(monkeypatch):
+    # the event at 0.5 follows the sample at 0.5, and an event at T still fires
+    init = np.array([1.0, 2.0])
+    _stub_streams(monkeypatch, functools.partial(_OneEventStreams, 0))
+    rec = simulate(init, 0.5, 0.5, RandomSource(1), [0.0, 0.5], record_configs=True)
+    assert np.array_equal(rec.full_configs, [[1.0, 2.0], [1.0, 2.0]])
+    assert rec.event_count == 1
+    _stub_streams(monkeypatch, functools.partial(_OneEventStreams, 0))
+    rec = simulate(init, 0.5, 1.0, RandomSource(1), [0.5, 1.0], record_configs=True)
+    assert np.array_equal(rec.full_configs, [[1.0, 2.0], [1.0, 1.0]])
+
+
+def test_zero_length_intervals_draw_nothing(monkeypatch):
+    # the table holds one interval's normals: a sample at 0 must not take any
+    init = np.array([0.0, 1.0, 5.0])
+    g = np.array([2.5, -0.5, -4.0])
+    _stub_streams(monkeypatch, functools.partial(_NoEventStreams, g))
+    rec = simulate(init, 0.5, 4.0, RandomSource(1), [0.0, 4.0], record_configs=True)
+    assert np.array_equal(rec.full_configs, [init, np.sort(init + g * 2.0)])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.5])

@@ -80,6 +80,7 @@ def test_take_equals_call_by_call_normals(sizes):
 
 
 def test_one_equals_call_by_call_scalars():
+    # a block taken at once equals the scalar draws made one call at a time
     n = 37
     kinds = [
         (lambda g: g.standard_exponential, lambda g: g.standard_exponential()),
@@ -89,8 +90,10 @@ def test_one_equals_call_by_call_scalars():
     for block_draw, one_draw in kinds:
         direct = _gen()
         ahead = ReadAhead(block_draw(_gen()))
-        got = [ahead.one() for _ in range(3 * BLOCK_ITEMS + 11)]
-        want = [one_draw(direct) for _ in range(3 * BLOCK_ITEMS + 11)]
+        got = []
+        for size in [1, 163, BLOCK_ITEMS, 2, BLOCK_ITEMS + 3, 5, 1]:
+            got.extend(ahead.take(size).tolist())
+        want = [one_draw(direct) for _ in range(len(got))]
         assert got == want
         assert type(got[0]) in (int, float)
 
@@ -100,16 +103,19 @@ def test_scaled_exponential_equals_exponential():
     direct = _gen()
     ahead = ReadAhead(_gen().standard_exponential)
     for n in (1, 3, 50, 4000):
-        for _ in range(500):
-            assert (1.0 / n) * ahead.one() == float(direct.exponential(1.0 / n))
+        for size in (1, 7, 163, 2):
+            got = (1.0 / n) * ahead.take(size)
+            want = [direct.exponential(1.0 / n) for _ in range(size)]
+            assert np.array_equal(got, want)
 
 
 def test_mixed_take_and_one_keep_the_order():
+    # single draws and blocks of any size, interleaved, keep the call order
     direct = _gen()
     ahead = ReadAhead(_gen().standard_normal)
     for n in [5, 1, 0, 3000, 1, 1, 8190, 2, 1]:
         if n == 1:
-            assert ahead.one() == direct.standard_normal()
+            assert ahead.take(1)[0] == direct.standard_normal()
         else:
             assert np.array_equal(ahead.take(n), direct.standard_normal(n))
 

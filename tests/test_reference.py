@@ -25,7 +25,9 @@ from npbbm import (
     simulate,
 )
 from npbbm.exits import _plan, _run_paths
+from npbbm.particles import MIN_BATCH, SimulationStreams
 from npbbm.randomness import (
+    BLOCK_ITEMS,
     TAG_CLOCK,
     TAG_DRIVING,
     TAG_INDEX,
@@ -246,6 +248,56 @@ def test_couple_simulate_matches_reference(init, shift, p, T, seed):
     for start, rec in zip((lo, hi), pair):
         ref, events = simulate_reference(start, p, T, src)
         assert same_bits(rec.full_configs, ref)
+        assert rec.event_count == events
+
+
+# (n, T, samples, mirror, batches): each case runs through at least
+# `batches` of the event loop's batches
+_ACROSS_BATCHES = [
+    pytest.param(1, 30000.0, None, False, 3, id="n1"),
+    pytest.param(8, 450.0, None, False, 3, id="n8"),
+    pytest.param(BLOCK_ITEMS // 2 + 1, 0.02, None, False, 3, id="batch-floor"),
+    pytest.param(BLOCK_ITEMS + 1, 0.008, None, False, 3, id="request-above-a-block"),
+    pytest.param(
+        MIN_BATCH * BLOCK_ITEMS + 1, 0.00005, None, False, 3, id="one-event-batches"
+    ),
+    # samples at 0 and at T, more of them than one batch has events
+    pytest.param(8, 300.0, 5000, False, 2, id="n8-dense-samples"),
+    pytest.param(8, 300.0, 40, True, 2, id="n8-mirror"),
+]
+
+
+@pytest.mark.parametrize("n, T, samples, mirror, batches", _ACROSS_BATCHES)
+def test_simulate_matches_reference_across_batches(n, T, samples, mirror, batches):
+    init = np.random.default_rng(n).normal(size=n)
+    times = None if samples is None else np.linspace(0.0, T, samples)
+    src = RandomSource(20260815, n)
+    p = 0.7
+    if mirror:  # the reflected run at 1-p from the reflected start
+        ref, events = simulate_reference(-init[::-1], 1.0 - p, T, src, times)
+        ref = -ref[:, ::-1]
+    else:
+        ref, events = simulate_reference(init, p, T, src, times)
+    rec = simulate(init, p, T, src, times, record_configs=True, mirror=mirror)
+    assert events >= batches * SimulationStreams(src, n).batch
+    assert same_bits(rec.full_configs, ref)
+    assert same_bits(rec.leftmost, ref[:, 0])
+    assert same_bits(rec.rightmost, ref[:, -1])
+    assert rec.event_count == events
+
+
+def test_couple_simulate_matches_reference_across_batches():
+    lo = np.sort(np.random.default_rng(8).normal(size=8))
+    hi = lo + np.linspace(0.0, 1.0, 8)
+    src = RandomSource(20260815, 88)
+    times = np.linspace(0.0, 450.0, 7)
+    pair = couple_simulate(lo, hi, 0.6, 450.0, src, times, record_configs=True)
+    for start, rec in zip((lo, hi), pair):
+        ref, events = simulate_reference(start, 0.6, 450.0, src, times)
+        assert events >= 3 * SimulationStreams(src, 8).batch
+        assert same_bits(rec.full_configs, ref)
+        assert same_bits(rec.leftmost, ref[:, 0])
+        assert same_bits(rec.rightmost, ref[:, -1])
         assert rec.event_count == events
 
 
@@ -525,12 +577,11 @@ def test_run_bounds_matches_reference(init, p, delta, side, k_steps, seed):
         with pytest.raises(ValueError, match="removal count reached N"):
             run_bounds(init, params, max(k_steps, 1), src)
         return
-    run = run_bounds(init, params, k_steps, src)
-    assert len(run.configs) == len(configs)
-    for got, want in zip(run.configs, configs):
-        assert same_bits(got, want)
-    assert [s.pre_truncation_size for s in run.steps] == sizes
-    assert [s.padded for s in run.steps] == [size < len(init) for size in sizes]
+    for k in range(k_steps + 1):
+        run = run_bounds(init, params, k, src)
+        assert same_bits(run.config, configs[k])
+        assert [s.pre_truncation_size for s in run.steps] == sizes[:k]
+        assert [s.padded for s in run.steps] == [size < len(init) for size in sizes[:k]]
 
 
 @settings(max_examples=40, deadline=None)
