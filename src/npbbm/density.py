@@ -13,6 +13,14 @@ on the reflected grid.  Iterated at matching total times the two schemes
 bracket the continuum solution, and their gap shrinks as the step is halved,
 which is how the common limit is extracted.
 
+The k steps of one side run as a single loop over the support window: from
+step to step it carries only the window's values, its offset on the grid
+and its mass, and the full-grid density is built once, after the last step.
+The upper side reflects its input once and its result once, so a run is
+R . lower(1-p)^k . R with R(x) = -x.  `step` is the loop at k = 1, and
+`gaussian_propagate` diffuses through the same windowed convolution.  The
+loop keeps the bits of the step-by-step full-grid evaluation.
+
 Densities are nonnegative cell-centered samples on a uniform grid.  The
 support must stay inside the grid interior (first and last cells exactly
 zero); operations that would push mass past the edge raise
@@ -32,6 +40,8 @@ from numpy.typing import NDArray
 __all__ = [
     "GridTooSmallError",
     "MAX_GRID_CELLS",
+    "MAX_SCHEME_STEPS",
+    "MAX_SCHEME_CELL_STEPS",
     "GridSpec",
     "GridDensity",
     "SchemeParams",
@@ -61,9 +71,20 @@ _CUT_SLACK = 1e-9
 # largest grid the shipped configs use has 19 293 cells.
 MAX_GRID_CELLS = 1 << 22
 
+# Largest plans refine_limit runs, each about ten minutes on a 2-core VM.  A
+# step costs at least about 65 us, as on a 391-cell grid (dx = 0.05), so
+# steps need a cap of their own; on larger grids a cell step costs about
+# 10 ns (19 293 cells, n_max = 8) to 20 ns (192 876 cells, n_max = 4).
+MAX_SCHEME_STEPS = 10_000_000
+MAX_SCHEME_CELL_STEPS = 30_000_000_000
+
 # plan_grid pads a support by this many standard deviations of the diffusion;
 # the Gaussian tail beyond eight is below 1e-14.
 _PAD_SIGMAS = 8.0
+
+# A mass cut accumulates its prefix sum in blocks of this many cells, then
+# twice as many each time, until the sum reaches the amount.
+_PREFIX_CELLS = 256
 
 
 class GridTooSmallError(RuntimeError):
@@ -286,23 +307,33 @@ def gaussian_propagate(f: GridDensity, t: float) -> GridDensity:
     first, last = support
     r = _kernel_radius(f.dx, t)
     _check_room(first, last, r, f.n)
+    return GridDensity(f.x0, f.dx, _diffuse(f.values, first, last, r, f.dx, t, f.mass))
+
+
+def _diffuse(values, first: int, last: int, r: int, dx: float, t: float, mass: float):
+    """values diffused for t, as a new array of the same length.
+
+    The support [first, last] must have room for the kernel radius r on
+    both sides; the convolution fills cells [first - r, last + r].  Raises
+    if the result lost more than 1e-12 of `mass`, the mass of values.
+    """
     size = last - first + 1 + 2 * r
     nfft = _fft_size(size)
-    spectrum = np.fft.rfft(f.values[first : last + 1], nfft)
-    spectrum *= _kernel_spectrum(f.dx, t, nfft)
-    out = np.zeros(f.n)
+    spectrum = np.fft.rfft(values[first : last + 1], nfft)
+    spectrum *= _kernel_spectrum(dx, t, nfft)
+    out = np.zeros(len(values))
     window = out[first - r : last + r + 1]
     window[:] = np.fft.irfft(spectrum, nfft)[:size]
     np.maximum(window, 0.0, out=window)
-    new_mass = float(np.sum(window) * f.dx)
-    if f.mass - new_mass > 1e-12 * f.mass:
+    new_mass = float(np.sum(window) * dx)
+    if mass - new_mass > 1e-12 * mass:
         raise GridTooSmallError(
-            f"mass {f.mass!r} fell to {new_mass!r} after diffusing for t={t!r}: "
+            f"mass {mass!r} fell to {new_mass!r} after diffusing for t={t!r}: "
             "more than 1e-12 of it left the grid"
         )
-    if abs(new_mass - f.mass) > 1e-10 * f.mass:
+    if abs(new_mass - mass) > 1e-10 * mass:
         raise AssertionError("heat-kernel mass drift exceeded 1e-10")
-    return GridDensity(f.x0, f.dx, out)
+    return out
 
 
 def scale(f: GridDensity, c: float) -> GridDensity:
@@ -331,9 +362,19 @@ def _trim_left(values: NDArray[np.float64], x0: float, dx: float, m: float, tota
         nz = np.flatnonzero(values)
         pos = x0 + ((nz[-1] + 1) if nz.size else n) * dx
         return np.zeros(n), pos
-    prefix = np.cumsum(values) * dx
-    j = int(np.searchsorted(prefix, m, side="left"))
-    j = min(j, n - 1)
+    # np.cumsum adds in order, so the prefix sum can be taken in blocks, each
+    # continuing from the last sum of the one before, with the same bits;
+    # the blocks stop at the one the cut reaches
+    start, size, carry = 0, _PREFIX_CELLS, 0.0
+    while True:
+        block = values[start : start + size].copy()
+        block[0] += carry
+        np.cumsum(block, out=block)
+        prefix = block * dx
+        if prefix[-1] >= m or start + size >= n:
+            break
+        start, size, carry = start + size, 2 * size, block[-1]
+    j = min(start + int(np.searchsorted(prefix, m, side="left")), n - 1)
     part = float(np.sum(values[: j + 1]) * dx)  # pairwise sum: mass of cells 0..j
     out = values.copy()
     out[:j] = 0.0
@@ -356,25 +397,25 @@ def _trim_right(values: NDArray[np.float64], x0: float, dx: float, m: float, tot
     return out[::-1], -pos
 
 
-def _checked_amount(f: GridDensity, m: float) -> float:
-    """The cut amount m, clipped to the mass of f."""
+def _checked_amount(m: float, mass: float) -> float:
+    """The cut amount m, clipped to the available mass."""
     if not m >= 0.0:
         raise ValueError(f"cut amount must be non-negative, got m={m!r}")
-    if m > f.mass * (1.0 + _CUT_SLACK) + 1e-300:
-        raise ValueError(f"cut amount m={m!r} exceeds the available mass {f.mass!r}")
-    return min(m, f.mass)
+    if m > mass * (1.0 + _CUT_SLACK) + 1e-300:
+        raise ValueError(f"cut amount m={m!r} exceeds the available mass {mass!r}")
+    return min(m, mass)
 
 
 def cut_left_amount(f: GridDensity, m: float) -> GridDensity:
     """Remove exactly mass m from the left (D-type cut)."""
-    m = _checked_amount(f, m)
+    m = _checked_amount(m, f.mass)
     out, _ = _trim_left(f.values, f.x0, f.dx, m, f.mass)
     return GridDensity(f.x0, f.dx, out)
 
 
 def cut_right_amount(f: GridDensity, m: float) -> GridDensity:
     """Remove exactly mass m from the right (D-type cut)."""
-    m = _checked_amount(f, m)
+    m = _checked_amount(m, f.mass)
     out, _ = _trim_right(f.values, f.x0, f.dx, m, f.mass)
     return GridDensity(f.x0, f.dx, out)
 
@@ -423,59 +464,8 @@ def step(f: GridDensity, params: SchemeParams) -> StepResult:
     reflected grid, reflected back.  The positions of the two cuts estimate
     the moving boundaries of the limiting free boundary problem.
     """
-    if abs(f.mass - 1.0) > 1e-10:
-        raise ValueError(
-            "step expects a probability density (mass 1 within 1e-10), "
-            f"got mass {f.mass!r}"
-        )
-    d = params.delta
-    lower = params.side == "lower"
-    q = params.p if lower else 1.0 - params.p
-    m = _checked_amount(f, q * (1.0 - math.exp(-d)))
-    if lower:
-        v, left_pos, right_pos, grown = _lower_step(f.values, f.x0, f.dx, m, f.mass, d)
-        return StepResult(GridDensity(f.x0, f.dx, v), left_pos, right_pos, grown)
-    x0 = -(f.x0 + f.n * f.dx)
-    v, left_pos, right_pos, grown = _lower_step(
-        f.values[::-1], x0, f.dx, m, f.mass, d, mirrored=True
-    )
-    return StepResult(GridDensity(f.x0, f.dx, v[::-1]), -right_pos, -left_pos, grown)
-
-
-def _lower_step(
-    values, x0: float, dx: float, m: float, total: float, d: float, mirrored=False
-):
-    """Lower step on raw values: cut m of total from the left, diffuse and
-    grow for d, cut back to mass 1 from the right.
-
-    Only the support is touched.  The left cut runs on the nonzero slice;
-    diffusion, growth and the right cut run on a zero-padded window holding
-    the trimmed support widened by the kernel radius r and one empty cell a
-    side, which is then written into a zeroed full grid.  ``mirrored`` says
-    the values are a reflected grid, so a GridTooSmallError names the cells
-    of the original one.
-
-    Returns (values, left cut position, right cut position, grown mass).
-    """
-    n = len(values)
-    first, last = _support(values)
-    v1, left_pos = _trim_left(values[first : last + 1], x0 + first * dx, dx, m, total)
-    support = _support(v1)
-    if support is None:  # the cut took all the mass
-        return np.zeros(n), left_pos, x0 + n * dx, 0.0
-    lo, hi = first + support[0], first + support[1]
-    r = _kernel_radius(dx, d)
-    cells = (n - 1 - hi, n - 1 - lo) if mirrored else (lo, hi)
-    _check_room(*cells, r, n)
-    start = lo - r - 1
-    window = np.zeros(hi - lo + 2 * r + 3)
-    window[r + 1 : r + 2 + hi - lo] = v1[support[0] : support[1] + 1]
-    wx0 = x0 + start * dx
-    scaled = scale(gaussian_propagate(GridDensity(wx0, dx, window), d), math.exp(d))
-    v2, right_pos = _trim_right(scaled.values, wx0, dx, scaled.mass - 1.0, scaled.mass)
-    out = np.zeros(n)
-    out[start : start + len(v2)] = v2
-    return out, left_pos, right_pos, scaled.mass
+    density, lefts, rights, grown = _run_scheme(f, params, 1)
+    return StepResult(density, lefts[0], rights[0], grown)
 
 
 @dataclass(frozen=True)
@@ -491,15 +481,99 @@ def iterate_scheme(f: GridDensity, params: SchemeParams, k_steps: int) -> Scheme
     """Apply `step` k_steps times, recording the cut positions."""
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
-    lefts = np.empty(k_steps)
-    rights = np.empty(k_steps)
-    cur = f
-    for i in range(k_steps):
-        res = step(cur, params)
-        cur = res.density
-        lefts[i] = res.left_cut
-        rights[i] = res.right_cut
-    return SchemeRun(cur, lefts, rights)
+    density, lefts, rights, _ = _run_scheme(f, params, k_steps)
+    return SchemeRun(
+        density, np.array(lefts, dtype=np.float64), np.array(rights, dtype=np.float64)
+    )
+
+
+def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
+    """k scheme steps from f as one loop over the support window.
+
+    The upper side runs the lower steps at 1-p on the reflected grid, which
+    it reflects once on the way in and once on the way out.  Between steps
+    the loop carries the window, its offset on the (reflected) grid and its
+    mass; a GridTooSmallError names the step it happened at.
+
+    Returns (density, left cut positions, right cut positions, mass grown in
+    the last step).
+    """
+    lower = params.side == "lower"
+    q = params.p if lower else 1.0 - params.p
+    d = params.delta
+    cut = q * (1.0 - math.exp(-d))
+    n, dx = f.n, f.dx
+    x0 = f.x0 if lower else -(f.x0 + n * dx)
+    r = _kernel_radius(dx, d)
+    window = f.values if lower else f.values[::-1]
+    offset, mass, grown = 0, f.mass, 0.0
+    lefts, rights = [], []
+    for i in range(k):
+        if i and (abs(mass - 1.0) > 5e-11 or cut >= mass * (1.0 - 1e-12)):
+            # near the mass check or a cut of all the mass, decide (and
+            # report) with the full grid's own sum, which may differ from the
+            # window's in the last bits
+            mass = float(np.sum(_on_grid(window, offset, n, lower)) * dx)
+        if abs(mass - 1.0) > 1e-10:
+            raise ValueError(
+                "step expects a probability density (mass 1 within 1e-10), "
+                f"got mass {mass!r}"
+            )
+        m = _checked_amount(cut, mass)
+        try:
+            window, offset, left, right, grown = _lower_step(
+                window, offset, x0, dx, n, m, mass, d, r, not lower
+            )
+        except GridTooSmallError as exc:
+            msg = f"at step {i + 1} of {k} (delta={d!r}): {exc}"
+            raise GridTooSmallError(msg) from None
+        lefts.append(left if lower else -right)
+        rights.append(right if lower else -left)
+        mass = float(np.sum(window) * dx)
+    density = GridDensity(f.x0, dx, _on_grid(window, offset, n, lower)) if k else f
+    return density, lefts, rights, grown
+
+
+def _on_grid(window, offset: int, n: int, lower: bool):
+    """The window placed at `offset` on a zeroed n-cell grid, reflected back
+    for the upper side."""
+    out = np.zeros(n)
+    out[offset : offset + len(window)] = window
+    return out if lower else out[::-1]
+
+
+def _lower_step(window, offset, x0, dx, n, m, total, d, r, mirrored):
+    """Lower step on the support window at cell `offset` of an n-cell grid:
+    cut m of total from the left, diffuse and grow for d, cut back to mass 1
+    from the right.
+
+    The left cut runs on the nonzero slice; diffusion, growth and the right
+    cut run on a window holding the trimmed support widened by the kernel
+    radius r and one empty cell a side.  ``mirrored`` says the grid is
+    reflected, so a GridTooSmallError names the cells of the original one.
+
+    Returns (window, offset, left cut position, right cut position, grown
+    mass).
+    """
+    first, last = _support(window)
+    v1, left_pos = _trim_left(
+        window[first : last + 1], x0 + (offset + first) * dx, dx, m, total
+    )
+    support = _support(v1)
+    if support is None:  # the cut took all the mass
+        return np.zeros(0), offset, left_pos, x0 + n * dx, 0.0
+    lo, hi = offset + first + support[0], offset + first + support[1]
+    cells = (n - 1 - hi, n - 1 - lo) if mirrored else (lo, hi)
+    _check_room(*cells, r, n)
+    start = lo - r - 1
+    padded = np.zeros(hi - lo + 2 * r + 3)
+    padded[r + 1 : r + 2 + hi - lo] = v1[support[0] : support[1] + 1]
+    mass = float(np.sum(padded) * dx)
+    out = _diffuse(padded, r + 1, r + 1 + hi - lo, r, dx, d, mass)
+    out *= math.exp(d)
+    grown = float(np.sum(out) * dx)
+    v2, right_pos = _trim_right(out, x0 + start * dx, dx, grown - 1.0, grown)
+    return v2, start, left_pos, right_pos, grown
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +638,9 @@ def refine_limit(
     checked on the way: lower tails grow, upper tails shrink, and the L1
     width strictly decreases with each halving.  Returns the midpoint at the
     first n whose width is within tol; if n_max is exhausted, the best
-    midpoint is returned with ``converged=False``.
+    midpoint is returned with ``converged=False``.  Before any step the
+    planned work, 2(2^(n_max+1) - 1) steps and those steps times the grid's
+    cells, is checked against MAX_SCHEME_STEPS and MAX_SCHEME_CELL_STEPS.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"total time must be positive and finite, got t={t!r}")
@@ -572,6 +648,7 @@ def refine_limit(
         raise ValueError("n_max must be non-negative")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got tol={tol!r}")
+    _check_plan(f.n, n_max)
     widths = []
     prev_lower = prev_upper = None
     best: tuple[GridDensity, GridDensity] | None = None
@@ -606,6 +683,23 @@ def refine_limit(
         n_used=n_used,
         widths=np.asarray(widths),
     )
+
+
+def _check_plan(cells: int, n_max: int) -> None:
+    """Raise unless the steps of levels 0..n_max on both sides, and those
+    steps times the grid's cells, are within their caps."""
+    # past n_max = 1000 the count is beyond any cap, and beyond a float
+    steps = 2 * (2 ** (n_max + 1) - 1) if n_max <= 1000 else math.inf
+    if not steps <= MAX_SCHEME_STEPS:
+        raise ValueError(
+            f"n_max={n_max} plans {steps:.6g} scheme steps, "
+            f"above the cap of {MAX_SCHEME_STEPS}"
+        )
+    if not cells * steps <= MAX_SCHEME_CELL_STEPS:
+        raise ValueError(
+            f"n_max={n_max} plans {cells * steps:.6g} cell steps ({steps} steps on "
+            f"{cells} cells), above the cap of {MAX_SCHEME_CELL_STEPS:.6g}"
+        )
 
 
 # ---------------------------------------------------------------------------

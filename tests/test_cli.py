@@ -347,6 +347,42 @@ def test_probes_exit_2_at_once_naming_the_key(
     assert {p for p in tmp_path.rglob("*") if p.is_file()} == files
 
 
+@pytest.mark.parametrize(
+    "command, entries, plan",
+    [
+        # the first two used to run past a 10 s timeout
+        (
+            "scheme",
+            {"n_max": 60, "tol": 1e-300},
+            "n_max=60 plans 4.61169e+18 scheme steps, above the cap of 10000000",
+        ),
+        (
+            "exit",
+            {"mode": "representation", "n_max": 60, "tol": 1e-300, "n_paths": 10},
+            "n_max=60 plans 4.61169e+18 scheme steps, above the cap of 10000000",
+        ),
+        # a coarse grid makes steps cheap in cells but not in time; the plan
+        # counts every level up to n_max, though this one converges at level 5
+        (
+            "scheme",
+            {"dx": 0.7, "n_max": 30},
+            "n_max=30 plans 4.29497e+09 scheme steps, above the cap of 10000000",
+        ),
+    ],
+)
+def test_scheme_plan_above_its_cap_returns_2_at_once(
+    tmp_path, capsys, command, entries, plan
+):
+    cfg = _write_config(tmp_path, "c.json", entries)
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"config error: {plan}\n"
+    assert not any(out.iterdir())
+
+
 def test_representation_horizon_beyond_exp_range_returns_2(
     tmp_path, capsys, monkeypatch
 ):

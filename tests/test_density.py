@@ -483,6 +483,10 @@ def test_step_checks_the_edge_after_the_first_cut():
         step(f, SchemeParams(0.5, d, "upper"))
     msg = str(err.value)
     assert "support cells [50, " in msg and f"r={r}" in msg and f"{n}-cell" in msg
+    assert "at step 1 of 1 (delta=0.04)" in msg
+    # in a run the error names the step and the run's length
+    with pytest.raises(GridTooSmallError, match=r"^at step 1 of 5 \(delta=0\.04\): "):
+        iterate_scheme(f, SchemeParams(0.5, d, "upper"), 5)
 
 
 def test_cli_import_loads_no_scipy():
@@ -584,6 +588,34 @@ def test_refine_limit_wave_converges_to_shifted_wave():
     assert np.all(np.diff(result.widths) < 0.0)
     shifted = wave_density(w, rho.spec, shift=-w.R0 + w.c * t)
     assert l1_distance(result.psi, shifted) <= result.width + 2.0 * rho.dx
+
+
+@pytest.mark.parametrize(
+    "n_max, dx, plan",
+    [
+        (22, 0.05, "plans 1.67772e+07 scheme steps, above the cap of 10000000"),
+        (10**6, 0.05, "plans inf scheme steps, above the cap of 10000000"),
+        (
+            16,
+            1e-4,
+            "plans 5.05609e+10 cell steps (262142 steps on 192876 cells), "
+            "above the cap of 3e+10",
+        ),
+    ],
+    ids=["steps", "steps-beyond-a-float", "cell-steps"],
+)
+def test_refine_limit_checks_its_plan_before_any_step(n_max, dx, plan, monkeypatch):
+    def no_steps(*args):
+        raise AssertionError("stepped before the plan was checked")
+
+    monkeypatch.setattr(npbbm.density, "_run_scheme", no_steps)
+    w = travelling_wave(0.75)
+    rho = wave_density(w, plan_grid(-w.R0, 0.0, 1.0, drift=w.c, dx=dx), shift=-w.R0)
+    with pytest.raises(ValueError, match=re.escape(f"n_max={n_max} {plan}")):
+        refine_limit(rho, 0.75, 1.0, n_max=n_max)
+    # one level fewer is within both caps, and steps
+    with pytest.raises(AssertionError, match="stepped before"):
+        refine_limit(rho, 0.75, 1.0, n_max=min(n_max, 22) - 1)
 
 
 def test_refine_limit_reports_failure_honestly():

@@ -3,26 +3,47 @@
 The particle loop reads its draws ahead in blocks and sorts with quicksort;
 the killed-path kernel gathers the paths that may leave in a step and
 draws their uniforms in one call (draw layout 3); the bounding systems
-branch level by level on whole arrays and sort with quicksort.  The plain
-implementations below draw call by call, sort stably and decide path by
-path; the fast kernels must return exactly their bits.
+branch level by level on whole arrays and sort with quicksort; the grid
+scheme runs its steps as one loop over the support window.  The plain
+implementations below draw call by call, sort stably, decide path by path
+and step the scheme one full-grid density at a time; the fast kernels must
+return exactly their bits.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import npbbm.density as density
 from npbbm import (
     BoundSystemParams,
+    GridDensity,
+    GridTooSmallError,
     RandomSource,
+    SchemeParams,
     bound_step,
     couple_simulate,
+    iterate_scheme,
+    plan_grid,
+    refine_limit,
     run_bounds,
     simulate,
+    step,
+    travelling_wave,
+    wave_density,
+)
+from npbbm.density import (
+    SchemeRun,
+    _check_room,
+    _fft_size,
+    _heat_kernel,
+    _kernel_radius,
+    _support,
 )
 from npbbm.exits import _plan, _run_paths
 from npbbm.particles import MIN_BATCH, SimulationStreams
@@ -35,7 +56,9 @@ from npbbm.randomness import (
     TAG_UNIFORM_A,
     TAG_UNIFORM_B,
 )
-from npbbm.wave import Barrier, travelling_wave, wave_barriers
+from npbbm.wave import Barrier, wave_barriers
+
+from helpers import random_bump_density, wave_fixture
 
 
 def simulate_reference(init, p, T, src, sample_times=None):
@@ -598,3 +621,288 @@ def test_bound_step_matches_reference(init, p, delta, side, seed):
     res = bound_step(init, params, src)
     assert same_bits(res.config, configs[1])
     assert res.pre_truncation_size == sizes[0]
+
+
+def trim_left_reference(values, x0, dx, m, total):
+    """Remove mass m from the left, with one prefix sum over every cell."""
+    n = len(values)
+    if m <= 0.0:
+        nz = np.flatnonzero(values)
+        return values.copy(), x0 + (nz[0] if nz.size else 0) * dx
+    if m >= total:
+        nz = np.flatnonzero(values)
+        return np.zeros(n), x0 + ((nz[-1] + 1) if nz.size else n) * dx
+    prefix = np.cumsum(values) * dx
+    j = min(int(np.searchsorted(prefix, m, side="left")), n - 1)
+    part = float(np.sum(values[: j + 1]) * dx)
+    out = values.copy()
+    out[:j] = 0.0
+    out[j] = min(max(part - m, 0.0) / dx, values[j])
+    below = part - values[j] * dx
+    if values[j] > 0.0:
+        return out, x0 + j * dx + min(max((m - below) / values[j], 0.0), dx)
+    return out, x0 + j * dx
+
+
+def propagate_reference(f, t):
+    """Diffuse a whole-grid density: its support through one rfft."""
+    first, last = _support(f.values)
+    r = _kernel_radius(f.dx, t)
+    _check_room(first, last, r, f.n)
+    size = last - first + 1 + 2 * r
+    nfft = _fft_size(size)
+    spectrum = np.fft.rfft(f.values[first : last + 1], nfft)
+    spectrum *= np.fft.rfft(_heat_kernel(f.dx, t), nfft)
+    out = np.zeros(f.n)
+    window = out[first - r : last + r + 1]
+    window[:] = np.fft.irfft(spectrum, nfft)[:size]
+    np.maximum(window, 0.0, out=window)
+    new_mass = float(np.sum(window) * f.dx)
+    if f.mass - new_mass > 1e-12 * f.mass:
+        raise GridTooSmallError(
+            f"mass {f.mass!r} fell to {new_mass!r} after diffusing for t={t!r}: "
+            "more than 1e-12 of it left the grid"
+        )
+    if abs(new_mass - f.mass) > 1e-10 * f.mass:
+        raise AssertionError("heat-kernel mass drift exceeded 1e-10")
+    return GridDensity(f.x0, f.dx, out)
+
+
+def _lower_step_reference(values, x0, dx, m, total, d, mirrored):
+    """The lower step on a whole grid: (values, left cut, right cut, grown)."""
+    n = len(values)
+    first, last = _support(values)
+    v1, left = trim_left_reference(
+        values[first : last + 1], x0 + first * dx, dx, m, total
+    )
+    support = _support(v1)
+    if support is None:
+        return np.zeros(n), left, x0 + n * dx, 0.0
+    lo, hi = first + support[0], first + support[1]
+    r = _kernel_radius(dx, d)
+    _check_room(*((n - 1 - hi, n - 1 - lo) if mirrored else (lo, hi)), r, n)
+    start = lo - r - 1
+    window = np.zeros(hi - lo + 2 * r + 3)
+    window[r + 1 : r + 2 + hi - lo] = v1[support[0] : support[1] + 1]
+    diffused = propagate_reference(GridDensity(x0 + start * dx, dx, window), d)
+    grown = GridDensity(diffused.x0, dx, diffused.values * math.exp(d))
+    v2, right = trim_left_reference(
+        grown.values[::-1], -(grown.x0 + grown.n * dx), dx, grown.mass - 1.0, grown.mass
+    )
+    out = np.zeros(n)
+    out[start : start + grown.n] = v2[::-1]
+    return out, left, -right, grown.mass
+
+
+def step_reference(f, params):
+    """(density, left cut, right cut, grown mass) of one step, each a
+    full-grid density; the upper side reflects its input and its result."""
+    if abs(f.mass - 1.0) > 1e-10:
+        raise ValueError(
+            "step expects a probability density (mass 1 within 1e-10), "
+            f"got mass {f.mass!r}"
+        )
+    lower = params.side == "lower"
+    q = params.p if lower else 1.0 - params.p
+    m = min(q * (1.0 - math.exp(-params.delta)), f.mass)
+    if lower:
+        v, left, right, grown = _lower_step_reference(
+            f.values, f.x0, f.dx, m, f.mass, params.delta, False
+        )
+        return GridDensity(f.x0, f.dx, v), left, right, grown
+    v, left, right, grown = _lower_step_reference(
+        f.values[::-1], -(f.x0 + f.n * f.dx), f.dx, m, f.mass, params.delta, True
+    )
+    return GridDensity(f.x0, f.dx, v[::-1]), -right, -left, grown
+
+
+def iterate_scheme_reference(f, params, k):
+    """k reference steps; a GridTooSmallError names its step."""
+    lefts, rights = [], []
+    for i in range(k):
+        try:
+            f, left, right, _ = step_reference(f, params)
+        except GridTooSmallError as exc:
+            msg = f"at step {i + 1} of {k} (delta={params.delta!r}): {exc}"
+            raise GridTooSmallError(msg) from None
+        lefts.append(left)
+        rights.append(right)
+    return SchemeRun(
+        f, np.array(lefts, dtype=np.float64), np.array(rights, dtype=np.float64)
+    )
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (GridTooSmallError, ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+def _check_run(f, params, k):
+    """The reference run, or its error, after checking that the loop gives
+    the same bits, or the same error."""
+    got = _outcome(iterate_scheme, f, params, k)
+    want = _outcome(iterate_scheme_reference, f, params, k)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert same_bits(got.density.values, want.density.values)
+    assert same_bits(got.left_cuts, want.left_cuts)
+    assert same_bits(got.right_cuts, want.right_cuts)
+    return want
+
+
+def _check_step(f, params):
+    got = _outcome(step, f, params)
+    want = _outcome(step_reference, f, params)
+    if isinstance(want[0], type):
+        # step is the one-step run, whose errors name the step
+        assert got == _outcome(iterate_scheme_reference, f, params, 1)
+        return
+    density, left, right, grown = want
+    assert same_bits(got.density.values, density.values)
+    assert (got.left_cut, got.right_cut, got.post_scale_mass) == (left, right, grown)
+
+
+_SCHEME_CONFIGS = [
+    (p, dx, t)
+    for p in (0.1, 0.5, 0.75, 0.9)
+    for dx in (1e-3, 5e-3)
+    for t in (0.5, 1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("p, dx, t", _SCHEME_CONFIGS)
+def test_scheme_matches_reference(p, dx, t):
+    _, rho, _, _ = wave_fixture(p, t, dx)
+    for side in ("lower", "upper"):
+        for k in (1, 3, 64):
+            params = SchemeParams(p, t / k, side)
+            assert isinstance(_check_run(rho, params, k), SchemeRun)
+            _check_step(rho, params)
+
+
+@pytest.mark.parametrize("p, dx, t", _SCHEME_CONFIGS)
+def test_refine_limit_matches_reference(p, dx, t, monkeypatch):
+    _, rho, _, _ = wave_fixture(p, t, dx)
+    got = _outcome(refine_limit, rho, p, t, 4)
+    monkeypatch.setattr(density, "iterate_scheme", iterate_scheme_reference)
+    want = _outcome(refine_limit, rho, p, t, 4)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert same_bits(got.psi.values, want.psi.values)
+    assert same_bits(got.widths, want.widths)
+    assert got.n_used == want.n_used
+
+
+@pytest.mark.parametrize("p", [0.1, 0.9])
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_scheme_leaves_the_grid_at_the_reference_step(p, side):
+    # A grid planned for t = 0.05 holds the drifting wave for about 136
+    # steps of 0.01; the error names the step and the original grid's cells.
+    w = travelling_wave(p)
+    grid = plan_grid(-w.R0, 0.0, 0.05, drift=w.c, dx=5e-3)
+    rho = wave_density(w, grid, shift=-w.R0)
+    params = SchemeParams(p, 0.01, side)
+    with pytest.raises(GridTooSmallError) as err:
+        iterate_scheme(rho, params, 200)
+    with pytest.raises(GridTooSmallError) as ref:
+        iterate_scheme_reference(rho, params, 200)
+    assert str(err.value) == str(ref.value)
+    msg = str(err.value)
+    assert re.match(r"at step 1[0-9]{2} of 200 \(delta=0\.01\): support cells", msg)
+
+
+def test_scheme_matches_reference_past_a_faint_shoulder():
+    # The shoulder of test_density: the lower side cuts it off first, fits
+    # and leaves the grid on the right at step 2; the upper side keeps it and
+    # leaves the grid at step 1, naming cells of the original grid.
+    rng = np.random.default_rng(21)
+    dx, n, d = 1e-2, 600, 0.04
+    r = _kernel_radius(dx, d)
+    values = np.zeros(n)
+    values[50:250] = 1e-6
+    values[250 : n - 1 - r] = rng.uniform(0.5, 1.0, n - 1 - r - 250)
+    f = GridDensity(0.0, dx, values / (np.sum(values) * dx))
+    lower, upper = SchemeParams(0.5, d, "lower"), SchemeParams(0.5, d, "upper")
+    assert isinstance(_check_run(f, lower, 1), SchemeRun)
+    kind, msg = _check_run(f, lower, 3)
+    assert kind is GridTooSmallError and msg.startswith("at step 2 of 3 (delta=0.04): ")
+    for k in (1, 3):
+        kind, msg = _check_run(f, upper, k)
+        assert kind is GridTooSmallError
+        assert msg.startswith(f"at step 1 of {k} (delta=0.04): support cells [50, ")
+    _check_step(f, SchemeParams(0.5, d, "lower"))
+    _check_step(f, SchemeParams(0.5, d, "upper"))
+
+
+@pytest.mark.parametrize("dx", [0.5, 0.25, 0.1])
+@pytest.mark.parametrize("excess", [0.0, 2.0**-52, -(2.0**-53)])
+@pytest.mark.parametrize("side, p", [("upper", 1e-300), ("lower", 1.0 - 2.0**-53)])
+def test_scheme_matches_reference_on_cuts_of_all_the_mass(dx, excess, side, p):
+    # q = 1 - p within an ulp of 1 and delta = 40 cut (nearly) all the mass:
+    # whether a cut takes it all is decided by the full grid's own sum, as a
+    # step on the whole grid decides it.
+    n = int(300 / dx) + 1
+    x = -150.0 + (np.arange(n) + 0.5) * dx
+    v = np.where(np.abs(x) < 1.0, 1.0, 0.0)
+    f = GridDensity(-150.0, dx, v / (np.sum(v) * dx) * (1.0 + excess))
+    _check_run(f, SchemeParams(p, 40.0, side), 3)
+    _check_step(f, SchemeParams(p, 40.0, side))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "side, p, delta",
+    [
+        ("upper", 1e-300, 43.0),
+        ("lower", 1.0 - 2.0**-53, 43.0),
+        ("lower", 0.5, 15.0),
+        ("lower", 0.1, 20.0),
+        ("upper", 0.9, 18.0),
+    ],
+)
+def test_scheme_matches_reference_where_growth_amplifies_rounding(seed, side, p, delta):
+    # e^delta grows the rounding of the mass until the mass check fails at a
+    # later step, or a cut of all the mass may or may not take it all; the
+    # decision and the mass it reports are the full grid's, as in a step on
+    # the whole grid
+    rng = np.random.default_rng(seed)
+    dx, n = 0.25, 1601
+    x = -200.0 + (np.arange(n) + 0.5) * dx
+    v = np.where(np.abs(x) < 4.0, rng.uniform(0.5, 1.5, n), 0.0)
+    f = GridDensity(-200.0, dx, v / (np.sum(v) * dx) * (1.0 + 2.0**-52))
+    _check_run(f, SchemeParams(p, delta, side), 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=_seed,
+    p=_p,
+    delta=st.floats(1e-6, 0.5),
+    side=_sides,
+    k=st.integers(0, 8),
+)
+def test_scheme_matches_reference_on_random_bumps(seed, p, delta, side, k):
+    # mixtures of up to three bumps, with exact zeros between far-apart ones,
+    # and kernels from narrower than a cell to 70 cells wide
+    bump = random_bump_density(np.random.default_rng(seed), -30.0, 1e-2, 6001)
+    f = GridDensity(bump.x0, bump.dx, bump.values / bump.mass)
+    _check_run(f, SchemeParams(p, delta, side), k)
+
+
+@pytest.mark.parametrize("p, dx, t", _SCHEME_CONFIGS[::3])
+def test_upper_run_is_the_reflected_lower_run(p, dx, t):
+    # R(f) lives on the reflected grid, so the upper run at p from f is R of
+    # the lower run at 1-p from R(f), values and cut positions
+    _, rho, _, _ = wave_fixture(p, t, dx)
+    refl = GridDensity(-(rho.x0 + rho.n * rho.dx), rho.dx, rho.values[::-1])
+    for k in (1, 3, 64):
+        hi = iterate_scheme(rho, SchemeParams(p, t / k, "upper"), k)
+        lo = iterate_scheme(refl, SchemeParams(1.0 - p, t / k, "lower"), k)
+        assert same_bits(hi.density.values, lo.density.values[::-1])
+        assert same_bits(hi.left_cuts, -lo.right_cuts)
+        assert same_bits(hi.right_cuts, -lo.left_cuts)
