@@ -16,7 +16,6 @@ from .particles import (
     SimulationStreams,
     TrajectoryRecord,
     SpeedEstimate,
-    branch_select_step,
     couple_simulate,
     estimate_speed,
     simulate,
@@ -27,7 +26,6 @@ from .discrete import (
     BoundSystemParams,
     BoundsRun,
     bound_step,
-    free_bbm,
     run_bounds,
 )
 from .density import (
@@ -45,7 +43,6 @@ from .density import (
     refine_limit,
     sample_from_density,
     scale,
-    step,
     tail_mass,
 )
 from .wave import (
@@ -77,7 +74,6 @@ __all__ = [
     "SimulationStreams",
     "TrajectoryRecord",
     "SpeedEstimate",
-    "branch_select_step",
     "couple_simulate",
     "estimate_speed",
     "simulate",
@@ -86,7 +82,6 @@ __all__ = [
     "BoundSystemParams",
     "BoundsRun",
     "bound_step",
-    "free_bbm",
     "run_bounds",
     "GridDensity",
     "GridSpec",
@@ -102,7 +97,6 @@ __all__ = [
     "refine_limit",
     "sample_from_density",
     "scale",
-    "step",
     "tail_mass",
     "Barrier",
     "ComparisonReport",

@@ -17,9 +17,9 @@ The k steps of one side run as a single loop over the support window: from
 step to step it carries only the window's values, its offset on the grid
 and its mass, and the full-grid density is built once, after the last step.
 The upper side reflects its input once and its result once, so a run is
-R . lower(1-p)^k . R with R(x) = -x.  `step` is the loop at k = 1, and
-`gaussian_propagate` diffuses through the same windowed convolution.  The
-loop keeps the bits of the step-by-step full-grid evaluation.
+R . lower(1-p)^k . R with R(x) = -x.  `gaussian_propagate` diffuses
+through the same windowed convolution.  The loop keeps the bits of the
+step-by-step full-grid evaluation.
 
 Densities are nonnegative cell-centered samples on a uniform grid.  The
 support must stay inside the grid interior (first and last cells exactly
@@ -45,7 +45,6 @@ __all__ = [
     "GridSpec",
     "GridDensity",
     "SchemeParams",
-    "StepResult",
     "SchemeRun",
     "RefineResult",
     "grid_cells",
@@ -54,7 +53,6 @@ __all__ = [
     "scale",
     "cut_left_amount",
     "cut_right_amount",
-    "step",
     "iterate_scheme",
     "l1_distance",
     "tail_mass",
@@ -447,28 +445,6 @@ class SchemeParams:
 
 
 @dataclass(frozen=True)
-class StepResult:
-    """Post-step density plus the recorded sub-cell cut positions."""
-
-    density: GridDensity
-    left_cut: float
-    right_cut: float
-    post_scale_mass: float
-
-
-def step(f: GridDensity, params: SchemeParams) -> StepResult:
-    """One composite scheme step on a probability density.
-
-    Lower side: left cut to mass 1 - p(1-e^{-d}), diffuse for d, grow by e^d,
-    right cut back to mass 1.  Upper side: the lower step at 1-p on the
-    reflected grid, reflected back.  The positions of the two cuts estimate
-    the moving boundaries of the limiting free boundary problem.
-    """
-    density, lefts, rights, grown = _run_scheme(f, params, 1)
-    return StepResult(density, lefts[0], rights[0], grown)
-
-
-@dataclass(frozen=True)
 class SchemeRun:
     """k-step iteration record: final density plus per-step cut positions."""
 
@@ -478,10 +454,12 @@ class SchemeRun:
 
 
 def iterate_scheme(f: GridDensity, params: SchemeParams, k_steps: int) -> SchemeRun:
-    """Apply `step` k_steps times, recording the cut positions."""
+    """k_steps composite steps (see the module docstring) from a probability
+    density, recording the cut positions, which estimate the moving
+    boundaries of the limiting free boundary problem."""
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
-    density, lefts, rights, _ = _run_scheme(f, params, k_steps)
+    density, lefts, rights = _run_scheme(f, params, k_steps)
     return SchemeRun(
         density, np.array(lefts, dtype=np.float64), np.array(rights, dtype=np.float64)
     )
@@ -495,8 +473,7 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
     the loop carries the window, its offset on the (reflected) grid and its
     mass; a GridTooSmallError names the step it happened at.
 
-    Returns (density, left cut positions, right cut positions, mass grown in
-    the last step).
+    Returns (density, left cut positions, right cut positions).
     """
     lower = params.side == "lower"
     q = params.p if lower else 1.0 - params.p
@@ -506,7 +483,7 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
     x0 = f.x0 if lower else -(f.x0 + n * dx)
     r = _kernel_radius(dx, d)
     window = f.values if lower else f.values[::-1]
-    offset, mass, grown = 0, f.mass, 0.0
+    offset, mass = 0, f.mass
     lefts, rights = [], []
     for i in range(k):
         if i and (abs(mass - 1.0) > 5e-11 or cut >= mass * (1.0 - 1e-12)):
@@ -521,7 +498,7 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
             )
         m = _checked_amount(cut, mass)
         try:
-            window, offset, left, right, grown = _lower_step(
+            window, offset, left, right = _lower_step(
                 window, offset, x0, dx, n, m, mass, d, r, not lower
             )
         except GridTooSmallError as exc:
@@ -531,7 +508,7 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
         rights.append(right if lower else -left)
         mass = float(np.sum(window) * dx)
     density = GridDensity(f.x0, dx, _on_grid(window, offset, n, lower)) if k else f
-    return density, lefts, rights, grown
+    return density, lefts, rights
 
 
 def _on_grid(window, offset: int, n: int, lower: bool):
@@ -552,8 +529,7 @@ def _lower_step(window, offset, x0, dx, n, m, total, d, r, mirrored):
     radius r and one empty cell a side.  ``mirrored`` says the grid is
     reflected, so a GridTooSmallError names the cells of the original one.
 
-    Returns (window, offset, left cut position, right cut position, grown
-    mass).
+    Returns (window, offset, left cut position, right cut position).
     """
     first, last = _support(window)
     v1, left_pos = _trim_left(
@@ -561,7 +537,7 @@ def _lower_step(window, offset, x0, dx, n, m, total, d, r, mirrored):
     )
     support = _support(v1)
     if support is None:  # the cut took all the mass
-        return np.zeros(0), offset, left_pos, x0 + n * dx, 0.0
+        return np.zeros(0), offset, left_pos, x0 + n * dx
     lo, hi = offset + first + support[0], offset + first + support[1]
     cells = (n - 1 - hi, n - 1 - lo) if mirrored else (lo, hi)
     _check_room(*cells, r, n)
@@ -573,7 +549,7 @@ def _lower_step(window, offset, x0, dx, n, m, total, d, r, mirrored):
     out *= math.exp(d)
     grown = float(np.sum(out) * dx)
     v2, right_pos = _trim_right(out, x0 + start * dx, dx, grown - 1.0, grown)
-    return v2, start, left_pos, right_pos, grown
+    return v2, start, left_pos, right_pos
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +590,10 @@ def dominates(f: GridDensity, g: GridDensity) -> bool:
 # step-halving limit
 
 
+# L1 width of two disjoint supports, 2 up to the rounding of the unit masses
+_L1_CEILING = 2.0 - 1e-9
+
+
 @dataclass(frozen=True)
 class RefineResult:
     """Common-limit extraction by step halving."""
@@ -636,7 +616,8 @@ def refine_limit(
 
     Runs both schemes with step t/2^n for n = 0..n_max.  The sandwich is
     checked on the way: lower tails grow, upper tails shrink, and the L1
-    width strictly decreases with each halving.  Returns the midpoint at the
+    width strictly decreases with each halving, unless the earlier width is
+    at the ceiling of 2 (disjoint supports).  Returns the midpoint at the
     first n whose width is within tol; if n_max is exhausted, the best
     midpoint is returned with ``converged=False``.  Before any step the
     planned work, 2(2^(n_max+1) - 1) steps and those steps times the grid's
@@ -658,16 +639,24 @@ def refine_limit(
         delta = t / k
         lower = iterate_scheme(f, SchemeParams(p, delta, "lower"), k).density
         upper = iterate_scheme(f, SchemeParams(p, delta, "upper"), k).density
-        if not dominates(lower, upper):
-            raise AssertionError("lower scheme escaped above the upper scheme")
-        if prev_lower is not None:
-            if not dominates(prev_lower, lower):
-                raise AssertionError("halving the step lowered the lower scheme")
-            if not dominates(upper, prev_upper):
-                raise AssertionError("halving the step raised the upper scheme")
         width = l1_distance(upper, lower)
-        if widths and not width < widths[-1]:
-            raise AssertionError("sandwich width failed to decrease under halving")
+        if not dominates(lower, upper):
+            problem = "lower scheme escaped above the upper scheme"
+        elif prev_lower is not None and not dominates(prev_lower, lower):
+            problem = "halving the step lowered the lower scheme"
+        elif prev_upper is not None and not dominates(upper, prev_upper):
+            problem = "halving the step raised the upper scheme"
+        elif widths and widths[-1] < _L1_CEILING and not width < widths[-1]:
+            # at the L1 ceiling of 2 the supports are disjoint: the width says
+            # nothing about the step there and need not decrease
+            problem = (
+                "sandwich width failed to decrease under halving, "
+                f"from {widths[-1]!r} to {width!r}"
+            )
+        else:
+            problem = None
+        if problem:
+            raise AssertionError(f"at level {n}: {problem}")
         widths.append(width)
         prev_lower, prev_upper = lower, upper
         best = (lower, upper)

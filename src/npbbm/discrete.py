@@ -35,7 +35,6 @@ __all__ = [
     "BoundStep",
     "BoundStepResult",
     "BoundsRun",
-    "free_bbm",
     "bound_step",
     "run_bounds",
 ]
@@ -46,15 +45,15 @@ __all__ = [
 MAX_POPULATION = 1 << 22
 
 
-def _check_population(n: int, t: float, name: str) -> None:
-    """Reject, before any work, n particles branching for t above the cap."""
+def _check_population(n: int, delta: float) -> None:
+    """Reject, before any work, n particles branching for delta above the cap."""
     try:
-        planned = n * math.exp(t)
+        planned = n * math.exp(delta)
     except OverflowError:
         planned = math.inf
     if not planned <= MAX_POPULATION:
         raise ValueError(
-            f"{name}={t!r} with N={n} plans {planned:.6g} particles (N e^{name}), "
+            f"delta={delta!r} with N={n} plans {planned:.6g} particles (N e^delta), "
             f"above the cap of {MAX_POPULATION}"
         )
 
@@ -70,10 +69,12 @@ def _free_bbm(
 ) -> NDArray[np.float64]:
     """Level-synchronous exact Yule/Brownian evolution of all particles.
 
-    Each level draws one Exponential(1) lifetime from ``clocks`` and one
-    standard normal from ``moves`` per alive particle.  Raises OverflowError
-    when the population (alive plus finished) exceeds MAX_POPULATION, which
-    a plan within the cap can reach by chance.
+    Returns the sorted positions of all particles alive at t; the population
+    rooted at one particle is Geometric(e^{-t}) with mean e^t.  Each level
+    draws one Exponential(1) lifetime from ``clocks`` and one standard
+    normal from ``moves`` per alive particle.  Raises OverflowError when the
+    population (alive plus finished) exceeds MAX_POPULATION, which a plan
+    within the cap can reach by chance.
     """
     pos = np.array(positions, dtype=np.float64, copy=True)
     rem = np.full(pos.size, float(t))
@@ -101,25 +102,6 @@ def _free_bbm(
     return out
 
 
-def free_bbm(init, t: float, src: RandomSource) -> NDArray[np.float64]:
-    """Branching Brownian motion without selection for time t.
-
-    Every initial particle starts an independent unit-rate binary branching
-    tree; split times are exact Exponential(1) clocks, so the population size
-    rooted at one particle is Geometric(e^{-t}) with mean e^t.  Output is the
-    sorted positions of all particles alive at t.
-    """
-    if not 0.0 <= t < math.inf:
-        raise ValueError(f"time t must be finite and non-negative, got t={t!r}")
-    arr = np.asarray(init, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("init must hold at least one particle")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("init entries must be finite")
-    _check_population(arr.size, t, "t")
-    return _free_bbm(arr, t, src.generator(TAG_DRIVING), src.generator(TAG_CLOCK))
-
-
 @dataclass(frozen=True)
 class BoundStep:
     """The bookkeeping of one selection step."""
@@ -144,7 +126,7 @@ def _one_step(
 ) -> tuple[NDArray[np.float64], BoundStep]:
     """One step from a sorted configuration; N is its size."""
     n = len(config)
-    _check_population(n, params.delta, "delta")
+    _check_population(n, params.delta)
     lower = params.side == "lower"
     q = params.p if lower else 1.0 - params.p
     removed = round(n * q * (1.0 - math.exp(-params.delta)))

@@ -23,16 +23,11 @@ beyond a barrier has left for sure: the far side gets its series and the
 near side the rest, so every term evaluated is at most 1.  The sums keep
 k = 1..K, K <= 7 the fewest for which every dropped term is below
 exp(-37); this needs dt <= 56 W^2 / 18.5, about 3 W^2.  With bridge
-correction a parallel piece between barrier knots is therefore taken in
-the fewest equal steps of at most that length: on the CLI's wave strip
-that is one step for any t up to about 14, whatever h is.
-
-Steps on pieces that are not parallel are at most h long and keep only
-the k = 0 terms, exp(-2 x y / dt) on each side, each exact for its own
-barrier, with the same one-uniform decision; leaving through one barrier
-after touching the other is then missed, an error of O(exp(-2 W^2 / h)).
-Without bridge correction the steps are at most h long too, and a path
-exits only where its end is on or beyond a barrier.
+correction the barriers must be parallel between knots, and each piece
+between barrier knots is taken in the fewest equal steps of at most that
+length: on the CLI's wave strip that is one step for any t up to about 14,
+whatever h is.  Without bridge correction the steps are at most h long,
+and a path exits only where its end is on or beyond a barrier.
 
 Draw layout 3 (see ``randomness.DRAW_LAYOUT``).  Each step draws one normal
 for every alive path from TAG_DRIVING.  The candidates are the paths whose
@@ -81,8 +76,8 @@ __all__ = [
 class PathParams:
     """Time horizon, step bound, and path count for one Monte Carlo run.
 
-    With bridge correction h bounds the step only on pieces where the
-    barriers are not parallel; parallel pieces take the exact law's steps.
+    h bounds the step only without bridge correction; with it every step is
+    one of the exact law's, whatever h is.
     """
 
     t: float
@@ -146,14 +141,13 @@ _PARALLEL_RTOL = 1e-12
 def _plan(t: float, h: float, left: Barrier, right: Barrier, bridge_correction: bool):
     """The step grid on [0, t], the barriers on it, and each step's reflections.
 
-    Returns (grid, lv, rv, reflections): reflections[k] is the K of step k,
-    0 where only the k = 0 terms apply.  The grid holds every barrier knot.
-    With bridge correction a parallel piece between knots is cut into the
-    fewest equal steps of at most _LONGEST_STEP W^2, W its smaller end
-    width.  Every other piece takes the points of the uniform grid of
-    ceil(t/h) steps that fall inside it, so without bridge correction the
-    grid is that uniform grid with the knots added.  The steps are counted
-    against MAX_STEPS before any of them is built.
+    Returns (grid, lv, rv, reflections): reflections[k] is the K of step k.
+    The grid holds every barrier knot.  With bridge correction every piece
+    between knots must be parallel, and is cut into the fewest equal steps
+    of at most _LONGEST_STEP W^2, W its smaller end width.  Without it the
+    grid is the uniform grid of ceil(t/h) steps with the knots added, and
+    every K is 0.  The steps are counted against MAX_STEPS before any of
+    them is built.
     """
     knots = np.concatenate((left.knot_times, right.knot_times))
     edges = np.union1d([0.0, t], knots[(knots > 0.0) & (knots < t)])
@@ -162,36 +156,40 @@ def _plan(t: float, h: float, left: Barrier, right: Barrier, bridge_correction: 
         raise ValueError("barriers must satisfy L < R on the whole horizon")
     a, b = edges[:-1], edges[1:]
     w = np.minimum(width[:-1], width[1:])
-    flat = bridge_correction & (
-        np.abs(np.diff(width)) <= _PARALLEL_RTOL * np.maximum(width[:-1], width[1:])
-    )
-    with np.errstate(over="ignore"):  # a tiny h plans inf steps, refused below
-        steps = np.where(
-            flat, np.ceil((b - a) / (_LONGEST_STEP * w * w)), np.ceil((b - a) / h - 1e-12)
-        )
+    if bridge_correction:
+        bent = np.abs(np.diff(width)) > _PARALLEL_RTOL * np.maximum(width[:-1], width[1:])
+        if np.any(bent):
+            j = int(np.argmax(bent))
+            start, end, w0, w1 = map(float, (a[j], b[j], width[j], width[j + 1]))
+            raise ValueError(
+                f"bridge correction needs parallel barriers, but on the piece "
+                f"[{start!r}, {end!r}] the width goes from {w0!r} to {w1!r}"
+            )
+        steps = np.ceil((b - a) / (_LONGEST_STEP * w * w))
+    else:
+        with np.errstate(over="ignore"):  # a tiny h plans inf steps, refused below
+            steps = np.ceil((b - a) / h - 1e-12)
     plan = float(np.sum(steps))
     if not plan <= MAX_STEPS:
         raise ValueError(
             f"step h={h!r} over horizon t={t!r} plans {plan:.6g} steps, "
             f"above the cap of {MAX_STEPS}"
         )
-    parts = [edges]
-    if not np.all(flat):
+    if bridge_correction:
+        parts = [np.linspace(a[j], b[j], int(steps[j]) + 1)[1:-1] for j in range(a.size)]
+    else:
         n = max(1, math.ceil(t / h - 1e-12))
-        s = t / n  # np.linspace(0, t, n + 1) holds the points i * s and t
-    for j in range(a.size):
-        if flat[j]:
-            parts.append(np.linspace(a[j], b[j], int(steps[j]) + 1)[1:-1])
-        else:
-            base = np.arange(math.floor(a[j] / s), math.ceil(b[j] / s) + 1) * s
-            parts.append(base[(base > a[j]) & (base < b[j])])
-    grid = np.unique(np.concatenate(parts))
+        uniform = np.arange(n + 1) * (t / n)
+        parts = [uniform[(uniform > 0.0) & (uniform < t)]]
+    grid = np.unique(np.concatenate([edges, *parts]))
     grid = grid[np.concatenate(([True], np.diff(grid) > 1e-15))]
-    piece = np.searchsorted(edges, grid[:-1], side="right") - 1
-    dt = np.diff(grid)
-    # the fewest K >= 1 with K (K + 1) >= 18.5 dt / W^2
-    need = np.ceil(np.sqrt(0.25 - 0.5 * _EXP_CUTOFF * dt / w[piece] ** 2) - 0.5)
-    reflections = np.where(flat[piece], np.clip(need, 1, _MAX_REFLECTIONS), 0)
+    if bridge_correction:
+        piece = np.searchsorted(edges, grid[:-1], side="right") - 1
+        # the fewest K >= 1 with K (K + 1) >= 18.5 dt / W^2
+        need = np.sqrt(0.25 - 0.5 * _EXP_CUTOFF * np.diff(grid) / w[piece] ** 2)
+        reflections = np.clip(np.ceil(need - 0.5), 1, _MAX_REFLECTIONS)
+    else:
+        reflections = np.zeros(grid.size - 1)
     return grid, left.value(grid), right.value(grid), reflections.astype(np.int64)
 
 
@@ -500,11 +498,9 @@ def small_delta_flux(
     The ladder is checked before any path runs: at least two deltas, the
     two smallest in ratio 2 (:func:`richardson_extrapolate`), the largest
     no later than the barriers' last knot.  Each delta runs params.n_paths
-    fresh paths (independent sub-source per delta) up to horizon delta,
-    with the step bound min(params.h, delta).  The exact two-sided law
-    needs no finer steps on parallel barriers: on the wave strip each delta
-    is one step, whatever params.h is.  The
-    caller supplies a density vanishing at both barriers; the fluxes then
+    fresh paths (independent sub-source per delta) up to horizon delta
+    under the exact two-sided law: on the wave strip each delta is one
+    step.  The caller supplies a density vanishing at both barriers; the fluxes then
     converge linearly in delta to half the edge slopes, which the ratio-2
     extrapolation of :meth:`FluxSequence.extrapolate` recovers.
     """
@@ -520,9 +516,7 @@ def small_delta_flux(
     sl = np.empty(d.size)
     sr = np.empty(d.size)
     for j, delta in enumerate(d):
-        run = PathParams(
-            t=float(delta), h=min(params.h, float(delta)), n_paths=params.n_paths
-        )
+        run = PathParams(t=float(delta), h=float(delta), n_paths=params.n_paths)
         stats = exit_statistics(f, left, right, run, src.child(j))
         fl[j] = stats.exit_left_prob / delta
         fr[j] = stats.exit_right_prob / delta

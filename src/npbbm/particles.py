@@ -65,7 +65,6 @@ __all__ = [
     "SimulationStreams",
     "CouplingViolationError",
     "order",
-    "branch_select_step",
     "simulate",
     "couple_simulate",
     "estimate_speed",
@@ -97,26 +96,10 @@ def order(raw: Sequence[float] | NDArray[np.float64]) -> NDArray[np.float64]:
     return np.sort(arr, kind="stable")
 
 
-def branch_select_step(v: NDArray[np.float64], i: int, q: int) -> NDArray[np.float64]:
-    """One branch/selection event applied to a sorted configuration.
-
-    The particle of rank ``i`` (1-based) duplicates; with ``q=1`` the leftmost
-    particle is removed, with ``q=0`` the rightmost.  Output is sorted and has
-    the same length as the input.  On a stack of configurations the event
-    acts on the last axis, the same event on every row.
-    """
-    v = np.array(v)
-    n = v.shape[-1]
-    if not 1 <= i <= n:
-        raise ValueError(f"rank i={i} out of range 1..{n}")
-    if q not in (0, 1):
-        raise ValueError("q must be 0 or 1")
-    _branch(v, i, q)
-    return v
-
-
 def _branch(v: NDArray[np.float64], i: int, q: int) -> None:
-    """:func:`branch_select_step` in place on its last axis, unvalidated."""
+    """One branch/selection event in place on the last axis of sorted v: rank
+    i (1-based) duplicates, then q=1 removes the leftmost particle and q=0 the
+    rightmost.  Unvalidated; the event loop's ranks lie in 1..N."""
     # the duplicate sits next to its parent, so the output stays sorted
     if q:
         v[..., : i - 1] = v[..., 1:i]
@@ -237,9 +220,15 @@ def simulate(
     )
 
 
-def _check_order(x) -> None:
+def _check_order(x, stops, at: int) -> None:
+    """Raise unless the pair x is in dominance order after stop ``at``."""
     if not np.all(x[0] <= x[1]):
-        raise CouplingViolationError("dominance order broken under shared streams")
+        j = int(np.argmin(x[0] <= x[1]))
+        raise CouplingViolationError(
+            f"dominance order broken under shared streams at t={float(stops[at])!r}: "
+            f"rank {j + 1} holds {float(x[0, j])!r} in the lower copy and "
+            f"{float(x[1, j])!r} in the upper"
+        )
 
 
 def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
@@ -296,6 +285,7 @@ def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
             if len(rows) < len(d):  # a stop at the time of the last one moves nothing
                 it = iter(rows)
                 rows = [next(it) if mv else None for mv in moves.tolist()]
+            at = c - 1  # the stop the pair is checked after
             for row, i, kill in zip(rows, ranks[c : c + batch], kills[c : c + batch]):
                 if row is not None:
                     v += row
@@ -309,7 +299,8 @@ def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
                         configs[:, si] = x
                     si += 1
                 if coupled:
-                    _check_order(x)
+                    at += 1
+                    _check_order(x, stops, at)
 
     return [
         TrajectoryRecord(

@@ -150,6 +150,22 @@ def test_scheme_outputs(tmp_path):
     assert summary["width"] == pytest.approx(widths[-1])
 
 
+def test_scheme_with_disjoint_supports_at_the_first_levels_exits_0(tmp_path):
+    # at levels 0 and 1 the two schemes' supports are disjoint, so both widths
+    # are 2 up to rounding (1.9999999999999993, then 2.0000000000000004); the
+    # strict-decrease check used to fail on the last bit with exit 3
+    cfg = _write_config(tmp_path, "s.json", {"p": 0.5, "t": 2.0, "n_max": 2})
+    out = tmp_path / "s"
+    assert main(["scheme", "--config", cfg, "--out", str(out)]) == 0
+    rows = _read_csv(out / "widths.csv")
+    assert len(rows) == 4  # the header, then levels 0..2
+    widths = [float(r[3]) for r in rows[1:]]
+    assert widths[0] == pytest.approx(2.0) and widths[1] == pytest.approx(2.0)
+    assert widths[2] < 1.5
+    with open(out / "scheme_summary.json") as fh:
+        assert json.load(fh)["converged"] is False
+
+
 def test_scheme_psi_csv_reads_back_to_refine_limit(tmp_path):
     # psi.csv is a JSON header line, then the x,value rows of the refined
     # midpoint; 17 significant digits read every double back exactly

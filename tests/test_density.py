@@ -30,7 +30,6 @@ from npbbm import (
     refine_limit,
     sample_from_density,
     scale,
-    step,
     tail_mass,
     travelling_wave,
     wave_density,
@@ -316,10 +315,16 @@ def test_operator_lemma_suite_small():
 # scheme steps
 
 
+def _one_step(f, params):
+    """One scheme step: (density, left cut, right cut)."""
+    run = iterate_scheme(f, params, 1)
+    return run.density, run.left_cuts[0], run.right_cuts[0]
+
+
 def test_step_requires_unit_mass():
     f = uniform_density(0.0, 1.0, -8.0, 1e-2, 1700)
     with pytest.raises(ValueError):
-        step(scale(f, 1.5), SchemeParams(0.5, 0.1, "lower"))
+        iterate_scheme(scale(f, 1.5), SchemeParams(0.5, 0.1, "lower"), 1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
@@ -362,25 +367,29 @@ def test_a_nan_amount_or_factor_is_named(cut, msg):
 def test_step_names_the_mass_it_rejects():
     f = scale(uniform_density(0.0, 1.0, -8.0, 1e-2, 1700), 1.0 + 2e-10)
     with pytest.raises(ValueError, match=rf"within 1e-10\), got mass {f.mass!r}"):
-        step(f, SchemeParams(0.5, 0.1, "lower"))
+        iterate_scheme(f, SchemeParams(0.5, 0.1, "lower"), 1)
 
 
 def test_step_tiny_delta_is_near_identity():
     _, rho, _, _ = wave_fixture(0.75, 1.0, dx=1e-3)
-    res = step(rho, SchemeParams(0.75, 1e-4, "lower"))
+    res = iterate_scheme(rho, SchemeParams(0.75, 1e-4, "lower"), 1)
     assert l1_distance(res.density, rho) <= 0.01
 
 
 def test_step_internal_mass_bookkeeping():
     # Lower side: after the left cut and the e^delta growth the mass is
-    # exactly e^d (1 - p (1 - e^{-d})); the final trim returns it to 1.
+    # exactly e^d (1 - p (1 - e^{-d})); the final trim returns it to 1.  The
+    # step is that composition of the public operators.
     _, rho, _, _ = wave_fixture(0.75, 1.0, dx=1e-3)
     d, p = 0.1, 0.75
-    res = step(rho, SchemeParams(p, d, "lower"))
+    density, left, right = _one_step(rho, SchemeParams(p, d, "lower"))
+    grown = cut_left_amount(rho, p * (1.0 - math.exp(-d)))
+    grown = scale(gaussian_propagate(grown, d), math.exp(d))
     expected = math.exp(d) * (1.0 - p * (1.0 - math.exp(-d)))
-    assert res.post_scale_mass == pytest.approx(expected, abs=1e-10)
-    assert res.density.mass == pytest.approx(1.0, abs=1e-10)
-    assert res.left_cut < res.right_cut
+    assert grown.mass == pytest.approx(expected, abs=1e-10)
+    assert l1_distance(density, cut_right_amount(grown, grown.mass - 1.0)) <= 1e-12
+    assert density.mass == pytest.approx(1.0, abs=1e-10)
+    assert left < right
 
 
 def test_step_wave_advances_by_speed_delta():
@@ -388,7 +397,7 @@ def test_step_wave_advances_by_speed_delta():
     # L1 gap is controlled by the one-step sandwich bound 2(e^d - 1)e^d.
     w, rho, _, _ = wave_fixture(0.75, 1.0, dx=1e-3)
     d = 0.05
-    res = step(rho, SchemeParams(0.75, d, "lower"))
+    res = iterate_scheme(rho, SchemeParams(0.75, d, "lower"), 1)
     shifted = wave_density(w, rho.spec, shift=-w.R0 + w.c * d)
     bound = 2.0 * (math.exp(d) - 1.0) * math.exp(d)
     assert l1_distance(res.density, shifted) <= bound + 1e-3
@@ -406,19 +415,18 @@ def test_scheme_step_mirror_identity_exact(p):
         f = GridDensity(x0, dx, bump.values / bump.mass)
         refl = GridDensity(-(x0 + n * dx), dx, f.values[::-1])
         d = float(rng.uniform(0.01, 0.5))
-        lo = step(f, SchemeParams(p, d, "lower"))
-        hi = step(refl, SchemeParams(1.0 - p, d, "upper"))
-        assert np.array_equal(hi.density.values, lo.density.values[::-1])
-        assert hi.left_cut == -lo.right_cut
-        assert hi.right_cut == -lo.left_cut
-        assert hi.post_scale_mass == lo.post_scale_mass
+        lo, lo_left, lo_right = _one_step(f, SchemeParams(p, d, "lower"))
+        hi, hi_left, hi_right = _one_step(refl, SchemeParams(1.0 - p, d, "upper"))
+        assert np.array_equal(hi.values, lo.values[::-1])
+        assert hi_left == -lo_right
+        assert hi_right == -lo_left
 
 
 def _full_grid_lower_step(values, x0, dx, q, d, total):
     """The lower step on the whole grid, diffusing with scipy's fftconvolve.
 
-    Returns (values, left cut, right cut, grown mass) and, for each cut, the
-    density of the cell it falls in: a cut position moves by the mass
+    Returns (values, left cut, right cut) and, for each cut, the density of
+    the cell it falls in: a cut position moves by the mass
     rounding divided by that density.
     """
     v1, left = _trim_left(values, x0, dx, q * (1.0 - math.exp(-d)), total)
@@ -435,7 +443,7 @@ def _full_grid_lower_step(values, x0, dx, q, d, total):
     def cell(pos):
         return min(int((pos - x0) / dx), len(values) - 1)
 
-    return (v2, left, right, mass), (values[cell(left)], grown[cell(right)])
+    return (v2, left, right), (values[cell(left)], grown[cell(right)])
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -447,23 +455,22 @@ def test_step_matches_full_grid_reference(side):
         bump = random_bump_density(rng)
         f = GridDensity(bump.x0, bump.dx, bump.values / bump.mass)
         p = float(rng.uniform(0.1, 0.9))
-        res = step(f, SchemeParams(p, d, side))
+        density, got_left, got_right = _one_step(f, SchemeParams(p, d, side))
         if side == "lower":
-            (v, left, right, grown), dens = _full_grid_lower_step(
+            (v, left, right), dens = _full_grid_lower_step(
                 f.values, f.x0, f.dx, p, d, f.mass
             )
         else:
             x0 = -(f.x0 + f.n * f.dx)
-            (v, left, right, grown), dens = _full_grid_lower_step(
+            (v, left, right), dens = _full_grid_lower_step(
                 f.values[::-1], x0, f.dx, 1.0 - p, d, f.mass
             )
             v, left, right, dens = v[::-1], -right, -left, dens[::-1]
-        assert np.max(np.abs(res.density.values - v)) * f.dx <= 1e-13
-        tails = np.cumsum(res.density.values) - np.cumsum(v)
+        assert np.max(np.abs(density.values - v)) * f.dx <= 1e-13
+        tails = np.cumsum(density.values) - np.cumsum(v)
         assert np.max(np.abs(tails)) * f.dx <= 1e-13
-        assert abs(res.post_scale_mass - grown) <= 1e-13
-        assert abs(res.left_cut - left) * dens[0] <= 1e-13
-        assert abs(res.right_cut - right) * dens[1] <= 1e-13
+        assert abs(got_left - left) * dens[0] <= 1e-13
+        assert abs(got_right - right) * dens[1] <= 1e-13
 
 
 def test_step_checks_the_edge_after_the_first_cut():
@@ -478,9 +485,10 @@ def test_step_checks_the_edge_after_the_first_cut():
     values[50:250] = 1e-6
     values[250 : n - 1 - r] = rng.uniform(0.5, 1.0, n - 1 - r - 250)
     f = GridDensity(0.0, dx, values / (np.sum(values) * dx))
-    assert step(f, SchemeParams(0.5, d, "lower")).density.mass == pytest.approx(1.0)
+    lower = iterate_scheme(f, SchemeParams(0.5, d, "lower"), 1)
+    assert lower.density.mass == pytest.approx(1.0)
     with pytest.raises(GridTooSmallError) as err:
-        step(f, SchemeParams(0.5, d, "upper"))
+        iterate_scheme(f, SchemeParams(0.5, d, "upper"), 1)
     msg = str(err.value)
     assert "support cells [50, " in msg and f"r={r}" in msg and f"{n}-cell" in msg
     assert "at step 1 of 1 (delta=0.04)" in msg

@@ -13,13 +13,12 @@ from npbbm import (
     BoundSystemParams,
     RandomSource,
     bound_step,
-    free_bbm,
     run_bounds,
     simulate,
 )
 import npbbm.discrete as discrete
 from npbbm.discrete import MAX_POPULATION
-from npbbm.randomness import TAG_DRIVING
+from npbbm.randomness import TAG_CLOCK, TAG_DRIVING
 from npbbm.stats import dkw_band, empirical_tail
 
 from helpers import mean_and_se
@@ -27,6 +26,13 @@ from helpers import mean_and_se
 
 # ---------------------------------------------------------------------------
 # free branching
+
+
+def free_bbm(init, t, src):
+    """Free branching from init for time t on src's driving and clock streams,
+    the draws a bounding step takes."""
+    moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
+    return discrete._free_bbm(np.asarray(init, dtype=np.float64), t, moves, clocks)
 
 
 def test_free_bbm_zero_time_identity():
@@ -82,13 +88,6 @@ def test_free_bbm_max_mean_bounded_by_sqrt2():
     assert mean <= math.sqrt(2.0) + 3.0 * se
 
 
-def test_free_bbm_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        free_bbm([0.0], -1.0, RandomSource(1))
-    with pytest.raises(TypeError):
-        free_bbm([0.0], 1.0)
-
-
 def test_free_bbm_signed_zeros_match_a_stable_sort():
     # at t = 0 every particle moves by g * 0.0, so -0.0 and +0.0 meet in the
     # final sort, the one sort where quicksort and a stable sort can differ
@@ -101,30 +100,6 @@ def test_free_bbm_signed_zeros_match_a_stable_sort():
     out = free_bbm(init, 0.0, src)
     assert np.array_equal(np.signbit(out), np.signbit(ref))
     assert out.tobytes() == ref.tobytes()
-
-
-def test_free_bbm_rejects_a_population_plan_above_the_cap():
-    n = 1000
-    t = math.log(MAX_POPULATION / n) + 0.01
-    with pytest.raises(ValueError, match=rf"t={t!r} with N={n} plans .* cap of"):
-        free_bbm(np.zeros(n), t, RandomSource(1))
-    with pytest.raises(ValueError, match="t=nan"):
-        free_bbm(np.zeros(n), math.nan, RandomSource(1))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
-def test_free_bbm_names_a_bad_time(bad):
-    # t = nan used to report a plan of nan particles, -inf no value
-    msg = f"time t must be finite and non-negative, got t={bad!r}"
-    with pytest.raises(ValueError, match=re.escape(msg)):
-        free_bbm([0.0], bad, RandomSource(1))
-
-
-def test_free_bbm_rejects_an_empty_start():
-    # it used to fail inside the branching with numpy's "need at least one
-    # array to concatenate"
-    with pytest.raises(ValueError, match="init must hold at least one particle"):
-        free_bbm([], 1.0, RandomSource(1))
 
 
 def test_free_bbm_overshoot_raises_overflow(monkeypatch):
@@ -142,6 +117,25 @@ def test_steps_reject_a_population_plan_above_the_cap(side):
         bound_step(np.zeros(5), params, RandomSource(1))
     with pytest.raises(ValueError, match="delta=50.0"):
         run_bounds(np.zeros(5), params, 3, RandomSource(1))
+
+
+def test_population_cap_is_on_the_planned_mean_n_e_delta():
+    # N e^delta just above the cap is refused before any draw, naming the plan
+    n = 1000
+    delta = math.log(MAX_POPULATION / n) + 0.01
+    msg = (
+        f"delta={delta!r} with N={n} plans {n * math.exp(delta):.6g} particles "
+        f"(N e^delta), above the cap of {MAX_POPULATION}"
+    )
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        bound_step(np.zeros(n), BoundSystemParams(0.5, delta, "lower"), RandomSource(1))
+
+
+def test_steps_reject_a_plan_whose_growth_overflows():
+    # e^1000 overflows a float; the plan is then infinite, not an OverflowError
+    params = BoundSystemParams(0.5, 1000.0, "upper")
+    with pytest.raises(ValueError, match=r"delta=1000.0 with N=5 plans inf particles"):
+        bound_step(np.zeros(5), params, RandomSource(1))
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +191,12 @@ def test_step_sorts_its_start(side):
 
 @pytest.mark.parametrize("start", [[math.nan, 0.0], [0.0, math.inf], []])
 def test_steps_reject_a_start_that_is_not_finite(start):
-    # run_bounds([nan, 0.0], ...) used to return a configuration holding nan,
-    # and free_bbm([nan, 0.0], ...) positions holding nan
+    # run_bounds([nan, 0.0], ...) used to return a configuration holding nan
     params = BoundSystemParams(0.5, 0.1, "lower")
     with pytest.raises(ValueError, match="configuration"):
         run_bounds(start, params, 2, RandomSource(37))
     with pytest.raises(ValueError, match="configuration"):
         bound_step(start, params, RandomSource(37))
-    with pytest.raises(ValueError, match="init"):
-        free_bbm(start, 0.1, RandomSource(37))
 
 
 def test_step_raises_when_removal_reaches_n():
@@ -213,6 +204,21 @@ def test_step_raises_when_removal_reaches_n():
     src = RandomSource(35)
     with pytest.raises(ValueError):
         bound_step(np.zeros(2), BoundSystemParams(0.9, 20.0, "lower"), src)
+
+
+def test_upper_step_removes_by_one_minus_p():
+    # the upper side removes round(N (1-p) (1-e^{-delta})): at delta = 2 and
+    # N = 2 that is 2 at p = 0.1, where the lower side removes none
+    src = RandomSource(35)
+    with pytest.raises(ValueError, match="removal count reached N"):
+        bound_step(np.zeros(2), BoundSystemParams(0.1, 2.0, "upper"), src)
+    assert bound_step(np.zeros(2), BoundSystemParams(0.1, 2.0, "lower"), src).removed == 0
+    assert bound_step(np.zeros(2), BoundSystemParams(0.9, 2.0, "upper"), src).removed == 0
+
+
+def test_run_bounds_rejects_a_negative_step_count():
+    with pytest.raises(ValueError, match="k_steps must be non-negative"):
+        run_bounds([0.0], BoundSystemParams(0.5, 0.1, "lower"), -1, RandomSource(41))
 
 
 def test_params_validation():

@@ -78,18 +78,37 @@ def test_step_plan_is_capped():
 
 
 def test_non_parallel_piece_plan_is_capped():
-    # h bounds the steps where the barriers are not parallel: one such
-    # piece over [0.5, 1] at h = 1e-7 plans 5e6 steps, while the parallel
-    # piece over [0, 0.5] needs one
+    # without bridge correction h bounds the steps on every piece, parallel
+    # or not: the two pieces [0, 0.5] and [0.5, 1] at h = 1e-7 plan 1e7 steps
     times = np.array([0.0, 0.5, 1.0])
     left = Barrier(times, np.zeros(3))
     right = Barrier(times, np.array([1.0, 1.0, 2.0]))
-    msg = f"step h=1e-07 over horizon t=1.0 plans 5e+06 steps, above the cap of {MAX_STEPS}"
+    msg = f"step h=1e-07 over horizon t=1.0 plans 1e+07 steps, above the cap of {MAX_STEPS}"
     with pytest.raises(ValueError, match=re.escape(msg)):
-        _run_paths(np.array([0.5]), left, right, 1.0, 1e-7, RandomSource(1))
-    grid, _, _, reflections = _plan(1.0, 0.1, left, right, True)
-    assert np.allclose(grid, np.linspace(0.0, 1.0, 11)[np.r_[0, 5:11]], atol=1e-15)
-    assert reflections.tolist() == [3, 0, 0, 0, 0, 0]
+        _run_paths(
+            np.array([0.5]), left, right, 1.0, 1e-7, RandomSource(1),
+            bridge_correction=False,
+        )
+    grid, _, _, reflections = _plan(1.0, 0.1, left, right, False)
+    assert np.allclose(grid, np.linspace(0.0, 1.0, 11), atol=1e-15)
+    assert reflections.tolist() == [0] * 10
+
+
+def test_bridge_correction_refuses_a_piece_that_is_not_parallel():
+    # the exact strip law holds on parallel barriers only; the piece [0.5, 1]
+    # widens from 1 to 2, and the refusal comes before any path runs
+    times = np.array([0.0, 0.5, 1.0])
+    left = Barrier(times, np.zeros(3))
+    right = Barrier(times, np.array([1.0, 1.0, 2.0]))
+    msg = (
+        "bridge correction needs parallel barriers, but on the piece [0.5, 1.0] "
+        "the width goes from 1.0 to 2.0"
+    )
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        _run_paths(np.array([0.5]), left, right, 1.0, 0.1, RandomSource(1))
+    rho = uniform_density(0.25, 0.75, -0.5, 1e-2, 200)
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        exit_statistics(rho, left, right, PathParams(1.0, 0.1, 10), RandomSource(1))
 
 
 def test_exit_stats_partition_enforced():

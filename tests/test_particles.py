@@ -13,7 +13,6 @@ from npbbm import (
     CouplingViolationError,
     RandomSource,
     SimulationStreams,
-    branch_select_step,
     couple_simulate,
     estimate_speed,
     simulate,
@@ -58,29 +57,27 @@ def test_order_rejects_empty_and_nonfinite():
 
 
 # ---------------------------------------------------------------------------
-# branch_select_step
+# _branch, the event loop's branch/selection event
+
+
+def _branched(v, i, q):
+    """_branch applied to a copy of v."""
+    out = np.array(v, dtype=np.float64)
+    particles._branch(out, i, q)
+    return out
 
 
 def test_branch_kill_leftmost():
-    assert np.array_equal(branch_select_step(np.array([1.0, 2.0, 3.0]), 2, 1), [2.0, 2.0, 3.0])
+    assert np.array_equal(_branched([1.0, 2.0, 3.0], 2, 1), [2.0, 2.0, 3.0])
 
 
 def test_branch_kill_rightmost():
-    assert np.array_equal(branch_select_step(np.array([1.0, 2.0, 3.0]), 2, 0), [1.0, 2.0, 2.0])
+    assert np.array_equal(_branched([1.0, 2.0, 3.0], 2, 0), [1.0, 2.0, 2.0])
 
 
 def test_branch_singleton_is_fixed_point():
-    v = np.array([5.0])
-    assert np.array_equal(branch_select_step(v, 1, 0), [5.0])
-    assert np.array_equal(branch_select_step(v, 1, 1), [5.0])
-
-
-def test_branch_rejects_out_of_range_rank():
-    v = np.array([1.0, 2.0])
-    with pytest.raises(ValueError):
-        branch_select_step(v, 0, 1)
-    with pytest.raises(ValueError):
-        branch_select_step(v, 3, 1)
+    assert np.array_equal(_branched([5.0], 1, 0), [5.0])
+    assert np.array_equal(_branched([5.0], 1, 1), [5.0])
 
 
 def test_branch_output_sorted_and_length_preserving():
@@ -90,7 +87,7 @@ def test_branch_output_sorted_and_length_preserving():
         v = np.sort(rng.normal(size=n))
         i = int(rng.integers(1, n + 1))
         q = int(rng.integers(0, 2))
-        out = branch_select_step(v, i, q)
+        out = _branched(v, i, q)
         assert len(out) == n
         assert np.all(np.diff(out) >= 0.0)
         # The duplicated value is present at least twice unless it replaced
@@ -103,8 +100,8 @@ def test_branch_on_a_stack_acts_row_by_row(q):
     rng = np.random.default_rng(77)
     stack = np.sort(rng.normal(size=(3, 6)), axis=1)
     for i in (1, 3, 6):
-        rows = [branch_select_step(row, i, q) for row in stack]
-        assert np.array_equal(branch_select_step(stack, i, q), rows)
+        rows = [_branched(row, i, q) for row in stack]
+        assert np.array_equal(_branched(stack, i, q), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +241,26 @@ def test_couple_rejects_bad_pairs():
         couple_simulate([0.0, 1.0], [0.0], 0.5, 1.0, RandomSource(1))
     with pytest.raises(ValueError):
         couple_simulate([0.0, 2.0], [1.0, 1.0], 0.5, 1.0, RandomSource(1))
+
+
+def test_a_broken_coupling_names_its_rank_values_and_time():
+    # _run checks a pair after every stop, so a pair that starts out of order
+    # fails at the first one; the error used to name nothing
+    src = RandomSource(3)
+    first = SimulationStreams(src, 1).events(0.0, 0.5)[0][0]
+    pair = np.array([[1.0], [0.0]])
+    with pytest.raises(CouplingViolationError) as err:
+        streams = SimulationStreams(src, 1)
+        particles._run(pair, 0.5, 100.0, np.array([100.0]), streams, False)
+    msg = str(err.value)
+    m = re.fullmatch(
+        r"dominance order broken under shared streams at t=(\S+): "
+        r"rank 1 holds (\S+) in the lower copy and (\S+) in the upper",
+        msg,
+    )
+    assert m, msg
+    assert float(m[1]) == first
+    assert float(m[2]) - float(m[3]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_couple_rows_share_the_single_run_draws():

@@ -1,5 +1,6 @@
 """The package's public names: every `__all__` entry resolves, and every
-keyword-only option of a public function is set somewhere that counts."""
+public function and each of its keyword-only options is used somewhere
+that counts."""
 
 from __future__ import annotations
 
@@ -26,29 +27,60 @@ def test_every_name_in_all_resolves(module):
     assert [n for n in names if not hasattr(module, n)] == []
 
 
-def _keyword_calls() -> set[tuple[str, str]]:
-    """(function name, keyword) of every call in the package and in the
-    acceptance tests; a method call counts under its attribute name."""
-    paths = [*Path(npbbm.__file__).parent.glob("*.py")]
-    paths.append(Path(__file__).parent / "test_acceptance.py")
-    calls = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+TESTS = Path(__file__).parent
+
+
+def _calls(*, helpers: bool):
+    """(function name, call) of every call in the package and in the
+    acceptance tests; a method call counts under its attribute name.  With
+    ``helpers`` also the calls in the helpers the acceptance tests import:
+    all of helpers.py, and of test_density.py the body of _lemma_suite."""
+    paths = [*Path(npbbm.__file__).parent.glob("*.py"), TESTS / "test_acceptance.py"]
+    if helpers:
+        paths.append(TESTS / "helpers.py")
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    if helpers:
+        module = ast.parse((TESTS / "test_density.py").read_text(encoding="utf-8"))
+        trees += [
+            node
+            for node in module.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_lemma_suite"
+        ]
+    for tree in trees:
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                calls.update((name, kw.arg) for kw in node.keywords)
-    return calls
+                yield name, node
+
+
+def _public_functions():
+    """(module, name, function) of every function in a module's __all__."""
+    for module in MODULES:
+        for name in getattr(module, "__all__", []):
+            if inspect.isfunction(fn := getattr(module, name)):
+                yield module, name, fn
+
+
+def test_every_public_function_is_called():
+    # a function that only its own tests call is code no command needs
+    called = {name for name, _ in _calls(helpers=True)}
+    uncalled = sorted(
+        f"{module.__name__}.{name}"
+        for module, name, _ in _public_functions()
+        if name not in called
+    )
+    assert uncalled == []
 
 
 def test_every_keyword_only_option_is_used():
     # an option that only its own tests set is code no command needs
-    calls = _keyword_calls()
+    calls = {
+        (name, kw.arg) for name, call in _calls(helpers=False) for kw in call.keywords
+    }
     unused = sorted(
         f"{module.__name__}.{name}({param.name}=)"
-        for module in MODULES
-        for name in getattr(module, "__all__", [])
-        if inspect.isfunction(fn := getattr(module, name))
+        for module, name, fn in _public_functions()
         for param in inspect.signature(fn).parameters.values()
         if param.kind is param.KEYWORD_ONLY and (name, param.name) not in calls
     )
