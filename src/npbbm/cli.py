@@ -218,6 +218,11 @@ def _dump_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+# write_csv formats this many rows as one string, so that only one chunk's
+# Python floats are alive at a time
+_CSV_CHUNK_ROWS = 4096
+
+
 class _OutputSet:
     """Writes a command's output files and the manifest with their checksums.
 
@@ -240,14 +245,22 @@ class _OutputSet:
         self.files.append(p)
         return p
 
-    def write_csv(self, name: str, header: str, rows) -> None:
-        """Write `header`, then one line per row; the header's last line names
-        the columns."""
+    def write_csv(self, name: str, header: str, table) -> None:
+        """Write `header`, then one line per row of `table` (rows x columns);
+        the header's last line names the columns.
+
+        Every value prints with %.17g, which formats an integer through the
+        float it equals, so the table is taken as float64 and formatted a
+        chunk of rows at a time, each chunk as one string.
+        """
+        table = np.asarray(table, dtype=np.float64)
         columns = header.rsplit("\n", 1)[-1].count(",") + 1
         row = ",".join(["%.17g"] * columns) + "\n"
         with open(self.path(name), "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
-            fh.writelines(row % tuple(values) for values in rows)
+            for start in range(0, len(table), _CSV_CHUNK_ROWS):
+                chunk = table[start : start + _CSV_CHUNK_ROWS]
+                fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
     def write_json(self, name: str, payload: dict) -> None:
         _dump_json(self.path(name), payload)
@@ -304,7 +317,7 @@ def cmd_simulate(config: dict, out: _OutputSet) -> None:
     out.write_csv(
         "trajectory.csv",
         "time,leftmost,rightmost",
-        zip(rec.sample_times, rec.leftmost, rec.rightmost),
+        np.column_stack((rec.sample_times, rec.leftmost, rec.rightmost)),
     )
     out.write_json(
         "speed.json",
@@ -352,7 +365,7 @@ def cmd_bounds(config: dict, out: _OutputSet) -> None:
     out.write_csv(
         "bounds_final.csv",
         "rank,lower,upper",
-        ((r, lo, hi) for r, (lo, hi) in enumerate(zip(lower, upper), 1)),
+        np.column_stack((np.arange(1, len(lower) + 1), lower, upper)),
     )
     # The two systems bound the selection process in distribution, not
     # pathwise (their populations desynchronize after the first removal), so
@@ -383,17 +396,14 @@ def cmd_scheme(config: dict, out: _OutputSet) -> None:
     out.write_csv(
         "widths.csv",
         "level,steps,delta,width",
-        (
-            (lvl, 2**lvl, t / 2**lvl, w)
-            for lvl, w in enumerate(result.widths)
-        ),
+        [(lvl, 2**lvl, t / 2**lvl, w) for lvl, w in enumerate(result.widths)],
     )
     psi = result.psi
     out.write_csv(
         "psi.csv",
         '{"x0": %.17g, "dx": %.17g, "count": %d, "mass": %.17g}\nx,value'
         % (psi.x0, psi.dx, psi.n, psi.mass),
-        zip(psi.centers(), psi.values),
+        np.column_stack((psi.centers(), psi.values)),
     )
     out.write_json(
         "scheme_summary.json",
@@ -447,9 +457,7 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
                 "n_survivors": int(stats.survivor_positions.size),
             },
         )
-        out.write_csv(
-            "survivors.csv", "position", ((x,) for x in stats.survivor_positions)
-        )
+        out.write_csv("survivors.csv", "position", stats.survivor_positions[:, None])
     elif mode == "representation":
         xs = np.linspace(w.c * t - w.R0, w.c * t, config["n_x"])
         result = representation_check(
@@ -481,7 +489,9 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
         out.write_csv(
             "flux.csv",
             "delta,flux_left,se_left,flux_right,se_right",
-            zip(seq.deltas, seq.flux_left, seq.se_left, seq.flux_right, seq.se_right),
+            np.column_stack(
+                (seq.deltas, seq.flux_left, seq.se_left, seq.flux_right, seq.se_right)
+            ),
         )
         ex_l, se_l = seq.extrapolate("left")
         ex_r, se_r = seq.extrapolate("right")

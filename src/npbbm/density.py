@@ -14,12 +14,18 @@ bracket the continuum solution, and their gap shrinks as the step is halved,
 which is how the common limit is extracted.
 
 The k steps of one side run as a single loop over the support window: from
-step to step it carries only the window's values, its offset on the grid
-and its mass, and the full-grid density is built once, after the last step.
-The upper side reflects its input once and its result once, so a run is
-R . lower(1-p)^k . R with R(x) = -x.  `gaussian_propagate` diffuses
-through the same windowed convolution.  The loop keeps the bits of the
-step-by-step full-grid evaluation.
+step to step it carries only the window's values, its offset on the grid,
+its support bounds and its mass, and the full-grid density is built once,
+after the last step.  The upper side reflects its input once and its result
+once, so a run is R . lower(1-p)^k . R with R(x) = -x.  Both cuts of a step
+work by index and copy no window: the left cut finds its cell in the
+support slice, which goes straight into the padded window that diffuses;
+the right cut runs the same search on a reversed view of the grown window
+and zeroes its tail in place.  The support bounds a step hands on are (1,
+last kept cell) when it can vouch for them; otherwise the next step scans
+its window.  `gaussian_propagate` diffuses through the same windowed
+convolution.  The loop keeps the bits of the step-by-step full-grid
+evaluation.
 
 Densities are nonnegative cell-centered samples on a uniform grid.  The
 support must stay inside the grid interior (first and last cells exactly
@@ -81,8 +87,10 @@ MAX_SCHEME_CELL_STEPS = 30_000_000_000
 _PAD_SIGMAS = 8.0
 
 # A mass cut accumulates its prefix sum in blocks of this many cells, then
-# twice as many each time, until the sum reaches the amount.
-_PREFIX_CELLS = 256
+# twice as many each time, until the sum reaches the amount.  Both cuts of a
+# scheme step land about 500 cells in at dx = 1e-3 and 2^8 steps, so one
+# block reaches them.
+_PREFIX_CELLS = 1024
 
 
 class GridTooSmallError(RuntimeError):
@@ -323,7 +331,7 @@ def _diffuse(values, first: int, last: int, r: int, dx: float, t: float, mass: f
     window = out[first - r : last + r + 1]
     window[:] = np.fft.irfft(spectrum, nfft)[:size]
     np.maximum(window, 0.0, out=window)
-    new_mass = float(np.sum(window) * dx)
+    new_mass = float(window.sum() * dx)
     if mass - new_mass > 1e-12 * mass:
         raise GridTooSmallError(
             f"mass {mass!r} fell to {new_mass!r} after diffusing for t={t!r}: "
@@ -345,54 +353,42 @@ def scale(f: GridDensity, c: float) -> GridDensity:
 # mass cuts
 
 
-def _trim_left(values: NDArray[np.float64], x0: float, dx: float, m: float, total: float):
-    """Remove mass m from the left; returns (values, sub-cell cut position).
+def _cut_index(values: NDArray[np.float64], x0: float, dx: float, m: float, total: float):
+    """Where removing mass m from the left of values ends: (j, keep, pos).
 
-    The cell containing the cut keeps a proportional share of its value so
-    the removed mass is exact; the position where the cumulative mass equals
-    m is reported for boundary tracking.
+    The cut zeroes cells 0..j-1 and leaves cell j holding `keep`, a
+    proportional share of its value, so the removed mass is exact; pos is the
+    position where the cumulative mass equals m, for boundary tracking.  A cut
+    of nothing keeps every cell (j = 0) and one of everything none (j = n-1,
+    keep = 0).  values is only read, a prefix block at a time, so it may be
+    a reversed view.
     """
     n = len(values)
-    if m <= 0.0:
-        nz = np.flatnonzero(values)
-        return values.copy(), x0 + (nz[0] if nz.size else 0) * dx
-    if m >= total:
-        nz = np.flatnonzero(values)
-        pos = x0 + ((nz[-1] + 1) if nz.size else n) * dx
-        return np.zeros(n), pos
-    # np.cumsum adds in order, so the prefix sum can be taken in blocks, each
+    if m <= 0.0 or m >= total:
+        support = _support(values)
+        if m <= 0.0:
+            return 0, values[0], x0 + (support[0] if support else 0) * dx
+        return n - 1, 0.0, x0 + (support[1] + 1 if support else n) * dx
+    # cumsum adds in order, so the prefix sum can be taken in blocks, each
     # continuing from the last sum of the one before, with the same bits;
     # the blocks stop at the one the cut reaches
     start, size, carry = 0, _PREFIX_CELLS, 0.0
     while True:
         block = values[start : start + size].copy()
         block[0] += carry
-        np.cumsum(block, out=block)
+        block.cumsum(out=block)
         prefix = block * dx
         if prefix[-1] >= m or start + size >= n:
             break
         start, size, carry = start + size, 2 * size, block[-1]
-    j = min(start + int(np.searchsorted(prefix, m, side="left")), n - 1)
-    part = float(np.sum(values[: j + 1]) * dx)  # pairwise sum: mass of cells 0..j
-    out = values.copy()
-    out[:j] = 0.0
-    out[j] = min(max(part - m, 0.0) / dx, values[j])
-    below = part - values[j] * dx
-    if values[j] > 0.0:
-        pos = x0 + j * dx + min(max((m - below) / values[j], 0.0), dx)
-    else:
-        pos = x0 + j * dx
-    return out, pos
-
-
-def _trim_right(values: NDArray[np.float64], x0: float, dx: float, m: float, total: float):
-    """Mirror of :func:`_trim_left`: remove mass m from the right.
-
-    Runs :func:`_trim_left` on the reflected grid, whose cells are reversed
-    and whose left edge is -(x0 + n*dx), and reflects the result back.
-    """
-    out, pos = _trim_left(values[::-1], -(x0 + len(values) * dx), dx, m, total)
-    return out[::-1], -pos
+    j = min(start + int(prefix.searchsorted(m, side="left")), n - 1)
+    part = float(values[: j + 1].sum() * dx)  # pairwise sum: mass of cells 0..j
+    value = float(values[j])
+    keep = min(max(part - m, 0.0) / dx, value)
+    if value > 0.0:
+        below = part - value * dx
+        return j, keep, x0 + j * dx + min(max((m - below) / value, 0.0), dx)
+    return j, keep, x0 + j * dx
 
 
 def _checked_amount(m: float, mass: float) -> float:
@@ -407,14 +403,21 @@ def _checked_amount(m: float, mass: float) -> float:
 def cut_left_amount(f: GridDensity, m: float) -> GridDensity:
     """Remove exactly mass m from the left (D-type cut)."""
     m = _checked_amount(m, f.mass)
-    out, _ = _trim_left(f.values, f.x0, f.dx, m, f.mass)
+    j, keep, _ = _cut_index(f.values, f.x0, f.dx, m, f.mass)
+    out = f.values.copy()
+    out[:j] = 0.0
+    out[j] = keep
     return GridDensity(f.x0, f.dx, out)
 
 
 def cut_right_amount(f: GridDensity, m: float) -> GridDensity:
-    """Remove exactly mass m from the right (D-type cut)."""
+    """Remove exactly mass m from the right (D-type cut): the left cut of the
+    reversed cells."""
     m = _checked_amount(m, f.mass)
-    out, _ = _trim_right(f.values, f.x0, f.dx, m, f.mass)
+    j, keep, _ = _cut_index(f.values[::-1], -(f.x0 + f.n * f.dx), f.dx, m, f.mass)
+    out = f.values.copy()
+    out[f.n - j :] = 0.0
+    out[f.n - 1 - j] = keep
     return GridDensity(f.x0, f.dx, out)
 
 
@@ -470,8 +473,9 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
 
     The upper side runs the lower steps at 1-p on the reflected grid, which
     it reflects once on the way in and once on the way out.  Between steps
-    the loop carries the window, its offset on the (reflected) grid and its
-    mass; a GridTooSmallError names the step it happened at.
+    the loop carries the window, its offset on the (reflected) grid, its
+    support bounds when the step knows them, and its mass; a
+    GridTooSmallError names the step it happened at.
 
     Returns (density, left cut positions, right cut positions).
     """
@@ -483,7 +487,7 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
     x0 = f.x0 if lower else -(f.x0 + n * dx)
     r = _kernel_radius(dx, d)
     window = f.values if lower else f.values[::-1]
-    offset, mass = 0, f.mass
+    offset, support, mass = 0, None, f.mass
     lefts, rights = [], []
     for i in range(k):
         if i and (abs(mass - 1.0) > 5e-11 or cut >= mass * (1.0 - 1e-12)):
@@ -498,15 +502,15 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
             )
         m = _checked_amount(cut, mass)
         try:
-            window, offset, left, right = _lower_step(
-                window, offset, x0, dx, n, m, mass, d, r, not lower
+            window, offset, support, left, right = _lower_step(
+                window, offset, support, x0, dx, n, m, mass, d, r, not lower
             )
         except GridTooSmallError as exc:
             msg = f"at step {i + 1} of {k} (delta={d!r}): {exc}"
             raise GridTooSmallError(msg) from None
         lefts.append(left if lower else -right)
         rights.append(right if lower else -left)
-        mass = float(np.sum(window) * dx)
+        mass = float(window.sum() * dx)
     density = GridDensity(f.x0, dx, _on_grid(window, offset, n, lower)) if k else f
     return density, lefts, rights
 
@@ -519,37 +523,55 @@ def _on_grid(window, offset: int, n: int, lower: bool):
     return out if lower else out[::-1]
 
 
-def _lower_step(window, offset, x0, dx, n, m, total, d, r, mirrored):
+def _lower_step(window, offset, support, x0, dx, n, m, total, d, r, mirrored):
     """Lower step on the support window at cell `offset` of an n-cell grid:
     cut m of total from the left, diffuse and grow for d, cut back to mass 1
     from the right.
 
-    The left cut runs on the nonzero slice; diffusion, growth and the right
-    cut run on a window holding the trimmed support widened by the kernel
-    radius r and one empty cell a side.  ``mirrored`` says the grid is
+    `support` holds the window's first and last nonzero cells, or None to
+    find them.  The left cut is an index into the nonzero slice; diffusion,
+    growth and the right cut run on a new window holding the trimmed support
+    widened by the kernel radius r and one empty cell a side, and the right
+    cut zeroes that window's tail in place.  ``mirrored`` says the grid is
     reflected, so a GridTooSmallError names the cells of the original one.
 
-    Returns (window, offset, left cut position, right cut position).
+    Returns (window, offset, support, left cut position, right cut position);
+    the support is None when the step cannot vouch for it.
     """
-    first, last = _support(window)
-    v1, left_pos = _trim_left(
-        window[first : last + 1], x0 + (offset + first) * dx, dx, m, total
-    )
-    support = _support(v1)
-    if support is None:  # the cut took all the mass
-        return np.zeros(0), offset, left_pos, x0 + n * dx
-    lo, hi = offset + first + support[0], offset + first + support[1]
+    first, last = support or _support(window)
+    values = window[first : last + 1]
+    x_first = x0 + (offset + first) * dx
+    j, keep, left_pos = _cut_index(values, x_first, dx, m, total)
+    if keep > 0.0:
+        kept = j
+    elif j < last - first:  # the cut ends on a cell boundary; skip any gap
+        kept = j + 1 + _support(values[j + 1 :])[0]
+    else:  # the cut took all the mass
+        return np.zeros(0), offset, None, left_pos, x0 + n * dx
+    lo, hi = offset + first + kept, offset + last
     cells = (n - 1 - hi, n - 1 - lo) if mirrored else (lo, hi)
     _check_room(*cells, r, n)
     start = lo - r - 1
     padded = np.zeros(hi - lo + 2 * r + 3)
-    padded[r + 1 : r + 2 + hi - lo] = v1[support[0] : support[1] + 1]
-    mass = float(np.sum(padded) * dx)
+    padded[r + 1 : r + 2 + hi - lo] = values[kept:]
+    if kept == j:
+        padded[r + 1] = keep
+    mass = float(padded.sum() * dx)
     out = _diffuse(padded, r + 1, r + 1 + hi - lo, r, dx, d, mass)
     out *= math.exp(d)
-    grown = float(np.sum(out) * dx)
-    v2, right_pos = _trim_right(out, x0 + start * dx, dx, grown - 1.0, grown)
-    return v2, start, left_pos, right_pos
+    grown = float(out.sum() * dx)
+    # the right cut is the left cut of the reversed window, on the reflected
+    # grid, whose left edge is -(x0 + (start + size) * dx)
+    size = len(out)
+    x_end = -(x0 + start * dx + size * dx)
+    j, keep, pos = _cut_index(out[::-1], x_end, dx, grown - 1.0, grown)
+    end = size - 1 - j
+    out[end + 1 :] = 0.0
+    out[end] = keep
+    # diffusion fills cells 1..size-2, so the support starts at cell 1 unless
+    # clipping zeroed it, and ends at the kept cell unless it kept nothing
+    support = (1, end) if out[1] != 0.0 and keep > 0.0 else None
+    return out, start, support, left_pos, -pos
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +604,13 @@ def dominates(f: GridDensity, g: GridDensity) -> bool:
     discretization of the cut operators.
     """
     _same_grid(f, g)
+    return _dominates(f, _edge_tails(f), g, _edge_tails(g))
+
+
+def _dominates(f: GridDensity, f_tails, g: GridDensity, g_tails) -> bool:
+    """:func:`dominates` from the two densities' edge tails."""
     tol = 1e-9 + 2.0 * f.dx * max(float(np.max(f.values)), float(np.max(g.values)))
-    return bool(np.all(_edge_tails(f) <= _edge_tails(g) + tol))
+    return bool(np.all(f_tails <= g_tails + tol))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +658,7 @@ def refine_limit(
         raise ValueError(f"tol must be finite and positive, got tol={tol!r}")
     _check_plan(f.n, n_max)
     widths = []
-    prev_lower = prev_upper = None
+    prev_lower = prev_upper = prev_tails = None
     best: tuple[GridDensity, GridDensity] | None = None
     n_used = -1
     for n in range(n_max + 1):
@@ -640,11 +667,16 @@ def refine_limit(
         lower = iterate_scheme(f, SchemeParams(p, delta, "lower"), k).density
         upper = iterate_scheme(f, SchemeParams(p, delta, "upper"), k).density
         width = l1_distance(upper, lower)
-        if not dominates(lower, upper):
+        tails = _edge_tails(lower), _edge_tails(upper)
+        if not _dominates(lower, tails[0], upper, tails[1]):
             problem = "lower scheme escaped above the upper scheme"
-        elif prev_lower is not None and not dominates(prev_lower, lower):
+        elif prev_lower is not None and not _dominates(
+            prev_lower, prev_tails[0], lower, tails[0]
+        ):
             problem = "halving the step lowered the lower scheme"
-        elif prev_upper is not None and not dominates(upper, prev_upper):
+        elif prev_upper is not None and not _dominates(
+            upper, tails[1], prev_upper, prev_tails[1]
+        ):
             problem = "halving the step raised the upper scheme"
         elif widths and widths[-1] < _L1_CEILING and not width < widths[-1]:
             # at the L1 ceiling of 2 the supports are disjoint: the width says
@@ -658,7 +690,7 @@ def refine_limit(
         if problem:
             raise AssertionError(f"at level {n}: {problem}")
         widths.append(width)
-        prev_lower, prev_upper = lower, upper
+        prev_lower, prev_upper, prev_tails = lower, upper, tails
         best = (lower, upper)
         n_used = n
         if width <= tol:

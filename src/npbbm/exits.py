@@ -60,6 +60,7 @@ from .stats import binomial_se
 from .wave import Barrier
 
 __all__ = [
+    "MAX_PATHS",
     "MAX_STEPS",
     "PathParams",
     "ExitStats",
@@ -70,6 +71,14 @@ __all__ = [
     "small_delta_flux",
     "richardson_extrapolate",
 ]
+
+
+# Most paths one run may start.  An `exit` run peaks at about 130 bytes of
+# resident memory per path: ru_maxrss went from 38-40 MiB at 1e3 paths to
+# 162-164 MiB at 1e6 and 534-536 MiB at 4e6 (stats and representation modes;
+# flux peaks lower, at 109 MiB at 1e6), so a run at the cap peaks near
+# 1.3 GiB, under 2 GiB.
+MAX_PATHS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,10 @@ class PathParams:
             )
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        if self.n_paths > MAX_PATHS:
+            raise ValueError(
+                f"n_paths={self.n_paths!r} is above the cap of {MAX_PATHS}"
+            )
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from npbbm import (
     wave_speed,
 )
 from npbbm.cli import COMMAND_IDS, _wave_fixture, main
+from npbbm.exits import MAX_PATHS
 from npbbm.randomness import DRAW_LAYOUT
 
 
@@ -396,6 +397,22 @@ def test_scheme_plan_above_its_cap_returns_2_at_once(
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err == f"config error: {plan}\n"
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["stats", "representation", "flux"])
+@pytest.mark.parametrize("extra", [1, 10**12 - MAX_PATHS])
+def test_exit_paths_above_the_cap_return_2_at_once(tmp_path, capsys, mode, extra):
+    # 1e12 paths once failed to allocate 7.28 TiB and exited 3, and 1e8 ran
+    # past 10 s; the count is checked before anything is allocated
+    n_paths = MAX_PATHS + extra
+    cfg = _write_config(tmp_path, "e.json", {"mode": mode, "n_paths": n_paths})
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["exit", "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"config error: n_paths={n_paths} is above the cap of {MAX_PATHS}\n"
     assert not any(out.iterdir())
 
 

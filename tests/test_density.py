@@ -37,12 +37,11 @@ from npbbm import (
 from npbbm.density import (
     MAX_GRID_CELLS,
     _heat_kernel,
-    _trim_left,
-    _trim_right,
     l1_distance,
 )
 
 from helpers import gaussian_density, random_bump_density, uniform_density, wave_fixture
+from test_reference import trim_left_reference
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +428,7 @@ def _full_grid_lower_step(values, x0, dx, q, d, total):
     the cell it falls in: a cut position moves by the mass
     rounding divided by that density.
     """
-    v1, left = _trim_left(values, x0, dx, q * (1.0 - math.exp(-d)), total)
+    v1, left = trim_left_reference(values, x0, dx, q * (1.0 - math.exp(-d)), total)
     kernel = _heat_kernel(dx, d)
     r = (len(kernel) - 1) // 2
     nz = np.flatnonzero(v1)
@@ -438,7 +437,9 @@ def _full_grid_lower_step(values, x0, dx, q, d, total):
     conv[nz[-1] + r + 1 :] = 0.0
     grown = np.maximum(conv, 0.0) * math.exp(d)
     mass = float(np.sum(grown) * dx)
-    v2, right = _trim_right(grown, x0, dx, mass - 1.0, mass)
+    x_end = -(x0 + len(grown) * dx)
+    v2, right = trim_left_reference(grown[::-1], x_end, dx, mass - 1.0, mass)
+    v2, right = v2[::-1], -right
 
     def cell(pos):
         return min(int((pos - x0) / dx), len(values) - 1)

@@ -39,9 +39,12 @@ from npbbm import (
 from npbbm.density import (
     SchemeRun,
     _check_room,
+    _cut_index,
     _fft_size,
     _heat_kernel,
     _kernel_radius,
+    _lower_step,
+    _on_grid,
     _support,
 )
 from npbbm.exits import _plan, _run_paths
@@ -903,3 +906,138 @@ def test_upper_run_is_the_reflected_lower_run(p, dx, t):
         assert same_bits(hi.density.values, lo.density.values[::-1])
         assert same_bits(hi.left_cuts, -lo.right_cuts)
         assert same_bits(hi.right_cuts, -lo.left_cuts)
+
+
+# ---------------------------------------------------------------------------
+# the index cut against the copying reference trim
+
+
+def _index_trim(values, x0, dx, m, total):
+    """trim_left_reference's (values, position), from the index cut."""
+    j, keep, pos = _cut_index(values, x0, dx, m, total)
+    out = np.array(values)
+    out[:j] = 0.0
+    out[j] = keep
+    return out, pos
+
+
+def _assert_cut_matches(values, x0, dx, m, total):
+    out, pos = _index_trim(values, x0, dx, m, total)
+    want, want_pos = trim_left_reference(values, x0, dx, m, total)
+    assert same_bits(out, want)
+    assert same_bits(np.float64(pos), np.float64(want_pos))
+
+
+def _gap_density():
+    """Two flat bumps with a gap between them, every sum exact: the first
+    holds 1/4 of the unit mass, the second 3/4."""
+    dx, n = 2.0**-6, 1400
+    values = np.zeros(n)
+    values[500:508] = 2.0
+    values[550:566] = 3.0
+    return -10.0, dx, values
+
+
+def test_index_cut_ending_at_a_gap_keeps_nothing_of_its_cell():
+    x0, dx, values = _gap_density()
+    total = float(np.sum(values) * dx)
+    assert total == 1.0
+    j, keep, pos = _cut_index(values, x0, dx, 0.25, total)
+    assert (j, keep) == (507, 0.0) and pos == x0 + 508 * dx
+    # cuts ending at the first bump's last cell, and inside each bump
+    for m in (0.25, 0.25 - 2.0 * dx, 0.1, 0.25 + 3.0 * dx, 0.6):
+        _assert_cut_matches(values, x0, dx, m, total)
+        _assert_cut_matches(values[500:566], x0 + 500 * dx, dx, m, total)
+
+
+@pytest.mark.parametrize("d", [0.01, 0.5])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_step_after_a_cut_ending_at_a_gap_matches_reference(d, mirrored):
+    # the left cut keeps nothing of its cell, so the kept support starts past
+    # the gap; at d = 0.01 the grown mass stays below 1 and the right cut
+    # removes nothing, at d = 0.5 it removes 0.75 e^0.5 - 1
+    x0, dx, values = _gap_density()
+    n, r = len(values), _kernel_radius(dx, d)
+    window, offset, support, left, right = _lower_step(
+        values, 0, None, x0, dx, n, 0.25, 1.0, d, r, mirrored
+    )
+    want, want_left, want_right = _lower_step_reference(
+        values, x0, dx, 0.25, 1.0, d, mirrored
+    )
+    assert same_bits(_on_grid(window, offset, n, True), want)
+    assert (left, right) == (want_left, want_right)
+    assert support is None or support == _support(window)
+
+
+def test_index_cut_on_the_zero_cell_past_the_support():
+    # The pairwise total can exceed the last prefix sum by an ulp; a cut
+    # between the two runs past every prefix sum and lands on the last cell,
+    # which is zero.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        values = np.zeros(1000)
+        values[1:-1] = rng.random(998)
+        dx = 1e-3
+        total = float(np.sum(values) * dx)
+        m = float(np.nextafter(total, 0.0))
+        if m > np.cumsum(values)[-1] * dx:
+            break
+    else:
+        pytest.fail("no seed below 200 gives a total above the last prefix sum")
+    j, keep, pos = _cut_index(values, 0.5, dx, m, total)
+    assert (j, keep) == (999, 0.0) and pos == 0.5 + 999 * dx
+    _assert_cut_matches(values, 0.5, dx, m, total)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_cut_of_nothing_and_of_everything(seed):
+    bump = random_bump_density(np.random.default_rng(seed), -30.0, 1e-2, 6001)
+    v, x0, dx, total = bump.values, bump.x0, bump.dx, bump.mass
+    first, last = _support(v)
+    for m in (0.0, total, 2.0 * total):
+        _assert_cut_matches(v, x0, dx, m, total)
+        _assert_cut_matches(v[first : last + 1], x0 + first * dx, dx, m, total)
+    assert _cut_index(v, x0, dx, 0.0, total)[:2] == (0, 0.0)
+    assert _cut_index(v, x0, dx, total, total)[:2] == (len(v) - 1, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_right_index_cut_on_a_reversed_window(seed):
+    # the right cut runs on the reversed view and zeroes the tail in place
+    rng = np.random.default_rng(seed)
+    bump = random_bump_density(rng, -30.0, 1e-2, 6001)
+    first, last = _support(bump.values)
+    v = bump.values[first - 3 : last + 4]
+    x0, dx, total = bump.x0 + (first - 3) * bump.dx, bump.dx, bump.mass
+    x_end = -(x0 + len(v) * dx)
+    for m in (0.0, *(total * rng.uniform(0.0, 1.0, 6)), total):
+        j, keep, pos = _cut_index(v[::-1], x_end, dx, m, total)
+        out = v.copy()
+        out[len(v) - j :] = 0.0
+        out[len(v) - 1 - j] = keep
+        want, want_pos = trim_left_reference(v[::-1], x_end, dx, m, total)
+        assert same_bits(out, want[::-1])
+        assert same_bits(np.float64(-pos), np.float64(-want_pos))
+
+
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_carried_support_is_the_window_support(side, monkeypatch):
+    # every support bound a step hands on is the one a scan of its window finds
+    step, carried = _lower_step, []
+
+    def checked(*args):
+        result = step(*args)
+        window, _, support = result[:3]
+        carried.append(support is not None)
+        if support is not None:
+            assert support == _support(window)
+        return result
+
+    monkeypatch.setattr(density, "_lower_step", checked)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        bump = random_bump_density(rng, -30.0, 1e-2, 6001)
+        f = GridDensity(bump.x0, bump.dx, bump.values / bump.mass)
+        p, d = float(rng.uniform(0.1, 0.9)), float(rng.uniform(1e-3, 0.5))
+        _check_run(f, SchemeParams(p, d, side), 8)
+    assert len(carried) == 64 and any(carried)
