@@ -308,6 +308,8 @@ def _naming(key: str):
 
 def cmd_simulate(config: dict, out: _OutputSet) -> None:
     p, n, horizon = config["p"], config["n_particles"], config["horizon"]
+    if not horizon > 0.0:
+        raise ValueError(f"horizon={horizon!r} must be positive")
     src = _command_source(config, "simulate")
     times = np.linspace(0.0, horizon, config["n_samples"] + 1)[1:]
     rec = simulate(np.zeros(n), p, horizon, src, sample_times=times)

@@ -13,17 +13,15 @@ on the reflected grid.  Iterated at matching total times the two schemes
 bracket the continuum solution, and their gap shrinks as the step is halved,
 which is how the common limit is extracted.
 
-The k steps of one side run as a single loop over the support window: from
-step to step it carries only the window's values, its offset on the grid,
-its support bounds and its mass, and the full-grid density is built once,
-after the last step.  The upper side reflects its input once and its result
-once, so a run is R . lower(1-p)^k . R with R(x) = -x.  Both cuts of a step
-work by index and copy no window: the left cut finds its cell in the
-support slice, which goes straight into the padded window that diffuses;
-the right cut runs the same search on a reversed view of the grown window
-and zeroes its tail in place.  The support bounds a step hands on are (1,
-last kept cell) when it can vouch for them; otherwise the next step scans
-its window.  `gaussian_propagate` diffuses through the same windowed
+The k steps of one side run as a single loop over a window that is exactly
+the support (first and last cells nonzero): the input is trimmed to it
+once, each step hands on only the window, its offset on the grid and its
+mass, and the full-grid density is built once, after the last step.  The
+upper side reflects its input once and its result once, so a run is
+R . lower(1-p)^k . R with R(x) = -x.  Both cuts of a step work by index and
+copy no window: the left cut finds its cell in the window, the right cut
+runs the same search on a reversed view of the grown window and zeroes its
+tail in place.  `gaussian_propagate` diffuses through the same windowed
 convolution.  The loop keeps the bits of the step-by-step full-grid
 evaluation.
 
@@ -473,9 +471,8 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
 
     The upper side runs the lower steps at 1-p on the reflected grid, which
     it reflects once on the way in and once on the way out.  Between steps
-    the loop carries the window, its offset on the (reflected) grid, its
-    support bounds when the step knows them, and its mass; a
-    GridTooSmallError names the step it happened at.
+    the loop carries the support window, its offset on the (reflected) grid
+    and its mass; a GridTooSmallError names the step it happened at.
 
     Returns (density, left cut positions, right cut positions).
     """
@@ -487,7 +484,8 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
     x0 = f.x0 if lower else -(f.x0 + n * dx)
     r = _kernel_radius(dx, d)
     window = f.values if lower else f.values[::-1]
-    offset, support, mass = 0, None, f.mass
+    offset, last = _support(window) or (0, -1)
+    window, mass = window[offset : last + 1], f.mass
     lefts, rights = [], []
     for i in range(k):
         if i and (abs(mass - 1.0) > 5e-11 or cut >= mass * (1.0 - 1e-12)):
@@ -502,15 +500,14 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
             )
         m = _checked_amount(cut, mass)
         try:
-            window, offset, support, left, right = _lower_step(
-                window, offset, support, x0, dx, n, m, mass, d, r, not lower
+            window, offset, mass, left, right = _lower_step(
+                window, offset, x0, dx, n, m, mass, d, r, not lower
             )
         except GridTooSmallError as exc:
             msg = f"at step {i + 1} of {k} (delta={d!r}): {exc}"
             raise GridTooSmallError(msg) from None
         lefts.append(left if lower else -right)
         rights.append(right if lower else -left)
-        mass = float(window.sum() * dx)
     density = GridDensity(f.x0, dx, _on_grid(window, offset, n, lower)) if k else f
     return density, lefts, rights
 
@@ -523,32 +520,30 @@ def _on_grid(window, offset: int, n: int, lower: bool):
     return out if lower else out[::-1]
 
 
-def _lower_step(window, offset, support, x0, dx, n, m, total, d, r, mirrored):
-    """Lower step on the support window at cell `offset` of an n-cell grid:
-    cut m of total from the left, diffuse and grow for d, cut back to mass 1
-    from the right.
+def _lower_step(values, offset, x0, dx, n, m, total, d, r, mirrored):
+    """Lower step on the support window `values` (first and last cells
+    nonzero) at cell `offset` of an n-cell grid: cut m of total from the
+    left, diffuse and grow for d, cut back to mass 1 from the right.
 
-    `support` holds the window's first and last nonzero cells, or None to
-    find them.  The left cut is an index into the nonzero slice; diffusion,
-    growth and the right cut run on a new window holding the trimmed support
-    widened by the kernel radius r and one empty cell a side, and the right
-    cut zeroes that window's tail in place.  ``mirrored`` says the grid is
-    reflected, so a GridTooSmallError names the cells of the original one.
+    The left cut is an index into the window; diffusion, growth and the
+    right cut run on a new window holding the kept cells widened by the
+    kernel radius r and one empty cell a side, and the right cut zeroes that
+    window's tail in place.  ``mirrored`` says the grid is reflected, so a
+    GridTooSmallError names the cells of the original one.
 
-    Returns (window, offset, support, left cut position, right cut position);
-    the support is None when the step cannot vouch for it.
+    Returns (window, offset, mass, left cut position, right cut position),
+    the window again the support.  The mass is summed over the whole grown
+    window: a sum over the trimmed one may differ in the last bits.
     """
-    first, last = support or _support(window)
-    values = window[first : last + 1]
-    x_first = x0 + (offset + first) * dx
-    j, keep, left_pos = _cut_index(values, x_first, dx, m, total)
+    last = len(values) - 1
+    j, keep, left_pos = _cut_index(values, x0 + offset * dx, dx, m, total)
     if keep > 0.0:
         kept = j
-    elif j < last - first:  # the cut ends on a cell boundary; skip any gap
+    elif j < last:  # the cut ends on a cell boundary; skip any gap
         kept = j + 1 + _support(values[j + 1 :])[0]
     else:  # the cut took all the mass
-        return np.zeros(0), offset, None, left_pos, x0 + n * dx
-    lo, hi = offset + first + kept, offset + last
+        return np.zeros(0), offset, 0.0, left_pos, x0 + n * dx
+    lo, hi = offset + kept, offset + last
     cells = (n - 1 - hi, n - 1 - lo) if mirrored else (lo, hi)
     _check_room(*cells, r, n)
     start = lo - r - 1
@@ -568,10 +563,15 @@ def _lower_step(window, offset, support, x0, dx, n, m, total, d, r, mirrored):
     end = size - 1 - j
     out[end + 1 :] = 0.0
     out[end] = keep
-    # diffusion fills cells 1..size-2, so the support starts at cell 1 unless
-    # clipping zeroed it, and ends at the kept cell unless it kept nothing
-    support = (1, end) if out[1] != 0.0 and keep > 0.0 else None
-    return out, start, support, left_pos, -pos
+    mass = float(out.sum() * dx)
+    # clipping may zero cells from cell 1 on, and a cut that kept nothing of
+    # its cell leaves zeros before it; one of all the mass leaves only zeros
+    first, last = 1, end
+    while last >= first and out[last] == 0.0:
+        last -= 1
+    while first < last and out[first] == 0.0:
+        first += 1
+    return out[first : last + 1], start + first, mass, left_pos, -pos
 
 
 # ---------------------------------------------------------------------------

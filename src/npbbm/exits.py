@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .density import GridDensity, refine_limit, sample_from_density, tail_mass
+from .density import GridDensity, _support, refine_limit, sample_from_density, tail_mass
 from .randomness import RandomSource, TAG_DRIVING, TAG_INITIAL, TAG_UNIFORM_A
 from .stats import binomial_se
 from .wave import Barrier
@@ -324,13 +324,6 @@ def _run_paths(
     return code, final
 
 
-def _support_interval(rho: GridDensity) -> tuple[float, float]:
-    nz = np.nonzero(rho.values)[0]
-    if nz.size == 0:
-        raise ValueError("cannot sample from a zero density")
-    return rho.x0 + nz[0] * rho.dx, rho.x0 + (nz[-1] + 1) * rho.dx
-
-
 def _draw_initial(
     rho: GridDensity, left: Barrier, right: Barrier, n: int, src: RandomSource
 ):
@@ -342,7 +335,10 @@ def _draw_initial(
     interpolation is clipped to the open strip.  The displaced mass is
     O(dx^2), far below Monte Carlo resolution.
     """
-    lo, hi = _support_interval(rho)
+    support = _support(rho.values)
+    if support is None:
+        raise ValueError("cannot sample from a zero density")
+    lo, hi = rho.x0 + support[0] * rho.dx, rho.x0 + (support[1] + 1) * rho.dx
     l0 = float(left.value(0.0))
     r0 = float(right.value(0.0))
     if lo < l0 - rho.dx - 1e-12 or hi > r0 + rho.dx + 1e-12:

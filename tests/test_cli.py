@@ -416,6 +416,20 @@ def test_exit_paths_above_the_cap_return_2_at_once(tmp_path, capsys, mode, extra
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("horizon", [0, 0.0, -1.0, -5e-324])
+def test_simulate_horizon_not_positive_returns_2_naming_it(tmp_path, capsys, horizon):
+    # horizon 0 once failed in the sampler with "sample_times must be
+    # strictly increasing", naming neither the key nor its limit
+    cfg = _write_config(tmp_path, "s.json", {"horizon": horizon})
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err == f"config error: horizon={float(horizon)!r} must be positive\n"
+    assert not any(out.iterdir())
+
+
 def test_representation_horizon_beyond_exp_range_returns_2(
     tmp_path, capsys, monkeypatch
 ):

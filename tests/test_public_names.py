@@ -85,3 +85,32 @@ def test_every_keyword_only_option_is_used():
         if param.kind is param.KEYWORD_ONLY and (name, param.name) not in calls
     )
     assert unused == []
+
+
+def test_every_private_function_and_class_is_used_in_the_package():
+    # a private helper that only tests reach is code no command needs
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in Path(npbbm.__file__).parent.glob("*.py")
+    }
+    unused = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            if not (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+            ):
+                continue
+            # references outside the definition itself, in any module
+            used = any(
+                isinstance(ref, ast.Name) and ref.id == node.name
+                or isinstance(ref, ast.Attribute) and ref.attr == node.name
+                for other in trees.values()
+                for top in other.body
+                if top is not node
+                for ref in ast.walk(top)
+            )
+            if not used:
+                unused.append(f"{file}:{node.name}")
+    assert unused == []

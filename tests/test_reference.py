@@ -958,15 +958,17 @@ def test_step_after_a_cut_ending_at_a_gap_matches_reference(d, mirrored):
     # removes nothing, at d = 0.5 it removes 0.75 e^0.5 - 1
     x0, dx, values = _gap_density()
     n, r = len(values), _kernel_radius(dx, d)
-    window, offset, support, left, right = _lower_step(
-        values, 0, None, x0, dx, n, 0.25, 1.0, d, r, mirrored
+    first, last = _support(values)
+    window, offset, mass, left, right = _lower_step(
+        values[first : last + 1], first, x0, dx, n, 0.25, 1.0, d, r, mirrored
     )
     want, want_left, want_right = _lower_step_reference(
         values, x0, dx, 0.25, 1.0, d, mirrored
     )
     assert same_bits(_on_grid(window, offset, n, True), want)
     assert (left, right) == (want_left, want_right)
-    assert support is None or support == _support(window)
+    assert _support(want) == (offset, offset + len(window) - 1)
+    assert mass == pytest.approx(float(np.sum(want) * dx), rel=1e-14)
 
 
 def test_index_cut_on_the_zero_cell_past_the_support():
@@ -1021,16 +1023,20 @@ def test_right_index_cut_on_a_reversed_window(seed):
 
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
-def test_carried_support_is_the_window_support(side, monkeypatch):
-    # every support bound a step hands on is the one a scan of its window finds
-    step, carried = _lower_step, []
+def test_scheme_window_is_its_support(side, monkeypatch):
+    # after every step the window's first and last cells are nonzero, and
+    # they are the support a scan of the whole (reflected) grid finds
+    step, windows = _lower_step, []
 
-    def checked(*args):
-        result = step(*args)
-        window, _, support = result[:3]
-        carried.append(support is not None)
-        if support is not None:
-            assert support == _support(window)
+    def checked(values, offset, x0, dx, n, *rest):
+        result = step(values, offset, x0, dx, n, *rest)
+        window, start = result[:2]
+        windows.append(len(window))
+        assert window[0] != 0.0 and window[-1] != 0.0
+        assert _support(_on_grid(window, start, n, True)) == (
+            start,
+            start + len(window) - 1,
+        )
         return result
 
     monkeypatch.setattr(density, "_lower_step", checked)
@@ -1040,4 +1046,20 @@ def test_carried_support_is_the_window_support(side, monkeypatch):
         f = GridDensity(bump.x0, bump.dx, bump.values / bump.mass)
         p, d = float(rng.uniform(0.1, 0.9)), float(rng.uniform(1e-3, 0.5))
         _check_run(f, SchemeParams(p, d, side), 8)
-    assert len(carried) == 64 and any(carried)
+    assert len(windows) == 64
+
+
+def test_refine_limit_scans_for_the_support_once_per_run(monkeypatch):
+    # the scheme-exit benchmark's run, 1022 steps over levels 0..8: one
+    # support scan per side and level, none in the steps
+    scan, scans = _support, []
+
+    def counted(values):
+        scans.append(len(values))
+        return scan(values)
+
+    _, rho, _, _ = wave_fixture(0.75, 1.0, 1e-3)
+    monkeypatch.setattr(density, "_support", counted)
+    result = refine_limit(rho, 0.75, 1.0, n_max=8, tol=1e-2)
+    assert result.n_used == 8
+    assert scans == [rho.n] * 18
