@@ -306,15 +306,25 @@ def _naming(key: str):
         raise ValueError(f"{key}: {exc}") from exc
 
 
+def _check_burn_in(horizon: float, burn: float) -> None:
+    """Reject a burn_in outside [0, horizon), naming both keys."""
+    if not 0.0 <= burn < horizon:
+        raise ValueError(
+            f"need horizon > burn_in >= 0, got horizon={horizon!r}, burn_in={burn!r}"
+        )
+
+
 def cmd_simulate(config: dict, out: _OutputSet) -> None:
     p, n, horizon = config["p"], config["n_particles"], config["horizon"]
+    burn, replicas = config["burn_in"], config["replicas"]
     if not horizon > 0.0:
         raise ValueError(f"horizon={horizon!r} must be positive")
+    if burn is not None:
+        _check_burn_in(horizon, burn)
     src = _command_source(config, "simulate")
     times = np.linspace(0.0, horizon, config["n_samples"] + 1)[1:]
     rec = simulate(np.zeros(n), p, horizon, src, sample_times=times)
-    burn, replicas = config["burn_in"], config["replicas"]
-    # both results first, so a rejected burn_in leaves no file behind
+    # both results first, so a rejected argument leaves no file behind
     est = estimate_speed(p, n, horizon, src.child(1), burn_in=burn, replicas=replicas)
     out.write_csv(
         "trajectory.csv",
@@ -522,6 +532,7 @@ def cmd_speedscan(config: dict, out: _OutputSet) -> None:
             f"replicas={replicas} exceeds {_SLOT_STREAMS}, the number of streams "
             "each size slot owns"
         )
+    _check_burn_in(horizon, burn)
     src = _command_source(config, "speedscan")
     reference = wave_speed(p)
     rows = []

@@ -17,15 +17,15 @@ in batches of B: BLOCK_ITEMS // N events (163 at N = 50), but at least
 MIN_BATCH = 16 where the increments of 16 fit in 16 blocks (1 MB), and else
 as many as fit there (16 at N = 4000, 6 at N = 20 000, 1 above N = 65 536).
 For each batch it takes B clock gaps, B ranks and B selection uniforms in
-one call per stream, sums the gaps from the last event time into event
-times in order, merges the sample times into that schedule (a sample at an
-event's time comes first; the first event after T ends the run), and takes
-the normals for the positive intervals of up to B stops in one call, scaled
-row by row by the square root of the interval.  Python then only adds a row, re-sorts and
-records the sample or shifts for the event.  The streams are read ahead in
-blocks (:class:`~npbbm.randomness.ReadAhead`), and each is consumed in the
-order of call-by-call sampling, so the draws, the event times (each the
-last one plus its gap) and the increments are those of one event at a time.
+one generator call per stream, sums the gaps from the last event time into
+event times in order, merges the sample times into that schedule (a sample
+at an event's time comes first; the first event after T ends the run), and
+draws the normals for the positive intervals of up to B stops in one call,
+straight into a reused row buffer, scaled row by row by the square root of
+the interval.  Python then only adds a row, re-sorts and records the sample
+or shifts for the event.  A batched generator call equals the same draws
+made one at a time, so the draws, the event times (each the last one plus
+its gap) and the increments are those of one event at a time.
 The loop re-sorts with numpy's quicksort, which gives the same bits as a
 stable sort: the two can differ only in the order of +0.0 and -0.0, and
 x + g is -0.0 only when both are, so after an increment a -0.0 needs a -0.0
@@ -43,16 +43,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .randomness import (
-    BLOCK_ITEMS,
     RandomSource,
-    ReadAhead,
     TAG_CLOCK,
     TAG_DRIVING,
     TAG_INDEX,
@@ -70,6 +67,10 @@ __all__ = [
     "estimate_speed",
 ]
 
+
+# Draws in a block, 64 KB of float64.  It sets only the batch size: a batch
+# holds BLOCK_ITEMS // N events, whose increment rows fill one block.
+BLOCK_ITEMS = 8192
 
 # Fewest events in a batch, where the increments of that many fit in
 # MIN_BATCH blocks.  A batch costs about a dozen vector calls: at two events
@@ -116,9 +117,13 @@ class SimulationStreams:
 
     n is bound at construction, and so is ``batch``, the number of events
     one :meth:`events` call hands out (see the module docstring).  Each
-    stream is read ahead in blocks; the draws equal those of the calls
-    ``standard_normal(n)``, ``exponential(1/n)``, ``integers(1, n + 1)``
-    and ``random()`` made one at a time.
+    batch takes one generator call per stream.  A Philox generator consumes
+    its counter in order, so a batched call equals the same draws made one
+    at a time: ``standard_normal(out=rows)`` the calls
+    ``standard_normal(n)``, ``(1/n) * standard_exponential(b)`` the calls
+    ``exponential(1/n)``, ``integers(1, n + 1, b)`` the calls
+    ``integers(1, n + 1)`` and ``random(b)`` the calls ``random()``.  Each
+    generator has this one consumer, which draws nothing it does not use.
     """
 
     def __init__(self, src: RandomSource, n: int) -> None:
@@ -127,10 +132,10 @@ class SimulationStreams:
         self.batch = max(
             1, BLOCK_ITEMS // n, min(MIN_BATCH, MIN_BATCH * BLOCK_ITEMS // n)
         )
-        self._driving = ReadAhead(src.generator(TAG_DRIVING).standard_normal)
-        self._clock = ReadAhead(src.generator(TAG_CLOCK).standard_exponential)
-        self._ranks = ReadAhead(partial(src.generator(TAG_INDEX).integers, 1, n + 1))
-        self._select = ReadAhead(src.generator(TAG_SELECT).random)
+        self._driving = src.generator(TAG_DRIVING)
+        self._clock = src.generator(TAG_CLOCK)
+        self._ranks = src.generator(TAG_INDEX)
+        self._select = src.generator(TAG_SELECT)
 
     def events(self, t: float, p: float) -> tuple[NDArray, NDArray, NDArray]:
         """The next ``batch`` branch events after time t: times, ranks, kill bits.
@@ -141,20 +146,23 @@ class SimulationStreams:
         particle, False the rightmost.
         """
         b = self.batch
-        times = self._mean_gap * self._clock.take(b)
+        times = self._clock.standard_exponential(b)
+        times *= self._mean_gap
         times[0] += t
         np.add.accumulate(times, out=times)  # np.cumsum, less overhead
-        return times, self._ranks.take(b), self._select.take(b) < p
+        ranks = self._ranks.integers(1, self._n + 1, b)
+        return times, ranks, self._select.random(b) < p
 
     def increments(self, dts: NDArray, out: NDArray) -> NDArray:
         """Gaussian increments over the positive intervals dts, one row each.
 
-        Rank j takes entry j of a row.  The rows are written to
+        Rank j takes entry j of a row.  The rows are drawn into
         ``out[:len(dts)]``, which is returned.
         """
-        r = len(dts)
-        z = self._driving.take(r * self._n).reshape(r, self._n)
-        return np.multiply(z, np.sqrt(dts)[:, None], out=out[:r])
+        rows = out[: len(dts)]
+        self._driving.standard_normal(out=rows)
+        rows *= np.sqrt(dts)[:, None]
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +244,11 @@ def _run(x, p, T, times, streams, record_configs) -> list[TrajectoryRecord]:
 
     Events come in batches from ``streams.events``.  A batch's events up to
     T and the sample times up to its last event merge into one list of
-    stops, a sample at an event's time before the event.  At each stop a
-    positive interval adds one increment row and re-sorts; then the stop
-    records the sample or applies the event.  A pair (K = 2) is a monotone
-    coupling, checked after every stop.
+    stops, a sample at an event's time before the event.  The increment rows
+    of up to B stops at a time are drawn into one (B, N) buffer that every
+    chunk of stops reuses.  At each stop a positive interval adds its row and
+    re-sorts; then the stop records the sample or applies the event.  A pair
+    (K = 2) is a monotone coupling, checked after every stop.
     """
     k, n = x.shape
     x = x.copy()  # stepped in place

@@ -12,19 +12,6 @@ counter-based Philox generator keyed on (master_seed, stream_index, tag), so
 Replica fan-out uses disjoint stream_index ranges: replica r of an operation
 seeded with source s draws from s.child(r).
 
-Layout contract of :class:`ReadAhead`.  A Philox generator consumes its
-counter in order, so draws taken in one block equal the same draws taken
-call by call: ``standard_normal(n)`` with fixed or varying n,
-``standard_exponential``, ``integers(lo, hi)`` for fixed bounds and
-``random()``, whether each call asks for one draw or for many; and
-``exponential(1/n)`` equals ``(1/n) * standard_exponential()`` bit for bit.
-Reading ahead is therefore invisible as long as each generator has exactly
-one consumer, which holds because every consumer makes its own generators
-from :meth:`RandomSource.generator` and reads each one through a single
-:class:`ReadAhead`.  The draws fetched past the last one used are discarded
-with the generator.  A block holds at most ``BLOCK_ITEMS`` draws (64 KB of
-float64 or int64), unless one request alone is larger.
-
 Draw layout.  :data:`DRAW_LAYOUT` numbers the layout: which draws each
 routine takes from which substream, and in which order.  A new layout
 changes output bits at the same seed; the CLI manifest records it as
@@ -52,10 +39,20 @@ changes output bits at the same seed; the CLI manifest records it as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from numpy.typing import NDArray
+
+__all__ = [
+    "RandomSource",
+    "DRAW_LAYOUT",
+    "TAG_DRIVING",
+    "TAG_CLOCK",
+    "TAG_INDEX",
+    "TAG_SELECT",
+    "TAG_UNIFORM_A",
+    "TAG_UNIFORM_B",
+    "TAG_INITIAL",
+]
 
 # Substream tags.  The particle simulator uses the first four; other modules
 # reuse DRIVING/CLOCK for their own Gaussian/exponential draws and the
@@ -70,10 +67,6 @@ TAG_INITIAL = 6    # initial-condition sampling
 
 # the draw layout this package implements; see the module docstring
 DRAW_LAYOUT = 3
-
-# Largest read-ahead block, 64 KB of 8-byte draws: larger blocks fall out of
-# the cache and made the particle loop slower.
-BLOCK_ITEMS = 8192
 
 
 @dataclass(frozen=True)
@@ -102,38 +95,3 @@ class RandomSource:
         if offset < 0:
             raise ValueError("offset must be non-negative")
         return RandomSource(self.master_seed, self.stream_index + offset)
-
-
-class ReadAhead:
-    """The draws of one generator method, fetched in blocks, handed out in order.
-
-    ``draw`` takes a size, e.g. ``gen.standard_normal`` or
-    ``functools.partial(gen.integers, 1, n + 1)``.  :meth:`take` returns
-    exactly the draws that successive calls of ``draw`` would, in the same
-    order (see the module docstring), so the generator must have no other
-    consumer.  Its arrays are read-only views of the current block.
-    """
-
-    def __init__(self, draw: Callable[[int], NDArray]) -> None:
-        self._draw = draw
-        self._block: NDArray = np.empty(0)
-        self._pos = 0
-
-    def _refill(self, n: int) -> None:
-        rest = self._block[self._pos :]
-        # whole multiples of n, so a run of equal requests never straddles blocks
-        fresh = self._draw(max(n - rest.size, BLOCK_ITEMS // n * n))
-        block = np.concatenate((rest, fresh)) if rest.size else fresh
-        block.flags.writeable = False
-        self._block = block
-        self._pos = 0
-
-    def take(self, n: int) -> NDArray:
-        """The next n draws as an array."""
-        if n < 0:
-            raise ValueError(f"take needs n >= 0, got n={n!r}")
-        if self._pos + n > self._block.size:
-            self._refill(n)
-        start = self._pos
-        self._pos = start + n
-        return self._block[start : self._pos]

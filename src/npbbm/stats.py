@@ -7,6 +7,8 @@ import math
 import numpy as np
 from numpy.typing import NDArray
 
+__all__ = ["empirical_tail", "ks_distance", "ks_critical", "dkw_band", "binomial_se"]
+
 
 def empirical_tail(samples, xs) -> NDArray[np.float64]:
     """Fraction of samples >= x for each threshold x."""

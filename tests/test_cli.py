@@ -802,7 +802,33 @@ def test_bad_burn_in_returns_2_before_any_output(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "need T > burn_in >= 0, got T=10.0, burn_in=20.0" in err
+    assert "need horizon > burn_in >= 0, got horizon=10.0, burn_in=20.0" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command, entries, shown",
+    [
+        # both used to fail in estimate_speed, naming its T and not horizon
+        ("speedscan", {"horizon": 0}, "horizon=0.0, burn_in=10.0"),
+        ("simulate", {"horizon": 1.0, "burn_in": 2.0}, "horizon=1.0, burn_in=2.0"),
+    ],
+)
+def test_burn_in_outside_the_horizon_names_both_keys(
+    tmp_path, capsys, monkeypatch, command, entries, shown
+):
+    import npbbm.cli as cli
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("particles simulated before burn_in was checked")
+
+    monkeypatch.setattr(cli, "simulate", no_runs)
+    monkeypatch.setattr(cli, "estimate_speed", no_runs)
+    cfg = _write_config(tmp_path, "c.json", entries)
+    out = tmp_path / "x"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: need horizon > burn_in >= 0, got {shown}\n"
     assert list(out.iterdir()) == []
 
 

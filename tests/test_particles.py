@@ -19,6 +19,7 @@ from npbbm import (
 )
 from npbbm import particles
 from npbbm.particles import order
+from npbbm.randomness import TAG_CLOCK, TAG_DRIVING, TAG_INDEX, TAG_SELECT
 
 from helpers import mean_and_se
 
@@ -102,6 +103,55 @@ def test_branch_on_a_stack_acts_row_by_row(q):
     for i in (1, 3, 6):
         rows = [_branched(row, i, q) for row in stack]
         assert np.array_equal(_branched(stack, i, q), rows)
+
+
+# ---------------------------------------------------------------------------
+# streams
+
+
+class _KeptSource:
+    """A source that keeps the generators it hands out, by tag."""
+
+    def __init__(self, src):
+        self._src = src
+        self.gens = {}
+
+    def generator(self, tag):
+        self.gens[tag] = self._src.generator(tag)
+        return self.gens[tag]
+
+
+@pytest.mark.parametrize("n", [1, 50, 4000])
+def test_event_streams_draw_exactly_a_batch_per_call(n):
+    # each events() call takes its batch and nothing past it, so after k
+    # calls the next draw of a stream is draw k * batch + 1 of a fresh one
+    src = RandomSource(20260815, 3)
+    kept = _KeptSource(src)
+    streams = SimulationStreams(kept, n)
+    k = 3
+    for _ in range(k):
+        streams.events(0.0, 0.5)
+    used = k * streams.batch
+    for tag, draw in [
+        (TAG_CLOCK, lambda g, *size: g.standard_exponential(*size)),
+        (TAG_INDEX, lambda g, *size: g.integers(1, n + 1, *size)),
+        (TAG_SELECT, lambda g, *size: g.random(*size)),
+    ]:
+        assert draw(kept.gens[tag]) == draw(src.generator(tag), used + 1)[-1]
+
+
+def test_increments_are_drawn_into_the_callers_buffer():
+    n = 7
+    src = RandomSource(20260815, 3)
+    kept = _KeptSource(src)
+    streams = SimulationStreams(kept, n)
+    out = np.empty((streams.batch, n))
+    dts = np.array([0.5, 2.0, 1e-3])
+    rows = streams.increments(dts, out)
+    assert np.shares_memory(rows, out) and rows.shape == (3, n)
+    fresh = src.generator(TAG_DRIVING).standard_normal(3 * n + 1)
+    assert np.array_equal(rows, fresh[:-1].reshape(3, n) * np.sqrt(dts)[:, None])
+    assert kept.gens[TAG_DRIVING].standard_normal() == fresh[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from functools import partial
-
 from npbbm import RandomSource
-from npbbm.randomness import BLOCK_ITEMS, TAG_CLOCK, TAG_DRIVING, ReadAhead
+from npbbm.particles import BLOCK_ITEMS
+from npbbm.randomness import TAG_CLOCK, TAG_DRIVING
 
 
 def test_same_key_reproduces_bit_for_bit():
@@ -55,75 +54,65 @@ def test_generator_is_fresh_each_call():
 
 
 # ---------------------------------------------------------------------------
-# read-ahead layout contract
+# the generator contract the particle loop relies on: a batched call equals
+# the same draws made one call at a time
 
 
 def _gen(seed=20260815):
     return RandomSource(seed, 3).generator(TAG_DRIVING)
 
 
+# batch sizes below, at and above a block, with single draws and an empty
+# batch between them
+SIZES = [1, 163, BLOCK_ITEMS, BLOCK_ITEMS + 1, 0, 2, 4000, 1]
+
+
 @pytest.mark.parametrize(
-    "sizes",
+    "batched, one",
     [
-        [7] * 3000,  # fixed n, many blocks
-        [4000] * 9,  # blocks of whole multiples of n
-        [BLOCK_ITEMS + 5, 3, BLOCK_ITEMS * 2 + 1, 1],  # requests above the cap
-        list(range(900, 0, -3)),  # shrinking n, as in the exit kernel
+        (lambda g, b: g.standard_normal(b), lambda g: g.standard_normal()),
+        (lambda g, b: g.standard_exponential(b), lambda g: g.standard_exponential()),
+        (lambda g, b: g.integers(1, 38, b), lambda g: g.integers(1, 38)),
+        (lambda g, b: g.random(b), lambda g: g.random()),
     ],
-    ids=["fixed-small", "fixed-large", "above-cap", "shrinking"],
+    ids=["normal", "exponential", "integers", "random"],
 )
-def test_take_equals_call_by_call_normals(sizes):
+def test_batched_draws_equal_call_by_call(batched, one):
     direct = _gen()
-    ahead = ReadAhead(_gen().standard_normal)
-    for n in sizes:
-        assert np.array_equal(ahead.take(n), direct.standard_normal(n))
-
-
-def test_one_equals_call_by_call_scalars():
-    # a block taken at once equals the scalar draws made one call at a time
-    n = 37
-    kinds = [
-        (lambda g: g.standard_exponential, lambda g: g.standard_exponential()),
-        (lambda g: partial(g.integers, 1, n + 1), lambda g: g.integers(1, n + 1)),
-        (lambda g: g.random, lambda g: g.random()),
-    ]
-    for block_draw, one_draw in kinds:
-        direct = _gen()
-        ahead = ReadAhead(block_draw(_gen()))
-        got = []
-        for size in [1, 163, BLOCK_ITEMS, 2, BLOCK_ITEMS + 3, 5, 1]:
-            got.extend(ahead.take(size).tolist())
-        want = [one_draw(direct) for _ in range(len(got))]
-        assert got == want
-        assert type(got[0]) in (int, float)
+    batches = _gen()
+    for b in SIZES:
+        got = batched(batches, b).tolist()
+        assert got == [one(direct) for _ in range(b)]
+    assert batched(batches, 1)[0] == one(direct)  # both streams at one place
 
 
 def test_scaled_exponential_equals_exponential():
     # the particle clock relies on exponential(1/n) == (1/n) * standard_exponential()
     direct = _gen()
-    ahead = ReadAhead(_gen().standard_exponential)
+    batches = _gen()
     for n in (1, 3, 50, 4000):
         for size in (1, 7, 163, 2):
-            got = (1.0 / n) * ahead.take(size)
+            got = batches.standard_exponential(size)
+            got *= 1.0 / n
             want = [direct.exponential(1.0 / n) for _ in range(size)]
             assert np.array_equal(got, want)
 
 
-def test_mixed_take_and_one_keep_the_order():
-    # single draws and blocks of any size, interleaved, keep the call order
+@pytest.mark.parametrize(
+    "n, rows",
+    [
+        (1, [BLOCK_ITEMS, 3, 0, BLOCK_ITEMS, 1]),  # one-particle rows
+        (50, [163] * 4 + [1, 0, 162, 7]),  # N = 50, batches of 163
+        (4000, [16] * 3 + [5, 16]),  # the batch floor at N = 4000
+        (BLOCK_ITEMS + 1, [16, 1, 2]),  # one row larger than a block
+    ],
+    ids=["n1", "n50", "n4000", "above-a-block"],
+)
+def test_normals_into_a_reused_buffer_equal_flat_draws(n, rows):
     direct = _gen()
-    ahead = ReadAhead(_gen().standard_normal)
-    for n in [5, 1, 0, 3000, 1, 1, 8190, 2, 1]:
-        if n == 1:
-            assert ahead.take(1)[0] == direct.standard_normal()
-        else:
-            assert np.array_equal(ahead.take(n), direct.standard_normal(n))
-
-
-def test_take_returns_read_only_views():
-    ahead = ReadAhead(_gen().standard_normal)
-    block = ahead.take(4)
-    with pytest.raises(ValueError):
-        block[0] = 1.0
-    with pytest.raises(ValueError):
-        ahead.take(-1)
+    batches = _gen()
+    buf = np.empty((max(rows), n))
+    for r in rows:
+        got = batches.standard_normal(out=buf[:r])
+        assert got.base is buf  # written in place, also when empty
+        assert np.array_equal(got, direct.standard_normal(r * n).reshape(r, n))

@@ -48,9 +48,8 @@ from npbbm.density import (
     _support,
 )
 from npbbm.exits import _plan, _run_paths
-from npbbm.particles import MIN_BATCH, SimulationStreams
+from npbbm.particles import BLOCK_ITEMS, MIN_BATCH, SimulationStreams
 from npbbm.randomness import (
-    BLOCK_ITEMS,
     TAG_CLOCK,
     TAG_DRIVING,
     TAG_INDEX,
