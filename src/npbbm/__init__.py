@@ -2,7 +2,8 @@
 numerical verification of its hydrodynamic limit.
 
 The package has three layers.  `particles` and `discrete` simulate the
-N-particle system and its discrete-time bounding systems; `density` and
+N-particle system and its discrete-time bounding systems, and `discrete`
+also holds the checks of the particles against the bounds; `density` and
 `wave` handle the deterministic grid scheme and the closed-form travelling
 wave of the limiting free boundary problem; `exits` cross-validates both
 against killed Brownian motion.  `cli` exposes all of it as subcommands.
@@ -25,7 +26,9 @@ from .discrete import (
     BoundStepResult,
     BoundSystemParams,
     BoundsRun,
+    ComparisonReport,
     bound_step,
+    hydrodynamic_report,
     run_bounds,
 )
 from .density import (
@@ -47,9 +50,7 @@ from .density import (
 )
 from .wave import (
     Barrier,
-    ComparisonReport,
     TravellingWave,
-    hydrodynamic_report,
     ode_residual,
     travelling_wave,
     wave_barriers,
@@ -63,7 +64,6 @@ from .exits import (
     RepresentationResult,
     exit_statistics,
     representation_check,
-    richardson_extrapolate,
     small_delta_flux,
 )
 
@@ -81,7 +81,9 @@ __all__ = [
     "BoundStepResult",
     "BoundSystemParams",
     "BoundsRun",
+    "ComparisonReport",
     "bound_step",
+    "hydrodynamic_report",
     "run_bounds",
     "GridDensity",
     "GridSpec",
@@ -99,9 +101,7 @@ __all__ = [
     "scale",
     "tail_mass",
     "Barrier",
-    "ComparisonReport",
     "TravellingWave",
-    "hydrodynamic_report",
     "ode_residual",
     "travelling_wave",
     "wave_barriers",
@@ -113,6 +113,5 @@ __all__ = [
     "RepresentationResult",
     "exit_statistics",
     "representation_check",
-    "richardson_extrapolate",
     "small_delta_flux",
 ]

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .density import GridTooSmallError, plan_grid, refine_limit
-from .discrete import BoundSystemParams, run_bounds
+from .discrete import BoundSystemParams, bounds_verdict, run_bounds
 from .exits import (
     PathParams,
     exit_statistics,
@@ -44,7 +44,6 @@ from .particles import (
     simulate,
 )
 from .randomness import DRAW_LAYOUT, RandomSource
-from .stats import empirical_tail, ks_critical, ks_distance
 from .wave import (
     travelling_wave,
     wave_barriers,
@@ -379,13 +378,6 @@ def cmd_bounds(config: dict, out: _OutputSet) -> None:
         "rank,lower,upper",
         np.column_stack((np.arange(1, len(lower) + 1), lower, upper)),
     )
-    # The two systems bound the selection process in distribution, not
-    # pathwise (their populations desynchronize after the first removal), so
-    # the verdict is statistical: the lower tail may not exceed the upper
-    # tail by more than the 99% two-sample KS band.
-    grid = np.union1d(lower, upper)
-    excess = float(np.max(empirical_tail(lower, grid) - empirical_tail(upper, grid)))
-    band = ks_critical(n, n, 0.01)
     out.write_json(
         "bounds_summary.json",
         {
@@ -393,10 +385,7 @@ def cmd_bounds(config: dict, out: _OutputSet) -> None:
             "n_particles": n,
             "delta": delta,
             "k_steps": k,
-            "dominated": bool(excess <= band),
-            "tail_excess": excess,
-            "ks_band_99": band,
-            "ks_distance": ks_distance(lower, upper),
+            **bounds_verdict(lower, upper),
         },
     )
 

@@ -1,4 +1,4 @@
-"""Discrete-time bounding particle systems.
+"""Discrete-time bounding particle systems and the checks against them.
 
 Between selection times the population branches freely (a Yule tree per
 particle, unit binary-split rate, Brownian motion along every branch).
@@ -12,9 +12,13 @@ Run at matching times these two systems bracket the continuously selected
 process in distribution from below and above.  A step takes its parameters
 as ``BoundSystemParams(p, delta, side)``, another name for the grid scheme's
 :class:`~npbbm.density.SchemeParams`; N is the size of the configuration,
-which every step keeps.
-:func:`bound_step` and :func:`run_bounds` take their start through
-:func:`npbbm.particles.order` (stable sort, non-empty, finite).
+which every step keeps.  :func:`run_bounds` takes its start through
+:func:`npbbm.particles.order` (stable sort, non-empty, finite), and
+:func:`bound_step` is one step of it.
+
+The checks against the bounds live here too: :func:`bounds_verdict` tests
+that the lower system lies below the upper one, and
+:func:`hydrodynamic_report` sets N particles against the scheme sandwich.
 """
 
 from __future__ import annotations
@@ -25,9 +29,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .density import SchemeParams
-from .particles import order
-from .randomness import RandomSource, TAG_CLOCK, TAG_DRIVING
+from .density import (
+    GridDensity,
+    SchemeParams,
+    iterate_scheme,
+    sample_from_density,
+    tail_mass,
+)
+from .particles import order, simulate
+from .randomness import RandomSource, TAG_CLOCK, TAG_DRIVING, TAG_INITIAL
+from .stats import dkw_band, empirical_tail, ks_critical, ks_distance
 
 __all__ = [
     "MAX_POPULATION",
@@ -35,8 +46,11 @@ __all__ = [
     "BoundStep",
     "BoundStepResult",
     "BoundsRun",
+    "ComparisonReport",
     "bound_step",
     "run_bounds",
+    "bounds_verdict",
+    "hydrodynamic_report",
 ]
 
 
@@ -118,47 +132,11 @@ class BoundStepResult(BoundStep):
     config: NDArray[np.float64]
 
 
-def _one_step(
-    config: NDArray[np.float64],
-    params: BoundSystemParams,
-    moves: np.random.Generator,
-    clocks: np.random.Generator,
-) -> tuple[NDArray[np.float64], BoundStep]:
-    """One step from a sorted configuration; N is its size."""
-    n = len(config)
-    _check_population(n, params.delta)
-    lower = params.side == "lower"
-    q = params.p if lower else 1.0 - params.p
-    removed = round(n * q * (1.0 - math.exp(-params.delta)))
-    if removed >= n:
-        raise ValueError("removal count reached N; shrink delta or N")
-    survivors = config[removed:] if lower else config[: n - removed]
-    grown = _free_bbm(survivors, params.delta, moves, clocks)
-    pre = int(grown.size)
-    padded = pre < n
-    if not padded:
-        out = grown[:n] if lower else grown[pre - n :]
-    elif lower:
-        out = np.concatenate([np.full(n - pre, grown[0]), grown])
-    else:
-        out = np.concatenate([grown, np.full(n - pre, grown[-1])])
-    return out, BoundStep(removed, pre, padded)
-
-
 def bound_step(config, params: BoundSystemParams, src: RandomSource) -> BoundStepResult:
-    """One step of the bounding system on the side ``params.side``.
-
-    Lower side: removes round(N p (1-e^{-delta})) leftmost particles,
-    branches freely for delta, keeps the N leftmost.  Upper side: removes
-    round(N (1-p) (1-e^{-delta})) rightmost particles, branches, keeps the N
-    rightmost.  Too few survivors (possible but vanishingly rare at
-    practical sizes) pad with copies of the extreme that is kept and set the
-    ``padded`` flag.
-    """
-    x = order(config)
-    moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
-    out, step = _one_step(x, params, moves, clocks)
-    return BoundStepResult(step.removed, step.pre_truncation_size, step.padded, out)
+    """One step of :func:`run_bounds`: its bookkeeping and the new configuration."""
+    run = run_bounds(config, params, 1, src)
+    step = run.steps[0]
+    return BoundStepResult(step.removed, step.pre_truncation_size, step.padded, run.config)
 
 
 @dataclass(frozen=True)
@@ -175,13 +153,134 @@ def run_bounds(
     k_steps: int,
     src: RandomSource,
 ) -> BoundsRun:
-    """Iterate one bounding system k_steps times; keep only the last config."""
+    """Iterate one bounding system k_steps times; keep only the last config.
+
+    Lower side: each step removes round(N p (1-e^{-delta})) leftmost
+    particles, branches freely for delta, keeps the N leftmost.  Upper side:
+    removes round(N (1-p) (1-e^{-delta})) rightmost particles, branches,
+    keeps the N rightmost.  Too few survivors (possible but vanishingly rare
+    at practical sizes) pad with copies of the extreme that is kept and set
+    the step's ``padded`` flag.
+    """
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
     config = order(init)
     moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
+    n, lower = len(config), params.side == "lower"
+    q = params.p if lower else 1.0 - params.p
+    removed = round(n * q * (1.0 - math.exp(-params.delta)))
+    if k_steps:
+        _check_population(n, params.delta)
+        if removed >= n:
+            raise ValueError(
+                f"removal count reached N: round(N q (1 - e^-delta)) = {removed} "
+                f"with N={n}, q={q!r} ({params.side} side), delta={params.delta!r}; "
+                "shrink delta or N"
+            )
     steps: list[BoundStep] = []
     for _ in range(k_steps):
-        config, step = _one_step(config, params, moves, clocks)
-        steps.append(step)
+        survivors = config[removed:] if lower else config[: n - removed]
+        grown = _free_bbm(survivors, params.delta, moves, clocks)
+        pre = int(grown.size)
+        padded = pre < n
+        if not padded:
+            config = grown[:n] if lower else grown[pre - n :]
+        elif lower:
+            config = np.concatenate([np.full(n - pre, grown[0]), grown])
+        else:
+            config = np.concatenate([grown, np.full(n - pre, grown[-1])])
+        steps.append(BoundStep(removed, pre, padded))
     return BoundsRun(config, steps)
+
+
+# ---------------------------------------------------------------------------
+# checks against the bounds
+
+
+def bounds_verdict(lower, upper) -> dict:
+    """Whether the lower system's configuration lies below the upper one's.
+
+    The two systems bound the selection process in distribution, not
+    pathwise (their populations desynchronize after the first removal), so
+    the verdict is statistical: the lower tail may not exceed the upper
+    tail by more than the 99% two-sample KS band.  Returns ``dominated``,
+    ``tail_excess``, ``ks_band_99`` and ``ks_distance``, in that order.
+    """
+    grid = np.union1d(lower, upper)
+    excess = float(np.max(empirical_tail(lower, grid) - empirical_tail(upper, grid)))
+    band = ks_critical(len(lower), len(upper), 0.01)
+    return {
+        "dominated": bool(excess <= band),
+        "tail_excess": excess,
+        "ks_band_99": band,
+        "ks_distance": ks_distance(lower, upper),
+    }
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    """Particle system against the scheme sandwich at one time."""
+
+    sup_gap: float
+    width: float
+    dkw: float
+    gap_left: float
+    gap_right: float
+    left_boundary: float
+    right_boundary: float
+    leftmost: float
+    rightmost: float
+    xs: NDArray[np.float64]
+    empirical: NDArray[np.float64]
+    lower_tail: NDArray[np.float64]
+    upper_tail: NDArray[np.float64]
+
+
+def hydrodynamic_report(
+    p: float,
+    N: int,
+    t: float,
+    delta: float,
+    rho: GridDensity,
+    src: RandomSource,
+) -> ComparisonReport:
+    """Run N particles from i.i.d. rho samples and compare with the schemes.
+
+    The scheme sandwich is iterated with step delta up to time t (t/delta
+    must be an integer).  Tails are compared at every grid edge; the moving
+    boundaries are estimated by the final recorded cut positions (the upper
+    scheme cuts the left boundary at time t, the lower scheme the right).
+    """
+    k = round(t / delta)
+    if abs(t - k * delta) > 1e-9 or k < 1:
+        raise ValueError("t must be a positive integer multiple of delta")
+    init = sample_from_density(rho, N, src.generator(TAG_INITIAL))
+    rec = simulate(init, p, t, src, sample_times=[t], record_configs=True)
+    final = rec.full_configs[0]
+
+    lower = iterate_scheme(rho, SchemeParams(p, delta, "lower"), k)
+    upper = iterate_scheme(rho, SchemeParams(p, delta, "upper"), k)
+    xs = rho.edges()
+    lo_tail = tail_mass(lower.density, xs)
+    hi_tail = tail_mass(upper.density, xs)
+    emp = empirical_tail(final, xs)
+    mid = 0.5 * (lo_tail + hi_tail)
+    sup_gap = float(np.max(np.abs(emp - mid)))
+    width = float(np.max(hi_tail - lo_tail))
+    l_hat = float(upper.left_cuts[-1])
+    r_hat = float(lower.right_cuts[-1])
+    return ComparisonReport(
+        sup_gap=sup_gap,
+        width=width,
+        dkw=dkw_band(N, 0.01),
+        gap_left=abs(float(rec.leftmost[-1]) - l_hat),
+        gap_right=abs(float(rec.rightmost[-1]) - r_hat),
+        left_boundary=l_hat,
+        right_boundary=r_hat,
+        leftmost=float(rec.leftmost[-1]),
+        rightmost=float(rec.rightmost[-1]),
+        xs=xs,
+        empirical=emp,
+        lower_tail=lo_tail,
+        upper_tail=hi_tail,
+    )

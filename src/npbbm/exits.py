@@ -69,7 +69,6 @@ __all__ = [
     "exit_statistics",
     "representation_check",
     "small_delta_flux",
-    "richardson_extrapolate",
 ]
 
 
@@ -456,12 +455,15 @@ class FluxSequence:
     se_right: NDArray[np.float64]
 
     def extrapolate(self, side: str) -> tuple[float, float]:
-        """Linear-in-delta extrapolation to 0 from the two smallest deltas."""
-        return richardson_extrapolate(
-            self.deltas,
-            self.flux_left if side == "left" else self.flux_right,
-            self.se_left if side == "left" else self.se_right,
-        )
+        """Eliminate the O(delta) error term from the two smallest deltas.
+
+        :func:`small_delta_flux` checks that they are in ratio 2: with f(d) =
+        f0 + a d + O(d^2), 2 f(d) - f(2d) = f0 + O(d^2).  The standard error
+        follows by independence of the two runs.
+        """
+        v = self.flux_left if side == "left" else self.flux_right
+        s = self.se_left if side == "left" else self.se_right
+        return 2.0 * v[-1] - v[-2], math.sqrt(4.0 * s[-1] ** 2 + s[-2] ** 2)
 
 
 def _delta_ladder(deltas) -> NDArray[np.float64]:
@@ -479,21 +481,6 @@ def _delta_ladder(deltas) -> NDArray[np.float64]:
     raise ValueError(f"deltas={d.tolist()} {problem}")
 
 
-def richardson_extrapolate(deltas, values, ses) -> tuple[float, float]:
-    """Eliminate the O(delta) error term from the two smallest deltas.
-
-    Requires the two smallest deltas in ratio 2: with f(d) = f0 + a d +
-    O(d^2), 2 f(d) - f(2d) = f0 + O(d^2).  The standard error follows by
-    independence of the two runs.
-    """
-    d = _delta_ladder(deltas)
-    v = np.asarray(values, dtype=np.float64)
-    s = np.asarray(ses, dtype=np.float64)
-    value = 2.0 * v[-1] - v[-2]
-    se = math.sqrt(4.0 * s[-1] ** 2 + s[-2] ** 2)
-    return value, se
-
-
 def small_delta_flux(
     f: GridDensity,
     left: Barrier,
@@ -505,13 +492,13 @@ def small_delta_flux(
     """Measure exit_side probability / delta over a decreasing delta ladder.
 
     The ladder is checked before any path runs: at least two deltas, the
-    two smallest in ratio 2 (:func:`richardson_extrapolate`), the largest
-    no later than the barriers' last knot.  Each delta runs params.n_paths
-    fresh paths (independent sub-source per delta) up to horizon delta
-    under the exact two-sided law: on the wave strip each delta is one
-    step.  The caller supplies a density vanishing at both barriers; the fluxes then
-    converge linearly in delta to half the edge slopes, which the ratio-2
-    extrapolation of :meth:`FluxSequence.extrapolate` recovers.
+    two smallest in ratio 2, the largest no later than the barriers' last
+    knot.  Each delta runs params.n_paths fresh paths (independent
+    sub-source per delta) up to horizon delta under the exact two-sided
+    law: on the wave strip each delta is one step.  The caller supplies a
+    density vanishing at both barriers; the fluxes then converge linearly
+    in delta to half the edge slopes, which the ratio-2 extrapolation of
+    :meth:`FluxSequence.extrapolate` recovers.
     """
     d = _delta_ladder(deltas)
     end = min(float(left.knot_times[-1]), float(right.knot_times[-1]))

@@ -12,9 +12,8 @@ and the tests lean on heavily.
 
 The moving-frame convention used by cross-module fixtures puts the right
 boundary at 0 at time 0, i.e. the profile shifted by -R0 and barriers
-L_t = c t - R0, R_t = c t.  This module also assembles the hydrodynamic
-comparison: empirical particle tails against the scheme sandwich, and the
-extreme particles against the scheme's recorded cut positions.
+L_t = c t - R0, R_t = c t.  Everything here is closed form; the checks of
+the particle system against the bounds live in :mod:`npbbm.discrete`.
 """
 
 from __future__ import annotations
@@ -25,29 +24,16 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .density import (
-    GridDensity,
-    GridSpec,
-    SchemeParams,
-    grid_cells,
-    iterate_scheme,
-    sample_from_density,
-    tail_mass,
-)
-from .particles import simulate
-from .randomness import RandomSource, TAG_INITIAL
-from .stats import dkw_band, empirical_tail
+from .density import GridDensity, GridSpec, grid_cells
 
 __all__ = [
     "TravellingWave",
     "Barrier",
-    "ComparisonReport",
     "travelling_wave",
     "wave_speed",
     "wave_density",
     "ode_residual",
     "wave_barriers",
-    "hydrodynamic_report",
 ]
 
 
@@ -198,77 +184,3 @@ def wave_barriers(w: TravellingWave, t_max: float) -> tuple[Barrier, Barrier]:
     left = Barrier(times, np.array([-w.R0, w.c * t_max - w.R0]))
     right = Barrier(times, np.array([0.0, w.c * t_max]))
     return left, right
-
-
-# ---------------------------------------------------------------------------
-# hydrodynamic comparison
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Particle system against the scheme sandwich at one time."""
-
-    sup_gap: float
-    width: float
-    dkw: float
-    gap_left: float
-    gap_right: float
-    left_boundary: float
-    right_boundary: float
-    leftmost: float
-    rightmost: float
-    xs: NDArray[np.float64]
-    empirical: NDArray[np.float64]
-    lower_tail: NDArray[np.float64]
-    upper_tail: NDArray[np.float64]
-
-
-def hydrodynamic_report(
-    p: float,
-    N: int,
-    t: float,
-    delta: float,
-    rho: GridDensity,
-    src: RandomSource,
-) -> ComparisonReport:
-    """Run N particles from i.i.d. rho samples and compare with the schemes.
-
-    The scheme sandwich is iterated with step delta up to time t (t/delta
-    must be an integer).  Tails are compared at every grid edge; the moving
-    boundaries are estimated by the final recorded cut positions (the upper
-    scheme cuts the left boundary at time t, the lower scheme the right).
-    """
-    k = round(t / delta)
-    if abs(t - k * delta) > 1e-9 or k < 1:
-        raise ValueError("t must be a positive integer multiple of delta")
-    init = sample_from_density(rho, N, src.generator(TAG_INITIAL))
-    rec = simulate(init, p, t, src, sample_times=[t], record_configs=True)
-    final = rec.full_configs[0]
-
-    lower = iterate_scheme(rho, SchemeParams(p, delta, "lower"), k)
-    upper = iterate_scheme(rho, SchemeParams(p, delta, "upper"), k)
-    xs = rho.edges()
-    lo_tail = tail_mass(lower.density, xs)
-    hi_tail = tail_mass(upper.density, xs)
-    emp = empirical_tail(final, xs)
-    mid = 0.5 * (lo_tail + hi_tail)
-    sup_gap = float(np.max(np.abs(emp - mid)))
-    width = float(np.max(hi_tail - lo_tail))
-    l_hat = float(upper.left_cuts[-1])
-    r_hat = float(lower.right_cuts[-1])
-    return ComparisonReport(
-        sup_gap=sup_gap,
-        width=width,
-        dkw=dkw_band(N, 0.01),
-        gap_left=abs(float(rec.leftmost[-1]) - l_hat),
-        gap_right=abs(float(rec.rightmost[-1]) - r_hat),
-        left_boundary=l_hat,
-        right_boundary=r_hat,
-        leftmost=float(rec.leftmost[-1]),
-        rightmost=float(rec.rightmost[-1]),
-        xs=xs,
-        empirical=emp,
-        lower_tail=lo_tail,
-        upper_tail=hi_tail,
-    )
-

@@ -25,6 +25,7 @@ from npbbm import (
     wave_speed,
 )
 from npbbm.cli import COMMAND_IDS, _wave_fixture, main
+from npbbm.discrete import bounds_verdict
 from npbbm.exits import MAX_PATHS
 from npbbm.randomness import DRAW_LAYOUT
 
@@ -704,6 +705,29 @@ def test_bounds_metadata_json_records_the_run(tmp_path):
     }
     upper = [float(r[2]) for r in _read_csv(out / "bounds_final.csv")[1:]]
     assert np.array_equal(upper, run.config)
+
+
+def test_bounds_summary_is_the_verdict_on_the_final_configs(tmp_path):
+    out = tmp_path / "b"
+    assert main(["bounds", "--seed", "42", "--out", str(out)]) == 0
+    rows = _read_csv(out / "bounds_final.csv")[1:]
+    table = np.array([[float(v) for v in row] for row in rows])
+    summary = json.loads((out / "bounds_summary.json").read_text())
+    verdict = bounds_verdict(table[:, 1], table[:, 2])
+    assert list(summary)[4:] == list(verdict)
+    assert {key: summary[key] for key in verdict} == verdict
+
+
+def test_bounds_removal_count_names_its_numbers(tmp_path, capsys):
+    # round(3 * 0.999999 * (1 - e^-5)) = 3 removes the whole lower system
+    cfg = _write_config(
+        tmp_path, "b.json", {"p": 0.999999, "delta": 5.0, "n_particles": 3}
+    )
+    assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "removal count reached N: round(N q (1 - e^-delta)) = 3 with N=3" in err
+    assert "q=0.999999 (lower side), delta=5.0" in err
 
 
 def test_exit_stats_json_matches_exit_statistics(tmp_path):

@@ -17,7 +17,8 @@ from npbbm import (
     simulate,
 )
 import npbbm.discrete as discrete
-from npbbm.discrete import MAX_POPULATION
+from npbbm.cli import COMMAND_IDS
+from npbbm.discrete import MAX_POPULATION, bounds_verdict
 from npbbm.randomness import TAG_CLOCK, TAG_DRIVING
 from npbbm.stats import dkw_band, empirical_tail
 
@@ -291,3 +292,20 @@ def test_run_bounds_matches_grid_scheme():
         emp = empirical_tail(run.config, scheme.density.edges())
         sup = float(np.max(np.abs(emp - _edge_tails(scheme.density))))
         assert sup <= band
+
+
+# ---------------------------------------------------------------------------
+# checks against the bounds
+
+
+def test_bounds_verdict_passes_the_ordered_pair_and_fails_the_swapped_one():
+    # the bounds command's streams at p = 0.5, delta = 0.1, k = 10, N = 2000:
+    # lower below upper passes and upper below lower fails on every seed
+    for seed in range(1, 21):
+        src = RandomSource(seed, COMMAND_IDS["bounds"] << 32)
+        lower, upper = (
+            run_bounds(np.zeros(2000), BoundSystemParams(0.5, 0.1, side), 10, src).config
+            for side in ("lower", "upper")
+        )
+        assert bounds_verdict(lower, upper)["dominated"], seed
+        assert not bounds_verdict(upper, lower)["dominated"], seed

@@ -13,11 +13,11 @@ from scipy.special import erfc
 from npbbm import (
     Barrier,
     ExitStats,
+    FluxSequence,
     PathParams,
     RandomSource,
     exit_statistics,
     representation_check,
-    richardson_extrapolate,
     small_delta_flux,
 )
 from npbbm.cli import _OutputSet
@@ -334,16 +334,18 @@ def test_flux_validates_delta_ladder(monkeypatch):
 
 
 def test_richardson_extrapolation_protocol():
-    # linear-in-delta data extrapolates exactly; mismatched ladders refuse
-    value, se = richardson_extrapolate(
-        [0.04, 0.02, 0.01], [1.04, 1.02, 1.01], [0.0, 0.01, 0.02]
+    # linear-in-delta data extrapolates exactly; the two smallest deltas'
+    # runs are independent, so their SEs add in quadrature
+    seq = FluxSequence(
+        deltas=np.array([0.04, 0.02, 0.01]),
+        flux_left=np.array([1.04, 1.02, 1.01]),
+        flux_right=np.zeros(3),
+        se_left=np.array([0.0, 0.01, 0.02]),
+        se_right=np.zeros(3),
     )
+    value, se = seq.extrapolate("left")
     assert value == pytest.approx(1.0, abs=1e-12)
     assert se == pytest.approx(math.sqrt(4 * 0.02**2 + 0.01**2), rel=1e-12)
-    with pytest.raises(ValueError):
-        richardson_extrapolate([0.04, 0.02, 0.013], [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        richardson_extrapolate([0.01], [1.0], [0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -114,3 +114,33 @@ def test_every_private_function_and_class_is_used_in_the_package():
             if not used:
                 unused.append(f"{file}:{node.name}")
     assert unused == []
+
+
+def _package_imports() -> dict[str, set[str]]:
+    """Each module but `__init__`, mapped to the package modules it imports
+    from; ``from . import name`` imports from `__init__`."""
+    graph = {}
+    for path in Path(npbbm.__file__).parent.glob("*.py"):
+        if path.stem != "__init__":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            graph[path.stem] = {
+                node.module or "__init__"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+            }
+    return graph
+
+
+def test_modules_import_in_layers():
+    # read from the source: the package __init__ imports every module, so
+    # what is loaded shows nothing about who imports whom
+    graph = _package_imports()
+    assert graph["wave"] == {"density"}  # the closed form needs no simulator
+    assert sorted(name for name, deps in graph.items() if "cli" in deps) == []
+    # no cycle: peel off, round by round, the modules that import no module left
+    left = dict(graph)
+    while left:
+        done = [name for name, deps in left.items() if not deps & left.keys()]
+        assert done, f"import cycle among {sorted(left)}"
+        for name in done:
+            del left[name]
