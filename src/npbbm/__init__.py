@@ -23,11 +23,8 @@ from .particles import (
 )
 from .discrete import (
     BoundStep,
-    BoundStepResult,
-    BoundSystemParams,
     BoundsRun,
     ComparisonReport,
-    bound_step,
     hydrodynamic_report,
     run_bounds,
 )
@@ -78,11 +75,8 @@ __all__ = [
     "estimate_speed",
     "simulate",
     "BoundStep",
-    "BoundStepResult",
-    "BoundSystemParams",
     "BoundsRun",
     "ComparisonReport",
-    "bound_step",
     "hydrodynamic_report",
     "run_bounds",
     "GridDensity",

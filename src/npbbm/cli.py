@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import GridTooSmallError, plan_grid, refine_limit
-from .discrete import BoundSystemParams, bounds_verdict, run_bounds
+from .density import MAX_GRID_CELLS, GridTooSmallError, SchemeParams, plan_grid, refine_limit
+from .discrete import bounds_verdict, run_bounds
 from .exits import (
     PathParams,
     exit_statistics,
@@ -69,12 +69,14 @@ def _int(key: str, value) -> int:
     return value
 
 
-def _count(least: int):
-    """Checker for a count: an integer of at least `least`."""
+def _count(least: int, cap: int | None = None):
+    """Checker for a count: an integer of at least `least`, and at most `cap`."""
 
     def check(key: str, value) -> int:
         if _int(key, value) < least:
             raise ValueError(f"{key}={value} must be at least {least}")
+        if cap is not None and value > cap:
+            raise ValueError(f"{key}={value} is above the cap of {cap}")
         return value
 
     return check
@@ -174,7 +176,7 @@ _KEYS = {
         "h": (_real, 1e-3),
         "n_paths": (_count(1), 10000),
         "dx": (_real, 1e-3),
-        "n_x": (_count(1), 20),
+        "n_x": (_count(1, MAX_GRID_CELLS), 20),  # the x points are a grid
         "n_max": (_count(0), 5),
         "tol": (_real, 1e-2),
         "deltas": (_non_empty(_real), [0.02, 0.01, 0.005]),
@@ -351,7 +353,7 @@ def cmd_bounds(config: dict, out: _OutputSet) -> None:
     src = _command_source(config, "bounds")
     init = np.zeros(n)
     runs = {
-        side: run_bounds(init, BoundSystemParams(p, delta, side), k, src)
+        side: run_bounds(init, SchemeParams(p, delta, side), k, src)
         for side in ("lower", "upper")
     }
     for side, run in runs.items():

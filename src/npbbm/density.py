@@ -427,7 +427,8 @@ def cut_right_amount(f: GridDensity, m: float) -> GridDensity:
 class SchemeParams:
     """One-step parameters of a bounding scheme or bounding particle system.
 
-    :mod:`npbbm.discrete` uses this type as ``BoundSystemParams``.
+    :func:`npbbm.discrete.run_bounds` takes it too; delta > 0 keeps every
+    free-branching time positive.
     """
 
     p: float

@@ -9,12 +9,12 @@ Selection acts only at multiples of the step delta:
 * upper side: the mirror image (drop from the right, keep the N rightmost).
 
 Run at matching times these two systems bracket the continuously selected
-process in distribution from below and above.  A step takes its parameters
-as ``BoundSystemParams(p, delta, side)``, another name for the grid scheme's
-:class:`~npbbm.density.SchemeParams`; N is the size of the configuration,
-which every step keeps.  :func:`run_bounds` takes its start through
-:func:`npbbm.particles.order` (stable sort, non-empty, finite), and
-:func:`bound_step` is one step of it.
+process in distribution from below and above.  :func:`run_bounds` takes
+its parameters as the grid scheme's ``SchemeParams(p, delta, side)``
+(:class:`~npbbm.density.SchemeParams`); N is the size of the configuration,
+which every step keeps.  It takes its start through
+:func:`npbbm.particles.order` (stable sort, non-empty, finite); one step is
+``run_bounds(config, params, 1, src)``.
 
 The checks against the bounds live here too: :func:`bounds_verdict` tests
 that the lower system lies below the upper one, and
@@ -42,12 +42,9 @@ from .stats import dkw_band, empirical_tail, ks_critical, ks_distance
 
 __all__ = [
     "MAX_POPULATION",
-    "BoundSystemParams",
     "BoundStep",
-    "BoundStepResult",
     "BoundsRun",
     "ComparisonReport",
-    "bound_step",
     "run_bounds",
     "bounds_verdict",
     "hydrodynamic_report",
@@ -70,9 +67,6 @@ def _check_population(n: int, delta: float) -> None:
             f"delta={delta!r} with N={n} plans {planned:.6g} particles (N e^delta), "
             f"above the cap of {MAX_POPULATION}"
         )
-
-
-BoundSystemParams = SchemeParams
 
 
 def _free_bbm(
@@ -107,13 +101,9 @@ def _free_bbm(
         n_finished += finished[-1].size
         pos = np.repeat(pos[~done] + g[~done] * np.sqrt(life[~done]), 2)
         rem = np.repeat(rem[~done] - life[~done], 2)
-    out = np.sort(np.concatenate(finished), kind="quicksort")
-    # Quicksort may order +0.0 and -0.0 unlike the stable sort; both can
-    # meet only where a -0.0 start moves by a zero step, as at t = 0.
-    zeros = out[np.searchsorted(out, 0.0) : np.searchsorted(out, 0.0, side="right")]
-    if zeros.size > 1 and np.signbit(zeros).any():
-        out = np.sort(np.concatenate(finished), kind="stable")
-    return out
+    # quicksort gives a stable sort's bits: as in particles, -0.0 and +0.0
+    # can meet only after a draw of exactly +-0.0, probability 2^-53 a draw
+    return np.sort(np.concatenate(finished), kind="quicksort")
 
 
 @dataclass(frozen=True)
@@ -126,20 +116,6 @@ class BoundStep:
 
 
 @dataclass(frozen=True)
-class BoundStepResult(BoundStep):
-    """One selection step: its bookkeeping and the new configuration."""
-
-    config: NDArray[np.float64]
-
-
-def bound_step(config, params: BoundSystemParams, src: RandomSource) -> BoundStepResult:
-    """One step of :func:`run_bounds`: its bookkeeping and the new configuration."""
-    run = run_bounds(config, params, 1, src)
-    step = run.steps[0]
-    return BoundStepResult(step.removed, step.pre_truncation_size, step.padded, run.config)
-
-
-@dataclass(frozen=True)
 class BoundsRun:
     """The configuration after the last step plus every step's bookkeeping."""
 
@@ -149,7 +125,7 @@ class BoundsRun:
 
 def run_bounds(
     init,
-    params: BoundSystemParams,
+    params: SchemeParams,
     k_steps: int,
     src: RandomSource,
 ) -> BoundsRun:

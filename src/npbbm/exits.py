@@ -84,8 +84,9 @@ MAX_PATHS = 10_000_000
 class PathParams:
     """Time horizon, step bound, and path count for one Monte Carlo run.
 
-    h bounds the step only without bridge correction; with it every step is
-    one of the exact law's, whatever h is.
+    h bounds the step only without bridge correction, which then takes
+    max(1, ceil(t/h)) steps, so h may exceed t; with it every step is one of
+    the exact law's, whatever h is.
     """
 
     t: float
@@ -97,10 +98,8 @@ class PathParams:
             raise ValueError(
                 f"horizon t must be positive and finite, got t={self.t!r}"
             )
-        if not 0.0 < self.h <= self.t:
-            raise ValueError(
-                f"step h must satisfy 0 < h <= t, got h={self.h!r} with t={self.t!r}"
-            )
+        if not 0.0 < self.h < math.inf:
+            raise ValueError(f"step h must be positive and finite, got h={self.h!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
         if self.n_paths > MAX_PATHS:

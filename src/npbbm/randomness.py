@@ -18,8 +18,8 @@ changes output bits at the same seed; the CLI manifest records it as
 ``"draw_layout"``.
 
 * Layout 1 (package 0.1.x): the killed-path kernel in ``exits`` drew one
-  uniform per alive path and step from each of TAG_UNIFORM_A and
-  TAG_UNIFORM_B, whether the path was near a barrier or not.
+  uniform per alive path and step from each of TAG_UNIFORM_A and a second
+  uniform substream, tag 5, whether the path was near a barrier or not.
 * Layout 2 (package 0.2.0): the kernel draws those uniforms only for the
   paths whose bridge-crossing exponent -2 d0 d1 / h is above -37, in path
   order, one call per barrier and step, and none without bridge
@@ -31,9 +31,10 @@ changes output bits at the same seed; the CLI manifest records it as
   strip).  Each step draws one normal per alive path and then one
   ``random(m)`` call from TAG_UNIFORM_A, one uniform for each of the m
   paths whose larger crossing exponent is above -37, in path order; that
-  uniform decides left, right or stay.  TAG_UNIFORM_B is retired: no
-  routine draws from it.  Without bridge correction the draws are those of
-  layout 2.  Only the outputs of ``exit`` moved.
+  uniform decides left, right or stay.  Tag 5, the second uniform
+  substream of layouts 1 and 2, is retired: nothing draws from it, and no
+  substream will reuse it.  Without bridge correction the draws are those
+  of layout 2.  Only the outputs of ``exit`` moved.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ __all__ = [
     "TAG_INDEX",
     "TAG_SELECT",
     "TAG_UNIFORM_A",
-    "TAG_UNIFORM_B",
     "TAG_INITIAL",
 ]
 
@@ -62,8 +62,7 @@ TAG_CLOCK = 1      # exponential event clocks
 TAG_INDEX = 2      # uniform particle index at branch events
 TAG_SELECT = 3     # Bernoulli left/right selection
 TAG_UNIFORM_A = 4  # auxiliary uniforms (bridge exits)
-TAG_UNIFORM_B = 5  # retired in layout 3; drawn by nothing
-TAG_INITIAL = 6    # initial-condition sampling
+TAG_INITIAL = 6    # initial-condition sampling (tag 5 is retired, never reused)
 
 # the draw layout this package implements; see the module docstring
 DRAW_LAYOUT = 3

@@ -13,12 +13,10 @@ import numpy as np
 
 from npbbm import (
     Barrier,
-    BoundSystemParams,
     GridDensity,
     PathParams,
     RandomSource,
     SchemeParams,
-    bound_step,
     couple_simulate,
     estimate_speed,
     exit_statistics,
@@ -28,6 +26,7 @@ from npbbm import (
     plan_grid,
     refine_limit,
     representation_check,
+    run_bounds,
     sample_from_density,
     simulate,
     small_delta_flux,
@@ -257,13 +256,13 @@ def test_pre_truncation_population_law():
             lower_factor = math.exp(delta) * (1.0 - p) + p
             upper_factor = p * math.exp(delta) + (1.0 - p)
             for side, factor in (("lower", lower_factor), ("upper", upper_factor)):
-                params = BoundSystemParams(p, delta, side)
+                params = SchemeParams(p, delta, side)
                 config = np.sort(rng.normal(0.0, 1.0, 1000))
                 sizes = []
                 for k in range(50):
-                    res = bound_step(config, params, src.child(100 * combo + k))
-                    sizes.append(res.pre_truncation_size)
-                    config = res.config
+                    run = run_bounds(config, params, 1, src.child(100 * combo + k))
+                    sizes.append(run.steps[0].pre_truncation_size)
+                    config = run.config
                 mean, se = mean_and_se(sizes)
                 assert abs(mean - 1000.0 * factor) <= 3.0 * se
                 combo += 1

@@ -14,10 +14,10 @@ import pytest
 
 import npbbm
 from npbbm import (
-    BoundSystemParams,
     GridTooSmallError,
     PathParams,
     RandomSource,
+    SchemeParams,
     exit_statistics,
     refine_limit,
     run_bounds,
@@ -25,6 +25,7 @@ from npbbm import (
     wave_speed,
 )
 from npbbm.cli import COMMAND_IDS, _wave_fixture, main
+from npbbm.density import MAX_GRID_CELLS
 from npbbm.discrete import bounds_verdict
 from npbbm.exits import MAX_PATHS
 from npbbm.randomness import DRAW_LAYOUT
@@ -660,6 +661,40 @@ def test_representation_without_points_returns_2(tmp_path, capsys, monkeypatch):
     assert "n_x=0 must be at least 1" in capsys.readouterr().err
 
 
+def test_representation_points_above_the_grid_cap_return_2(tmp_path, capsys):
+    # n_x = 1e9 used to ask np.linspace for 7.45 GiB before anything failed
+    cfg = _write_config(
+        tmp_path, "e.json", {"mode": "representation", "n_x": 1_000_000_000}
+    )
+    out = tmp_path / "x"
+    started = time.perf_counter()
+    assert main(["exit", "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"n_x=1000000000 is above the cap of {MAX_GRID_CELLS}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["stats", "representation"])
+def test_exit_horizon_below_the_default_step_returns_0(tmp_path, mode):
+    # t = 5e-4 below the default h = 1e-3 used to exit 2, though with bridge
+    # correction h changes nothing
+    cfg = _write_config(tmp_path, "e.json", {"mode": mode, "t": 5e-4, "n_max": 1})
+    out = tmp_path / "x"
+    assert main(["exit", "--config", cfg, "--out", str(out)]) == 0
+    if mode == "stats":
+        stats = json.loads((out / "exit_stats.json").read_text())
+        assert (stats["t"], stats["h"]) == (5e-4, 1e-3)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_exit_step_not_positive_and_finite_returns_2(tmp_path, capsys, bad):
+    cfg = _write_config(tmp_path, "e.json", {"h": bad, "n_paths": 10})
+    assert main(["exit", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    assert f"h={bad!r}" in capsys.readouterr().err
+
+
 def test_trajectory_csv_reads_back_to_simulate_extremes(tmp_path):
     # 17 significant digits carry every double through the CSV exactly
     cfg = _write_config(
@@ -684,7 +719,7 @@ def test_bounds_metadata_json_records_the_run(tmp_path):
     )
     out = tmp_path / "b"
     assert main(["bounds", "--config", cfg, "--seed", "42", "--out", str(out)]) == 0
-    params = BoundSystemParams(0.75, 0.1, "upper")
+    params = SchemeParams(0.75, 0.1, "upper")
     src = RandomSource(42, COMMAND_IDS["bounds"] << 32)
     run = run_bounds(np.zeros(100), params, 3, src)
     with open(out / "bounds_upper.json") as fh:

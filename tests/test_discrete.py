@@ -10,9 +10,8 @@ import pytest
 from scipy.stats import chisquare
 
 from npbbm import (
-    BoundSystemParams,
     RandomSource,
-    bound_step,
+    SchemeParams,
     run_bounds,
     simulate,
 )
@@ -89,20 +88,6 @@ def test_free_bbm_max_mean_bounded_by_sqrt2():
     assert mean <= math.sqrt(2.0) + 3.0 * se
 
 
-def test_free_bbm_signed_zeros_match_a_stable_sort():
-    # at t = 0 every particle moves by g * 0.0, so -0.0 and +0.0 meet in the
-    # final sort, the one sort where quicksort and a stable sort can differ
-    rng = np.random.default_rng(5)
-    init = np.where(rng.random(200) < 0.5, 0.0, -0.0)
-    init[::7] = rng.normal(size=init[::7].size)
-    src = RandomSource(27)
-    g = src.generator(TAG_DRIVING).standard_normal(init.size)
-    ref = np.sort(init + g * np.sqrt(0.0), kind="stable")
-    out = free_bbm(init, 0.0, src)
-    assert np.array_equal(np.signbit(out), np.signbit(ref))
-    assert out.tobytes() == ref.tobytes()
-
-
 def test_free_bbm_overshoot_raises_overflow(monkeypatch):
     # mean population e^2 = 7.4 passes a cap of 8; this seed reaches 9
     monkeypatch.setattr(discrete, "MAX_POPULATION", 8)
@@ -113,9 +98,9 @@ def test_free_bbm_overshoot_raises_overflow(monkeypatch):
 
 @pytest.mark.parametrize("side", ["lower", "upper"])
 def test_steps_reject_a_population_plan_above_the_cap(side):
-    params = BoundSystemParams(0.5, 50.0, side)
+    params = SchemeParams(0.5, 50.0, side)
     with pytest.raises(ValueError, match=r"delta=50.0 with N=5 plans .* cap"):
-        bound_step(np.zeros(5), params, RandomSource(1))
+        run_bounds(np.zeros(5), params, 1, RandomSource(1))
     with pytest.raises(ValueError, match="delta=50.0"):
         run_bounds(np.zeros(5), params, 3, RandomSource(1))
 
@@ -129,14 +114,14 @@ def test_population_cap_is_on_the_planned_mean_n_e_delta():
         f"(N e^delta), above the cap of {MAX_POPULATION}"
     )
     with pytest.raises(ValueError, match=re.escape(msg)):
-        bound_step(np.zeros(n), BoundSystemParams(0.5, delta, "lower"), RandomSource(1))
+        run_bounds(np.zeros(n), SchemeParams(0.5, delta, "lower"), 1, RandomSource(1))
 
 
 def test_steps_reject_a_plan_whose_growth_overflows():
     # e^1000 overflows a float; the plan is then infinite, not an OverflowError
-    params = BoundSystemParams(0.5, 1000.0, "upper")
+    params = SchemeParams(0.5, 1000.0, "upper")
     with pytest.raises(ValueError, match=r"delta=1000.0 with N=5 plans inf particles"):
-        bound_step(np.zeros(5), params, RandomSource(1))
+        run_bounds(np.zeros(5), params, 1, RandomSource(1))
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +130,21 @@ def test_steps_reject_a_plan_whose_growth_overflows():
 
 def test_removal_counts():
     src = RandomSource(30)
-    res = bound_step(np.zeros(100), BoundSystemParams(0.75, 0.1, "lower"), src)
-    assert res.removed == 7  # round(100 * 0.75 * (1 - e^{-0.1})) evaluated exactly
-    tiny = bound_step(np.zeros(100), BoundSystemParams(0.75, 1e-6, "lower"), src)
-    assert tiny.removed == 0
+    res = run_bounds(np.zeros(100), SchemeParams(0.75, 0.1, "lower"), 1, src)
+    # round(100 * 0.75 * (1 - e^{-0.1})) evaluated exactly
+    assert res.steps[0].removed == 7
+    tiny = run_bounds(np.zeros(100), SchemeParams(0.75, 1e-6, "lower"), 1, src)
+    assert tiny.steps[0].removed == 0
 
 
 def test_steps_return_exactly_n_sorted():
     src = RandomSource(31)
-    lo = bound_step(np.zeros(200), BoundSystemParams(0.6, 0.25, "lower"), src)
-    hi = bound_step(np.zeros(200), BoundSystemParams(0.6, 0.25, "upper"), src)
+    lo = run_bounds(np.zeros(200), SchemeParams(0.6, 0.25, "lower"), 1, src)
+    hi = run_bounds(np.zeros(200), SchemeParams(0.6, 0.25, "upper"), 1, src)
     for res in (lo, hi):
         assert len(res.config) == 200
         assert np.all(np.diff(res.config) >= 0.0)
-        assert res.padded == (res.pre_truncation_size < 200)
+        assert res.steps[0].padded == (res.steps[0].pre_truncation_size < 200)
 
 
 def test_pre_truncation_mean_size():
@@ -169,8 +155,8 @@ def test_pre_truncation_mean_size():
     sizes = []
     config = np.zeros(N)
     for r in range(60):
-        res = bound_step(config, BoundSystemParams(p, d, "lower"), src.child(r))
-        sizes.append(res.pre_truncation_size)
+        res = run_bounds(config, SchemeParams(p, d, "lower"), 1, src.child(r))
+        sizes.append(res.steps[0].pre_truncation_size)
         config = res.config
     mean, se = mean_and_se(sizes)
     expected = N * math.exp(d) * (1.0 - p * (1.0 - math.exp(-d)))
@@ -182,29 +168,29 @@ def test_step_sorts_its_start(side):
     # an unsorted start used to be cut as given: at p = 0.9 the lower step
     # removed the first 4 entries instead of the 4 leftmost
     config = np.random.default_rng(9).normal(size=10)
-    params = BoundSystemParams(0.9 if side == "lower" else 0.1, 0.5, side)
-    got = bound_step(config, params, RandomSource(36))
-    ref = bound_step(np.sort(config), params, RandomSource(36))
+    params = SchemeParams(0.9 if side == "lower" else 0.1, 0.5, side)
+    got = run_bounds(config, params, 1, RandomSource(36))
+    ref = run_bounds(np.sort(config), params, 1, RandomSource(36))
     assert got.config.tobytes() == ref.config.tobytes()
-    assert got.removed == ref.removed == 4
-    assert got.pre_truncation_size == ref.pre_truncation_size
+    assert got.steps[0].removed == ref.steps[0].removed == 4
+    assert got.steps[0].pre_truncation_size == ref.steps[0].pre_truncation_size
 
 
 @pytest.mark.parametrize("start", [[math.nan, 0.0], [0.0, math.inf], []])
 def test_steps_reject_a_start_that_is_not_finite(start):
     # run_bounds([nan, 0.0], ...) used to return a configuration holding nan
-    params = BoundSystemParams(0.5, 0.1, "lower")
+    params = SchemeParams(0.5, 0.1, "lower")
     with pytest.raises(ValueError, match="configuration"):
         run_bounds(start, params, 2, RandomSource(37))
     with pytest.raises(ValueError, match="configuration"):
-        bound_step(start, params, RandomSource(37))
+        run_bounds(start, params, 1, RandomSource(37))
 
 
 def test_step_raises_when_removal_reaches_n():
     # delta large enough that round(N p (1-e^{-delta})) == N
     src = RandomSource(35)
     with pytest.raises(ValueError):
-        bound_step(np.zeros(2), BoundSystemParams(0.9, 20.0, "lower"), src)
+        run_bounds(np.zeros(2), SchemeParams(0.9, 20.0, "lower"), 1, src)
 
 
 def test_upper_step_removes_by_one_minus_p():
@@ -212,33 +198,34 @@ def test_upper_step_removes_by_one_minus_p():
     # N = 2 that is 2 at p = 0.1, where the lower side removes none
     src = RandomSource(35)
     with pytest.raises(ValueError, match="removal count reached N"):
-        bound_step(np.zeros(2), BoundSystemParams(0.1, 2.0, "upper"), src)
-    assert bound_step(np.zeros(2), BoundSystemParams(0.1, 2.0, "lower"), src).removed == 0
-    assert bound_step(np.zeros(2), BoundSystemParams(0.9, 2.0, "upper"), src).removed == 0
+        run_bounds(np.zeros(2), SchemeParams(0.1, 2.0, "upper"), 1, src)
+    for p, side in ((0.1, "lower"), (0.9, "upper")):
+        run = run_bounds(np.zeros(2), SchemeParams(p, 2.0, side), 1, src)
+        assert run.steps[0].removed == 0
 
 
 def test_run_bounds_rejects_a_negative_step_count():
     with pytest.raises(ValueError, match="k_steps must be non-negative"):
-        run_bounds([0.0], BoundSystemParams(0.5, 0.1, "lower"), -1, RandomSource(41))
+        run_bounds([0.0], SchemeParams(0.5, 0.1, "lower"), -1, RandomSource(41))
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        BoundSystemParams(0.0, 0.1, "lower")
+        SchemeParams(0.0, 0.1, "lower")
     with pytest.raises(ValueError):
-        BoundSystemParams(0.5, 0.0, "lower")
+        SchemeParams(0.5, 0.0, "lower")
     with pytest.raises(ValueError):
-        BoundSystemParams(0.5, 0.1, "middle")
+        SchemeParams(0.5, 0.1, "middle")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_params_name_the_value_and_its_limit(bad):
     msg = f"p must lie strictly in (0,1), got p={bad!r}"
     with pytest.raises(ValueError, match=re.escape(msg)):
-        BoundSystemParams(bad, 0.1, "lower")
+        SchemeParams(bad, 0.1, "lower")
     msg = f"delta must be positive and finite, got delta={bad!r}"
     with pytest.raises(ValueError, match=re.escape(msg)):
-        BoundSystemParams(0.5, bad, "upper")
+        SchemeParams(0.5, bad, "upper")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +234,7 @@ def test_params_name_the_value_and_its_limit(bad):
 
 def test_run_bounds_zero_steps():
     init = np.array([0.0, 1.0, 2.0])
-    run = run_bounds(init, BoundSystemParams(0.5, 0.1, "lower"), 0, RandomSource(40))
+    run = run_bounds(init, SchemeParams(0.5, 0.1, "lower"), 0, RandomSource(40))
     assert np.array_equal(run.config, init)
     assert run.steps == []
 
@@ -258,8 +245,8 @@ def test_run_bounds_distributional_sandwich():
     N, p, delta, t = 2000, 0.75, 0.05, 0.5
     k = round(t / delta)
     src = RandomSource(41)
-    lower = run_bounds(np.zeros(N), BoundSystemParams(p, delta, "lower"), k, src.child(0))
-    upper = run_bounds(np.zeros(N), BoundSystemParams(p, delta, "upper"), k, src.child(1))
+    lower = run_bounds(np.zeros(N), SchemeParams(p, delta, "lower"), k, src.child(0))
+    upper = run_bounds(np.zeros(N), SchemeParams(p, delta, "upper"), k, src.child(1))
     rec = simulate(np.zeros(N), p, t, src.child(2), record_configs=True)
     main = rec.full_configs[-1]
     xs = np.unique(np.concatenate([lower.config, main, upper.config]))
@@ -276,7 +263,7 @@ def test_run_bounds_matches_grid_scheme():
     # system tracks the matching grid scheme within a DKW-scale band plus a
     # one-cell quantisation allowance.  Selection makes the particles weakly
     # dependent, so the band is approximate; the seed is frozen.
-    from npbbm import SchemeParams, iterate_scheme, sample_from_density
+    from npbbm import iterate_scheme, sample_from_density
     from npbbm.density import _edge_tails
 
     from helpers import wave_fixture
@@ -287,7 +274,7 @@ def test_run_bounds_matches_grid_scheme():
     init = sample_from_density(rho, N, src.generator(6))
     band = dkw_band(N, 0.01) + rho.dx * float(np.max(rho.values))
     for side in ("lower", "upper"):
-        run = run_bounds(init, BoundSystemParams(0.75, delta, side), k, src)
+        run = run_bounds(init, SchemeParams(0.75, delta, side), k, src)
         scheme = iterate_scheme(rho, SchemeParams(0.75, delta, side), k)
         emp = empirical_tail(run.config, scheme.density.edges())
         sup = float(np.max(np.abs(emp - _edge_tails(scheme.density))))
@@ -304,7 +291,7 @@ def test_bounds_verdict_passes_the_ordered_pair_and_fails_the_swapped_one():
     for seed in range(1, 21):
         src = RandomSource(seed, COMMAND_IDS["bounds"] << 32)
         lower, upper = (
-            run_bounds(np.zeros(2000), BoundSystemParams(0.5, 0.1, side), 10, src).config
+            run_bounds(np.zeros(2000), SchemeParams(0.5, 0.1, side), 10, src).config
             for side in ("lower", "upper")
         )
         assert bounds_verdict(lower, upper)["dominated"], seed

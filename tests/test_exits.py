@@ -44,14 +44,21 @@ def test_path_params_validation():
     with pytest.raises(ValueError):
         PathParams(1.0, 0.0, 10)
     with pytest.raises(ValueError):
-        PathParams(1.0, 2.0, 10)
-    with pytest.raises(ValueError):
         PathParams(1.0, 1e-3, 0)
+
+
+def test_step_above_the_horizon_plans_one_naive_step():
+    # h > t used to be refused, though h bounds the step only without bridge
+    # correction, and there max(1, ceil(t/h)) steps is one step
+    params = PathParams(1.0, 2.0, 10)
+    left, right = _constant(0.0), _constant(1.0)
+    grid = _plan(params.t, params.h, left, right, False)[0]
+    assert grid.tolist() == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
 def test_path_params_name_the_value_and_its_limit(bad):
-    msg = f"step h must satisfy 0 < h <= t, got h={bad!r} with t=1.0"
+    msg = f"step h must be positive and finite, got h={bad!r}"
     with pytest.raises(ValueError, match=re.escape(msg)):
         PathParams(1.0, bad, 10)
     # t = inf used to pass and fail later with an OverflowError

@@ -1,6 +1,6 @@
-"""The package's public names: every `__all__` entry resolves, and every
-public function and each of its keyword-only options is used somewhere
-that counts."""
+"""The package's public names: every `__all__` entry resolves to its own
+object, and every public function and each of its keyword-only options is
+used somewhere that counts."""
 
 from __future__ import annotations
 
@@ -25,6 +25,17 @@ def test_every_name_in_all_resolves(module):
     names = getattr(module, "__all__", [])
     assert len(names) == len(set(names))
     assert [n for n in names if not hasattr(module, n)] == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_no_public_name_is_an_alias(module):
+    # a second name for a class or function is a second entry point to the
+    # same code; constants are left out, since equal small ints are one object
+    names: dict[int, list[str]] = {}
+    for name in getattr(module, "__all__", []):
+        if callable(obj := getattr(module, name)):
+            names.setdefault(id(obj), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []
 
 
 TESTS = Path(__file__).parent

@@ -21,12 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 import npbbm.density as density
 from npbbm import (
-    BoundSystemParams,
     GridDensity,
     GridTooSmallError,
     RandomSource,
     SchemeParams,
-    bound_step,
     couple_simulate,
     iterate_scheme,
     plan_grid,
@@ -55,7 +53,6 @@ from npbbm.randomness import (
     TAG_INDEX,
     TAG_SELECT,
     TAG_UNIFORM_A,
-    TAG_UNIFORM_B,
 )
 from npbbm.wave import Barrier, wave_barriers
 
@@ -500,25 +497,32 @@ def test_run_paths_matches_reference_into_an_approaching_barrier():
         assert 10 < hidden
 
 
-class _UniformStub:
-    """A source whose two uniform streams record their calls.
+# the substreams the killed-path kernel owns: its normals and its uniforms
+_KERNEL_TAGS = {TAG_DRIVING, TAG_UNIFORM_A}
 
-    With ``zero_every_fifth`` they also return exactly 0.0 at every fifth
-    draw, counted along the stream, whether drawn one at a time or in
-    arrays.  A uniform of 0 stops any candidate whose exit probability is
-    positive.
+
+class _UniformStub:
+    """A source that records every tag asked of it, and whose uniform
+    stream records its calls.
+
+    With ``zero_every_fifth`` the uniform stream also returns exactly 0.0 at
+    every fifth draw, counted along the stream, whether drawn one at a time
+    or in arrays.  A uniform of 0 stops any candidate whose exit probability
+    is positive.
     """
 
     def __init__(self, src, zero_every_fifth=False):
         self.src = src
         self.zero = zero_every_fifth
-        self.calls = {TAG_UNIFORM_A: [], TAG_UNIFORM_B: []}
+        self.tags = set()
+        self.calls = []
 
     def generator(self, tag):
+        self.tags.add(tag)
         gen = self.src.generator(tag)
-        if tag not in self.calls:
+        if tag != TAG_UNIFORM_A:
             return gen
-        return _StubStream(gen, self.calls[tag], self.zero)
+        return _StubStream(gen, self.calls, self.zero)
 
 
 class _StubStream:
@@ -567,7 +571,8 @@ def test_zero_uniforms_cannot_stop_a_path_below_the_cutoff():
     src = _UniformStub(RandomSource(20260815, 11), zero_every_fifth=True)
     code, _ = _check_paths(x0, left, right, h, h, src)
     assert not np.any(code)
-    assert src.calls[TAG_UNIFORM_A] == src.calls[TAG_UNIFORM_B] == []
+    assert src.calls == []
+    assert src.tags <= _KERNEL_TAGS
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 0.2])
@@ -575,7 +580,8 @@ def test_uniform_streams_draw_exactly_the_live_entries(h):
     # Layout 3: with bridge correction the kernel makes at most one
     # TAG_UNIFORM_A call per step, for as many uniforms as the oracle draws
     # scalars (one per candidate); the wave strip is one step, so one call.
-    # TAG_UNIFORM_B is never drawn, and without bridge correction neither is.
+    # Without bridge correction no uniform is drawn, and with or without it
+    # the kernel asks for no substream but its own.
     left, right, x0 = _wave_strip_starts(20260815, 2000)
     for bridge in (True, False):
         steps = _plan(1.0, h, left, right, bridge)[0].size - 1
@@ -583,10 +589,10 @@ def test_uniform_streams_draw_exactly_the_live_entries(h):
         slow = _UniformStub(RandomSource(7, 12))
         _run_paths(x0, left, right, 1.0, h, fast, bridge_correction=bridge)
         run_paths_reference(x0, left, right, 1.0, h, slow, bridge)
-        sizes = fast.calls[TAG_UNIFORM_A]
-        assert sum(sizes) == len(slow.calls[TAG_UNIFORM_A])
-        assert set(slow.calls[TAG_UNIFORM_A]) <= {None}
-        assert fast.calls[TAG_UNIFORM_B] == slow.calls[TAG_UNIFORM_B] == []
+        sizes = fast.calls
+        assert sum(sizes) == len(slow.calls)
+        assert set(slow.calls) <= {None}
+        assert fast.tags <= _KERNEL_TAGS and slow.tags <= _KERNEL_TAGS
         if bridge:
             assert steps == 1 and len(sizes) == 1 and sizes[0] > 0
         else:
@@ -607,7 +613,7 @@ _sides = st.sampled_from(["lower", "upper"])
 )
 def test_run_bounds_matches_reference(init, p, delta, side, k_steps, seed):
     src = RandomSource(seed, 5)
-    params = BoundSystemParams(p, delta, side)
+    params = SchemeParams(p, delta, side)
     try:
         configs, sizes = run_bounds_reference(init, p, delta, side, k_steps, src)
     except ValueError:
@@ -619,22 +625,6 @@ def test_run_bounds_matches_reference(init, p, delta, side, k_steps, seed):
         assert same_bits(run.config, configs[k])
         assert [s.pre_truncation_size for s in run.steps] == sizes[:k]
         assert [s.padded for s in run.steps] == [size < len(init) for size in sizes[:k]]
-
-
-@settings(max_examples=40, deadline=None)
-@given(init=_configs, p=_p, delta=st.floats(0.01, 1.0), side=_sides, seed=_seed)
-def test_bound_step_matches_reference(init, p, delta, side, seed):
-    src = RandomSource(seed, 6)
-    params = BoundSystemParams(p, delta, side)
-    try:
-        configs, sizes = run_bounds_reference(init, p, delta, side, 1, src)
-    except ValueError:
-        with pytest.raises(ValueError, match="removal count reached N"):
-            bound_step(init, params, src)
-        return
-    res = bound_step(init, params, src)
-    assert same_bits(res.config, configs[1])
-    assert res.pre_truncation_size == sizes[0]
 
 
 def trim_left_reference(values, x0, dx, m, total):
