@@ -14,6 +14,8 @@ owns stream indices [id * 2^32, (id+1) * 2^32) and hands replica r the
 index id * 2^32 + r, so no two commands or replicas ever share a stream.
 
 Exit codes: 0 success, 2 config validation error, 3 runtime numeric error.
+A run that exits 2 or 3 removes the directories it made for its output
+if they are still empty; a directory that existed before stays.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import contextlib
 import datetime
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -234,12 +237,22 @@ class _OutputSet:
     def __init__(self, out_dir: Path) -> None:
         self.out_dir = out_dir
         self.files: list[Path] = []
+        # the directories this run makes, the deepest first
+        self.made = list(
+            itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents))
+        )
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ValueError(
                 f"out={str(out_dir)!r} cannot be made a directory: {exc.strerror}"
             ) from exc
+
+    def discard(self) -> None:
+        """Remove the directories this run made that are still empty."""
+        for d in self.made:
+            with contextlib.suppress(OSError):  # not empty, or gone
+                d.rmdir()
 
     def path(self, name: str) -> Path:
         p = self.out_dir / name
@@ -576,7 +589,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", type=str, default=None)
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--out", type=str, default=None)
-        # accepted for scripts that pass it; every command runs on one thread
+        # accepted for scripts that pass it; it sets no thread count
         cmd.add_argument("--threads", type=_threads, default=None)
     return parser
 
@@ -594,7 +607,7 @@ def main(argv=None) -> int:
         _RUNNERS[args.command](config, out)
     except (ValueError, TypeError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except (
         GridTooSmallError,
         CouplingViolationError,
@@ -603,9 +616,12 @@ def main(argv=None) -> int:
         MemoryError,
     ) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
-    out.manifest(args.command, config, started)
-    return 0
+        code = 3
+    else:
+        out.manifest(args.command, config, started)
+        return 0
+    out.discard()
+    return code
 
 
 if __name__ == "__main__":

@@ -36,12 +36,21 @@ dominance order stay ordered pathwise.
 The reflection coupling between parameters p and 1-p is built from the base
 run: with R(x) = -x[::-1], the mirrored run at p from x is R applied to the
 run at 1-p from R(x) on the same streams, so it is exact by construction.
+
+:func:`estimate_speed` runs its replicas one after another below
+PARALLEL_MIN_N particles, where the Python loop holds the GIL, and from
+there on in threads, one per CPU of the process's affinity: numpy draws
+the normals and re-sorts without the GIL, and they are most of an event at
+large N.  Replica r draws only from its own streams and its result is
+stored under r, so the estimate is the same bits on any number of threads.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,6 +86,14 @@ BLOCK_ITEMS = 8192
 # a batch (BLOCK_ITEMS // N at N = 4000) an event took 105 us against 99 us
 # one event at a time, and at 16 it takes 98 us.
 MIN_BATCH = 16
+
+# Fewest particles at which estimate_speed runs its replicas in threads.
+# Median us an event, serial -> 2 threads, 4 replicas of 24 000 events in
+# all, 5 to 7 interleaved rounds in process on a 2-core VM: N = 50
+# 2.3 -> 2.3, N = 100 3.2 -> 2.8, N = 200 5.3 -> 3.8 (a tie in an earlier,
+# busier measurement), N = 256 6.3 -> 3.6, N = 500 10.5 -> 5.9, N = 4000
+# 74 -> 40.
+PARALLEL_MIN_N = 256
 
 
 class CouplingViolationError(RuntimeError):
@@ -352,6 +369,47 @@ def couple_simulate(
 # asymptotic velocity
 
 
+def _map_replicas(run, count: int, n: int) -> list:
+    """``[run(0), ..., run(count - 1)]``: in threads at n >= PARALLEL_MIN_N,
+    else one after another in the calling thread.
+
+    The threads, one per CPU this process may use and at most one per
+    replica, take replica indices in turn; the calling thread is one of
+    them, and with one CPU or below PARALLEL_MIN_N it is the only one.  Each result is stored under its index, so the list does not
+    depend on the thread count.  Once a replica raises, no further replica
+    starts; every thread is joined, and the exception of the lowest index
+    that raised propagates.
+    """
+    # the CPUs this process may run on, which taskset narrows
+    workers = min(count, len(os.sched_getaffinity(0))) if n >= PARALLEL_MIN_N else 1
+    results = [None] * count
+    failed: list[tuple[int, BaseException]] = []
+    # shared by the threads: next() on it is one call, atomic under the GIL
+    pending = iter(range(count))
+
+    def work() -> None:
+        for r in pending:
+            if failed:
+                return
+            try:
+                results[r] = run(r)
+            except BaseException as exc:
+                failed.append((r, exc))
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise min(failed, key=lambda item: item[0])[1]
+    return results
+
+
 @dataclass(frozen=True)
 class SpeedEstimate:
     """Velocity estimate from replicated runs started with all particles at 0.
@@ -388,7 +446,9 @@ def estimate_speed(
     Each replica runs from all particles at 0, discards a burn-in prefix
     (default T/5) to approximate the stationary shape seen from the leftmost
     particle, and measures (X(T) - X(burn_in)) / (T - burn_in) for both
-    extremes.  Replica r draws from ``src.child(r)``.
+    extremes.  Replica r draws from ``src.child(r)``.  From N =
+    PARALLEL_MIN_N on the replicas run in threads, one per CPU the process
+    may use; the samples are those of running them one after another.
     """
     if replicas < 2:
         raise ValueError(
@@ -398,18 +458,18 @@ def estimate_speed(
         burn_in = T / 5.0
     if not 0.0 <= burn_in < T:
         raise ValueError(f"need T > burn_in >= 0, got T={T!r}, burn_in={burn_in!r}")
-    vl = np.empty(replicas)
-    vr = np.empty(replicas)
     span = T - burn_in
     times = [burn_in, T] if burn_in > 0.0 else [T]
-    for r in range(replicas):
+
+    def replica(r: int) -> tuple[float, float]:
         rec = simulate(
             np.zeros(N), p, T, src.child(r), sample_times=times, mirror=mirror
         )
         l0 = rec.leftmost[0] if burn_in > 0.0 else 0.0
         r0 = rec.rightmost[0] if burn_in > 0.0 else 0.0
-        vl[r] = (rec.leftmost[-1] - l0) / span
-        vr[r] = (rec.rightmost[-1] - r0) / span
+        return (rec.leftmost[-1] - l0) / span, (rec.rightmost[-1] - r0) / span
+
+    vl, vr = map(np.array, zip(*_map_replicas(replica, replicas, N)))
     sel = float(np.std(vl, ddof=1) / math.sqrt(replicas))
     ser = float(np.std(vr, ddof=1) / math.sqrt(replicas))
     return SpeedEstimate(

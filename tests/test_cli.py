@@ -299,6 +299,7 @@ def test_numeric_failure_returns_3(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._RUNNERS, "wave", boom)
     assert main(["wave", "--out", str(tmp_path / "x")]) == 3
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("threads", ["2", 1.5, True, 0, 1])
@@ -399,7 +400,7 @@ def test_scheme_plan_above_its_cap_returns_2_at_once(
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err == f"config error: {plan}\n"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["stats", "representation", "flux"])
@@ -415,7 +416,7 @@ def test_exit_paths_above_the_cap_return_2_at_once(tmp_path, capsys, mode, extra
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err == f"config error: n_paths={n_paths} is above the cap of {MAX_PATHS}\n"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("horizon", [0, 0.0, -1.0, -5e-324])
@@ -429,7 +430,7 @@ def test_simulate_horizon_not_positive_returns_2_naming_it(tmp_path, capsys, hor
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err == f"config error: horizon={float(horizon)!r} must be positive\n"
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_representation_horizon_beyond_exp_range_returns_2(
@@ -695,6 +696,45 @@ def test_exit_step_not_positive_and_finite_returns_2(tmp_path, capsys, bad):
     assert f"h={bad!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, entries",
+    [
+        # both used to exit 2 leaving the empty directory made for the run
+        ("exit", {"h": 0}),
+        ("simulate", {"burn_in": 20.0, "horizon": 10.0}),
+    ],
+)
+def test_rejected_run_removes_the_directories_it_made(
+    tmp_path, capsys, command, entries
+):
+    cfg = _write_config(tmp_path, "c.json", entries)
+    out = tmp_path / "a" / "b"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "a").exists()
+
+
+def test_rejected_run_keeps_a_directory_that_existed(tmp_path):
+    cfg = _write_config(tmp_path, "e.json", {"h": 0})
+    out = tmp_path / "x"
+    out.mkdir()
+    assert main(["exit", "--config", cfg, "--out", str(out)]) == 2
+    assert out.is_dir() and not any(out.iterdir())
+
+
+def test_failed_run_keeps_a_directory_with_files(tmp_path, monkeypatch):
+    import npbbm.cli as cli
+
+    def write_then_fail(config, out):
+        out.write_json("partial.json", {})
+        raise ArithmeticError("forced after the first file")
+
+    monkeypatch.setitem(cli._RUNNERS, "wave", write_then_fail)
+    out = tmp_path / "x"
+    assert main(["wave", "--out", str(out)]) == 3
+    assert [p.name for p in out.iterdir()] == ["partial.json"]
+
+
 def test_trajectory_csv_reads_back_to_simulate_extremes(tmp_path):
     # 17 significant digits carry every double through the CSV exactly
     cfg = _write_config(
@@ -862,7 +902,7 @@ def test_bad_burn_in_returns_2_before_any_output(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "need horizon > burn_in >= 0, got horizon=10.0, burn_in=20.0" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -888,7 +928,7 @@ def test_burn_in_outside_the_horizon_names_both_keys(
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: need horizon > burn_in >= 0, got {shown}\n"
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -132,8 +132,12 @@ def test_fuzz_strategies_cover_the_key_tables():
 def test_fuzzed_config_exits_0_2_or_3(case):
     command, config = case
     with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
         if config["out"] == _TMP_OUT:
-            config["out"] = str(Path(tmp) / "out")
+            config["out"] = str(out)
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
-        assert main([command, "--config", str(path)]) in (0, 2, 3)
+        code = main([command, "--config", str(path)])
+        assert code in (0, 2, 3)
+        if code:  # a failed run leaves no empty directory it made
+            assert not out.exists() or any(out.iterdir())

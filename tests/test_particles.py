@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -429,3 +433,123 @@ def test_speed_rejects_a_single_replica():
     # one replica has no spread; its standard error used to be reported as 0
     with pytest.raises(ValueError, match="replicas=1 must be at least 2"):
         estimate_speed(0.5, 10, 10.0, RandomSource(1), replicas=1)
+
+
+# ---------------------------------------------------------------------------
+# replicas in threads
+
+def _allow_cpus(monkeypatch, count):
+    # the thread count is the process's CPU affinity, which taskset narrows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("replicas", [3, 4])
+@pytest.mark.parametrize(
+    "n", [particles.PARALLEL_MIN_N, 2 * particles.PARALLEL_MIN_N + 1]
+)
+def test_threaded_replicas_equal_a_serial_loop(monkeypatch, n, replicas, mirror):
+    _allow_cpus(monkeypatch, 2)
+    threads = set()
+    # each thread's first replica waits for the other's, so both must run one
+    both_started = threading.Barrier(2, timeout=10.0)
+
+    def recorded(*args, **kwargs):
+        if threading.get_ident() not in threads:
+            threads.add(threading.get_ident())
+            both_started.wait()
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(particles, "simulate", recorded)
+    src = RandomSource(610)
+    T, burn = 0.25, 0.05
+    est = estimate_speed(0.75, n, T, src, burn, replicas, mirror=mirror)
+    assert len(threads) == 2
+    left, right = [], []
+    for r in range(replicas):
+        rec = simulate(
+            np.zeros(n), 0.75, T, src.child(r), sample_times=[burn, T], mirror=mirror
+        )
+        left.append((rec.leftmost[1] - rec.leftmost[0]) / (T - burn))
+        right.append((rec.rightmost[1] - rec.rightmost[0]) / (T - burn))
+    assert np.array_equal(est.samples_left, left)
+    assert np.array_equal(est.samples_right, right)
+
+
+def test_a_failing_replica_propagates_and_leaves_no_thread(monkeypatch):
+    src = RandomSource(611)
+    failure = FloatingPointError("replica 1 failed")
+
+    def flaky(init, p, T, replica_src, *args, **kwargs):
+        if replica_src == src.child(1):
+            raise failure
+        return simulate(init, p, T, replica_src, *args, **kwargs)
+
+    _allow_cpus(monkeypatch, 2)
+    monkeypatch.setattr(particles, "simulate", flaky)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError) as exc:
+        estimate_speed(0.75, particles.PARALLEL_MIN_N, 0.2, src, replicas=6)
+    assert exc.value is failure
+    assert threading.active_count() == before
+
+
+def test_no_replica_starts_after_one_fails(monkeypatch):
+    # two threads: the one on replica 0 waits until replica 1 has failed
+    _allow_cpus(monkeypatch, 2)
+    src = RandomSource(612)
+    started = []
+    failed = threading.Event()
+
+    def flaky(init, p, T, replica_src, *args, **kwargs):
+        r = replica_src.stream_index - src.stream_index
+        started.append(r)
+        if r == 1:
+            failed.set()
+            raise FloatingPointError("replica 1 failed")
+        failed.wait(10.0)  # replica 0 ends after replica 1 has failed,
+        time.sleep(0.05)  # and after its thread has recorded the failure
+        return simulate(init, p, T, replica_src, *args, **kwargs)
+
+    monkeypatch.setattr(particles, "simulate", flaky)
+    with pytest.raises(FloatingPointError, match="replica 1 failed"):
+        estimate_speed(0.75, particles.PARALLEL_MIN_N, 0.2, src, replicas=6)
+    assert sorted(started) == [0, 1]
+
+
+def _no_threads(*args, **kwargs):
+    raise AssertionError("a thread was started")
+
+
+@pytest.mark.parametrize("n", [50, particles.PARALLEL_MIN_N - 1])
+def test_no_thread_starts_below_the_threshold(monkeypatch, n):
+    monkeypatch.setattr(threading, "Thread", _no_threads)
+    est = estimate_speed(0.75, n, 0.2, RandomSource(613), replicas=4)
+    assert est.samples_left.shape == (4,)
+
+
+def test_one_allowed_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(threading, "Thread", _no_threads)
+    _allow_cpus(monkeypatch, 1)
+    est = estimate_speed(0.75, particles.PARALLEL_MIN_N, 0.2, RandomSource(614))
+    assert est.samples_left.shape == (20,)
+
+
+def test_every_replica_runs_once_under_fast_thread_switching(monkeypatch):
+    # more threads than cores, switching often: an index handed out twice or
+    # a result stored under the wrong index would show
+    _allow_cpus(monkeypatch, 8)
+    calls = []
+
+    def run(r):
+        calls.append(r)
+        return r * r
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = particles._map_replicas(run, 5000, particles.PARALLEL_MIN_N)
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [r * r for r in range(5000)]
+    assert sorted(calls) == list(range(5000))
