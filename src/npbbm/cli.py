@@ -33,7 +33,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import MAX_GRID_CELLS, GridTooSmallError, SchemeParams, plan_grid, refine_limit
+from .density import (
+    MAX_GRID_CELLS,
+    GridTooSmallError,
+    SchemeParams,
+    l1_distance,
+    plan_grid,
+    refine_limit,
+)
 from .discrete import bounds_verdict, run_bounds
 from .exits import (
     PathParams,
@@ -146,7 +153,7 @@ _KEYS = {
         "p": (_real, 0.5),
         "n_particles": (_count(1), 50),
         "horizon": (_real, 10.0),
-        "n_samples": (_count(1), 50),
+        "n_samples": (_count(1, MAX_GRID_CELLS), 50),  # the sample times are a grid
         "replicas": (_count(2), 20),
         "burn_in": (_optional(_real), None),
         **_COMMON,
@@ -303,12 +310,11 @@ def _command_source(config: dict, command: str) -> RandomSource:
 
 
 def _wave_fixture(p: float, t: float, dx: float):
-    """Shifted wave density (support ending at 0) plus its moving barriers."""
+    """The wave at p and its density shifted to end at 0, on a grid that
+    holds it over time t."""
     w = travelling_wave(p)
     grid = plan_grid(-w.R0, 0.0, t, drift=w.c, dx=dx)
-    rho = wave_density(w, grid, shift=-w.R0)
-    barriers = wave_barriers(w, t) if t > 0.0 else None
-    return w, rho, barriers
+    return w, wave_density(w, grid, shift=-w.R0)
 
 
 @contextlib.contextmanager
@@ -348,11 +354,11 @@ def cmd_simulate(config: dict, out: _OutputSet) -> None:
     out.write_json(
         "speed.json",
         {
-            "p": est.p,
-            "n_particles": est.n_particles,
-            "horizon": est.horizon,
+            "p": p,
+            "n_particles": n,
+            "horizon": horizon,
             "burn_in": est.burn_in,
-            "replicas": est.replicas,
+            "replicas": replicas,
             "v_hat": est.v_hat,
             "std_error": est.std_error,
             "v_hat_right": est.v_hat_right,
@@ -407,14 +413,16 @@ def cmd_bounds(config: dict, out: _OutputSet) -> None:
 
 def cmd_scheme(config: dict, out: _OutputSet) -> None:
     p, t, n_max, tol = (config[key] for key in ("p", "t", "n_max", "tol"))
-    _, rho, _ = _wave_fixture(p, t, config["dx"])
+    w, rho = _wave_fixture(p, t, config["dx"])
     result = refine_limit(rho, p, t, n_max=n_max, tol=tol)
     out.write_csv(
         "widths.csv",
         "level,steps,delta,width",
-        [(lvl, 2**lvl, t / 2**lvl, w) for lvl, w in enumerate(result.widths)],
+        [(lvl, 2**lvl, t / 2**lvl, wd) for lvl, wd in enumerate(result.widths)],
     )
     psi = result.psi
+    # the limit from the wave is the same wave moved by c t
+    exact = wave_density(w, psi.spec, shift=w.c * t - w.R0)
     out.write_csv(
         "psi.csv",
         '{"x0": %.17g, "dx": %.17g, "count": %d, "mass": %.17g}\nx,value'
@@ -431,6 +439,7 @@ def cmd_scheme(config: dict, out: _OutputSet) -> None:
             "converged": result.converged,
             "n_used": result.n_used,
             "width": result.width,
+            "wave_l1": l1_distance(psi, exact),
         },
     )
 
@@ -452,8 +461,8 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
     mode, p, t = config["mode"], config["p"], config["t"]
     params = PathParams(t=t, h=config["h"], n_paths=config["n_paths"])
     src = _command_source(config, "exit")
-    w, rho, barriers = _wave_fixture(p, t, config["dx"])
-    left, right = barriers
+    w, rho = _wave_fixture(p, t, config["dx"])
+    left, right = wave_barriers(w, t)
     if mode == "stats":
         stats = exit_statistics(rho, left, right, params, src)
         out.write_json(
@@ -501,7 +510,7 @@ def cmd_exit(config: dict, out: _OutputSet) -> None:
             },
         )
     else:
-        seq = small_delta_flux(rho, left, right, config["deltas"], params, src)
+        seq = small_delta_flux(rho, left, right, config["deltas"], params.n_paths, src)
         out.write_csv(
             "flux.csv",
             "delta,flux_left,se_left,flux_right,se_right",

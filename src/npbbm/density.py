@@ -458,25 +458,16 @@ class SchemeRun:
 def iterate_scheme(f: GridDensity, params: SchemeParams, k_steps: int) -> SchemeRun:
     """k_steps composite steps (see the module docstring) from a probability
     density, recording the cut positions, which estimate the moving
-    boundaries of the limiting free boundary problem."""
+    boundaries of the limiting free boundary problem.
+
+    The steps run as one loop over the support window.  The upper side runs
+    the lower steps at 1-p on the reflected grid, which it reflects once on
+    the way in and once on the way out.  Between steps the loop carries the
+    support window, its offset on the (reflected) grid and its mass; a
+    GridTooSmallError names the step it happened at.
+    """
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
-    density, lefts, rights = _run_scheme(f, params, k_steps)
-    return SchemeRun(
-        density, np.array(lefts, dtype=np.float64), np.array(rights, dtype=np.float64)
-    )
-
-
-def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
-    """k scheme steps from f as one loop over the support window.
-
-    The upper side runs the lower steps at 1-p on the reflected grid, which
-    it reflects once on the way in and once on the way out.  Between steps
-    the loop carries the support window, its offset on the (reflected) grid
-    and its mass; a GridTooSmallError names the step it happened at.
-
-    Returns (density, left cut positions, right cut positions).
-    """
     lower = params.side == "lower"
     q = params.p if lower else 1.0 - params.p
     d = params.delta
@@ -487,8 +478,8 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
     window = f.values if lower else f.values[::-1]
     offset, last = _support(window) or (0, -1)
     window, mass = window[offset : last + 1], f.mass
-    lefts, rights = [], []
-    for i in range(k):
+    lefts, rights = np.empty(k_steps), np.empty(k_steps)
+    for i in range(k_steps):
         if i and (abs(mass - 1.0) > 5e-11 or cut >= mass * (1.0 - 1e-12)):
             # near the mass check or a cut of all the mass, decide (and
             # report) with the full grid's own sum, which may differ from the
@@ -505,12 +496,12 @@ def _run_scheme(f: GridDensity, params: SchemeParams, k: int):
                 window, offset, x0, dx, n, m, mass, d, r, not lower
             )
         except GridTooSmallError as exc:
-            msg = f"at step {i + 1} of {k} (delta={d!r}): {exc}"
+            msg = f"at step {i + 1} of {k_steps} (delta={d!r}): {exc}"
             raise GridTooSmallError(msg) from None
-        lefts.append(left if lower else -right)
-        rights.append(right if lower else -left)
-    density = GridDensity(f.x0, dx, _on_grid(window, offset, n, lower)) if k else f
-    return density, lefts, rights
+        lefts[i] = left if lower else -right
+        rights[i] = right if lower else -left
+    density = GridDensity(f.x0, dx, _on_grid(window, offset, n, lower)) if k_steps else f
+    return SchemeRun(density, lefts, rights)
 
 
 def _on_grid(window, offset: int, n: int, lower: bool):

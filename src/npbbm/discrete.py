@@ -42,6 +42,8 @@ from .stats import dkw_band, empirical_tail, ks_critical, ks_distance
 
 __all__ = [
     "MAX_POPULATION",
+    "MAX_BOUND_STEPS",
+    "MAX_BOUND_MOVES",
     "BoundStep",
     "BoundsRun",
     "ComparisonReport",
@@ -55,17 +57,40 @@ __all__ = [
 # the largest in use is about 21 000 (N = 20 000, delta = 0.05).
 MAX_POPULATION = 1 << 22
 
+# Largest plans run_bounds runs.  A step costs at least about 20 us (N = 1)
+# and about 90 us at N = 200, delta = 0.1, but each step keeps a record that
+# the `bounds` command also writes, about 220 bytes of memory a step, so the
+# step cap is set by memory: the two sides at the cap take about 0.45 GB and
+# 3 minutes at N = 200.  From N = 2 000 up a particle move (a particle alive
+# at the end of a step, N e^delta of them a step) costs 60-100 ns, so the
+# two sides at the move cap take about six to ten minutes on a 2-core VM.
+# The largest plan in use, N = 20 000, delta = 0.05 and 60 steps, is 1.26e6
+# moves a side.
+MAX_BOUND_STEPS = 1_000_000
+MAX_BOUND_MOVES = 3_000_000_000
 
-def _check_population(n: int, delta: float) -> None:
-    """Reject, before any work, n particles branching for delta above the cap."""
+
+def _check_plan(n: int, delta: float, k: int) -> None:
+    """Reject, before any draw, k steps of n particles branching for delta
+    whose population (N e^delta), steps or particle moves (k N e^delta) are
+    above their caps."""
     try:
-        planned = n * math.exp(delta)
+        grown = n * math.exp(delta)
     except OverflowError:
-        planned = math.inf
-    if not planned <= MAX_POPULATION:
+        grown = math.inf
+    if not grown <= MAX_POPULATION:
         raise ValueError(
-            f"delta={delta!r} with N={n} plans {planned:.6g} particles (N e^delta), "
+            f"delta={delta!r} with N={n} plans {grown:.6g} particles (N e^delta), "
             f"above the cap of {MAX_POPULATION}"
+        )
+    if k > MAX_BOUND_STEPS:
+        raise ValueError(
+            f"k_steps={k} plans {k} steps a side, above the cap of {MAX_BOUND_STEPS}"
+        )
+    if not k * grown <= MAX_BOUND_MOVES:
+        raise ValueError(
+            f"k_steps={k} with N={n}, delta={delta!r} plans {k * grown:.6g} particle "
+            f"moves a side (k N e^delta), above the cap of {MAX_BOUND_MOVES:.6g}"
         )
 
 
@@ -136,23 +161,24 @@ def run_bounds(
     removes round(N (1-p) (1-e^{-delta})) rightmost particles, branches,
     keeps the N rightmost.  Too few survivors (possible but vanishingly rare
     at practical sizes) pad with copies of the extreme that is kept and set
-    the step's ``padded`` flag.
+    the step's ``padded`` flag.  The plan is checked before any draw against
+    MAX_POPULATION, MAX_BOUND_STEPS and MAX_BOUND_MOVES.
     """
     if k_steps < 0:
         raise ValueError("k_steps must be non-negative")
     config = order(init)
-    moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
     n, lower = len(config), params.side == "lower"
     q = params.p if lower else 1.0 - params.p
     removed = round(n * q * (1.0 - math.exp(-params.delta)))
     if k_steps:
-        _check_population(n, params.delta)
+        _check_plan(n, params.delta, k_steps)
         if removed >= n:
             raise ValueError(
                 f"removal count reached N: round(N q (1 - e^-delta)) = {removed} "
                 f"with N={n}, q={q!r} ({params.side} side), delta={params.delta!r}; "
                 "shrink delta or N"
             )
+    moves, clocks = src.generator(TAG_DRIVING), src.generator(TAG_CLOCK)
     steps: list[BoundStep] = []
     for _ in range(k_steps):
         survivors = config[removed:] if lower else config[: n - removed]

@@ -485,18 +485,18 @@ def small_delta_flux(
     left: Barrier,
     right: Barrier,
     deltas,
-    params: PathParams,
+    n_paths: int,
     src: RandomSource,
 ) -> FluxSequence:
     """Measure exit_side probability / delta over a decreasing delta ladder.
 
     The ladder is checked before any path runs: at least two deltas, the
     two smallest in ratio 2, the largest no later than the barriers' last
-    knot.  Each delta runs params.n_paths fresh paths (independent
-    sub-source per delta) up to horizon delta under the exact two-sided
-    law: on the wave strip each delta is one step.  The caller supplies a
-    density vanishing at both barriers; the fluxes then converge linearly
-    in delta to half the edge slopes, which the ratio-2 extrapolation of
+    knot.  Each delta runs n_paths fresh paths (independent sub-source per
+    delta) up to horizon delta under the exact two-sided law: on the wave
+    strip each delta is one step.  The caller supplies a density vanishing
+    at both barriers; the fluxes then converge linearly in delta to half
+    the edge slopes, which the ratio-2 extrapolation of
     :meth:`FluxSequence.extrapolate` recovers.
     """
     d = _delta_ladder(deltas)
@@ -511,7 +511,7 @@ def small_delta_flux(
     sl = np.empty(d.size)
     sr = np.empty(d.size)
     for j, delta in enumerate(d):
-        run = PathParams(t=float(delta), h=float(delta), n_paths=params.n_paths)
+        run = PathParams(t=float(delta), h=float(delta), n_paths=n_paths)
         stats = exit_statistics(f, left, right, run, src.child(j))
         fl[j] = stats.exit_left_prob / delta
         fr[j] = stats.exit_right_prob / delta

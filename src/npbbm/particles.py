@@ -375,10 +375,11 @@ def _map_replicas(run, count: int, n: int) -> list:
 
     The threads, one per CPU this process may use and at most one per
     replica, take replica indices in turn; the calling thread is one of
-    them, and with one CPU or below PARALLEL_MIN_N it is the only one.  Each result is stored under its index, so the list does not
-    depend on the thread count.  Once a replica raises, no further replica
-    starts; every thread is joined, and the exception of the lowest index
-    that raised propagates.
+    them, and with one CPU or below PARALLEL_MIN_N it is the only one.
+    Each result is stored under its index, so the list does not depend on
+    the thread count.  Once a replica raises, no further replica starts;
+    every thread is joined, and the exception of the lowest index that
+    raised propagates.
     """
     # the CPUs this process may run on, which taskset narrows
     workers = min(count, len(os.sched_getaffinity(0))) if n >= PARALLEL_MIN_N else 1
@@ -416,17 +417,14 @@ class SpeedEstimate:
 
     ``v_hat`` tracks the leftmost particle; the rightmost-based estimate is
     recorded alongside because both extremes share the same limit speed.
+    ``burn_in`` is the prefix each replica discarded, T/5 unless given.
     """
 
     v_hat: float
     std_error: float
     v_hat_right: float
     std_error_right: float
-    n_particles: int
-    p: float
-    horizon: float
     burn_in: float
-    replicas: int
     samples_left: NDArray[np.float64]
     samples_right: NDArray[np.float64]
 
@@ -459,14 +457,13 @@ def estimate_speed(
     if not 0.0 <= burn_in < T:
         raise ValueError(f"need T > burn_in >= 0, got T={T!r}, burn_in={burn_in!r}")
     span = T - burn_in
-    times = [burn_in, T] if burn_in > 0.0 else [T]
 
     def replica(r: int) -> tuple[float, float]:
+        # a sample at time 0 has a zero interval and draws nothing
         rec = simulate(
-            np.zeros(N), p, T, src.child(r), sample_times=times, mirror=mirror
+            np.zeros(N), p, T, src.child(r), sample_times=[burn_in, T], mirror=mirror
         )
-        l0 = rec.leftmost[0] if burn_in > 0.0 else 0.0
-        r0 = rec.rightmost[0] if burn_in > 0.0 else 0.0
+        l0, r0 = rec.leftmost[0], rec.rightmost[0]
         return (rec.leftmost[-1] - l0) / span, (rec.rightmost[-1] - r0) / span
 
     vl, vr = map(np.array, zip(*_map_replicas(replica, replicas, N)))
@@ -477,11 +474,7 @@ def estimate_speed(
         std_error=sel,
         v_hat_right=float(np.mean(vr)),
         std_error_right=ser,
-        n_particles=N,
-        p=p,
-        horizon=T,
         burn_in=burn_in,
-        replicas=replicas,
         samples_left=vl,
         samples_right=vr,
     )

@@ -165,8 +165,7 @@ def test_exit_flux_extrapolates_to_selection_split():
     for slot, p in enumerate((0.5, 0.75)):
         _, rho, left, right = wave_fixture(p, 1.0)
         seq = small_delta_flux(
-            rho, left, right, [0.02, 0.01, 0.005],
-            PathParams(t=0.02, h=1e-3, n_paths=200_000),
+            rho, left, right, [0.02, 0.01, 0.005], 200_000,
             RandomSource(MASTER, 209).child(slot * 8),
         )
         value_l, se_l = seq.extrapolate("left")

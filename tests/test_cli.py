@@ -22,11 +22,12 @@ from npbbm import (
     refine_limit,
     run_bounds,
     simulate,
+    wave_barriers,
     wave_speed,
 )
 from npbbm.cli import COMMAND_IDS, _wave_fixture, main
 from npbbm.density import MAX_GRID_CELLS
-from npbbm.discrete import bounds_verdict
+from npbbm.discrete import MAX_BOUND_MOVES, MAX_BOUND_STEPS, bounds_verdict
 from npbbm.exits import MAX_PATHS
 from npbbm.randomness import DRAW_LAYOUT
 
@@ -169,6 +170,30 @@ def test_scheme_with_disjoint_supports_at_the_first_levels_exits_0(tmp_path):
         assert json.load(fh)["converged"] is False
 
 
+@pytest.mark.parametrize(
+    "entries, converged, width, wave_l1",
+    [
+        # 3.4 cells across the wave's support: the schemes agree with each
+        # other, but psi is far from the exact limit, the wave moved by c t
+        ({"dx": 0.7}, True, 0.0021702, 0.358518),
+        ({}, False, 0.0130442, 0.0047178),  # the shipped config
+    ],
+    ids=["dx-0.7", "shipped"],
+)
+def test_scheme_summary_reports_the_l1_distance_to_the_wave(
+    tmp_path, entries, converged, width, wave_l1
+):
+    cfg = _write_config(tmp_path, "s.json", entries)
+    out = tmp_path / "s"
+    assert main(["scheme", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "scheme_summary.json").read_text())
+    assert list(summary)[-1] == "wave_l1"
+    assert summary["converged"] is converged
+    # the scheme draws nothing, so both are the same on every run
+    assert summary["width"] == pytest.approx(width, rel=1e-4)
+    assert summary["wave_l1"] == pytest.approx(wave_l1, rel=1e-4)
+
+
 def test_scheme_psi_csv_reads_back_to_refine_limit(tmp_path):
     # psi.csv is a JSON header line, then the x,value rows of the refined
     # midpoint; 17 significant digits read every double back exactly
@@ -177,7 +202,7 @@ def test_scheme_psi_csv_reads_back_to_refine_limit(tmp_path):
     )
     out = tmp_path / "s"
     assert main(["scheme", "--config", cfg, "--out", str(out)]) == 0
-    _, rho, _ = _wave_fixture(0.75, 0.25, 2e-3)
+    _, rho = _wave_fixture(0.75, 0.25, 2e-3)
     psi = refine_limit(rho, 0.75, 0.25, n_max=2, tol=1e-4).psi
     with open(out / "psi.csv", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
@@ -387,6 +412,25 @@ def test_probes_exit_2_at_once_naming_the_key(
             "scheme",
             {"dx": 0.7, "n_max": 30},
             "n_max=30 plans 4.29497e+09 scheme steps, above the cap of 10000000",
+        ),
+        # ran past a 10 s timeout
+        (
+            "bounds",
+            {"k_steps": 1_000_000_000},
+            f"k_steps=1000000000 plans 1000000000 steps a side, "
+            f"above the cap of {MAX_BOUND_STEPS}",
+        ),
+        (
+            "bounds",
+            {"n_particles": 4000, "k_steps": 1_000_000},
+            "k_steps=1000000 with N=4000, delta=0.1 plans 4.42068e+09 particle "
+            f"moves a side (k N e^delta), above the cap of {MAX_BOUND_MOVES:.6g}",
+        ),
+        # asked np.linspace for 7.45 GiB of sample times
+        (
+            "simulate",
+            {"n_samples": 1_000_000_000},
+            f"n_samples=1000000000 is above the cap of {MAX_GRID_CELLS}",
         ),
     ],
 )
@@ -810,7 +854,8 @@ def test_exit_stats_json_matches_exit_statistics(tmp_path):
     cfg = _write_config(tmp_path, "e.json", config)
     out = tmp_path / "e"
     assert main(["exit", "--config", cfg, "--seed", "98", "--out", str(out)]) == 0
-    _, rho, (left, right) = _wave_fixture(0.75, 1.0, 1e-3)
+    w, rho = _wave_fixture(0.75, 1.0, 1e-3)
+    left, right = wave_barriers(w, 1.0)
     src = RandomSource(98, COMMAND_IDS["exit"] << 32)
     params = PathParams(1.0, 1e-2, 2000)
     stats = exit_statistics(rho, left, right, params, src)
@@ -884,7 +929,8 @@ def test_representation_counts_many_points_at_once(tmp_path):
     xs, mc, _, se = np.array(_read_csv(out / "representation.csv")[1:], dtype=float).T
     assert xs.size == 20_000
     # the survivors are those of exit_statistics on the same source
-    _, rho, (left, right) = _wave_fixture(0.75, 1.0, 1e-3)
+    w, rho = _wave_fixture(0.75, 1.0, 1e-3)
+    left, right = wave_barriers(w, 1.0)
     src = RandomSource(5, COMMAND_IDS["exit"] << 32)
     survivors = exit_statistics(rho, left, right, PathParams(1.0, 1e-3, 1000), src)
     survivors = survivors.survivor_positions

@@ -617,7 +617,7 @@ def test_refine_limit_checks_its_plan_before_any_step(n_max, dx, plan, monkeypat
     def no_steps(*args):
         raise AssertionError("stepped before the plan was checked")
 
-    monkeypatch.setattr(npbbm.density, "_run_scheme", no_steps)
+    monkeypatch.setattr(npbbm.density, "_lower_step", no_steps)
     w = travelling_wave(0.75)
     rho = wave_density(w, plan_grid(-w.R0, 0.0, 1.0, drift=w.c, dx=dx), shift=-w.R0)
     with pytest.raises(ValueError, match=re.escape(f"n_max={n_max} {plan}")):

@@ -17,7 +17,7 @@ from npbbm import (
 )
 import npbbm.discrete as discrete
 from npbbm.cli import COMMAND_IDS
-from npbbm.discrete import MAX_POPULATION, bounds_verdict
+from npbbm.discrete import MAX_BOUND_STEPS, MAX_POPULATION, bounds_verdict
 from npbbm.randomness import TAG_CLOCK, TAG_DRIVING
 from npbbm.stats import dkw_band, empirical_tail
 
@@ -122,6 +122,29 @@ def test_steps_reject_a_plan_whose_growth_overflows():
     params = SchemeParams(0.5, 1000.0, "upper")
     with pytest.raises(ValueError, match=r"delta=1000.0 with N=5 plans inf particles"):
         run_bounds(np.zeros(5), params, 1, RandomSource(1))
+
+
+@pytest.mark.parametrize(
+    "n, delta, k, plan",
+    [
+        (1, 0.1, MAX_BOUND_STEPS + 1, f"plans {MAX_BOUND_STEPS + 1} steps a side"),
+        # 4000 e^0.1 = 4420.68 particles a step
+        (4000, 0.1, 1_000_000, "plans 4.42068e+09 particle moves a side"),
+    ],
+    ids=["steps", "moves"],
+)
+@pytest.mark.parametrize("side", ["lower", "upper"])
+def test_steps_and_moves_above_their_caps_are_refused_before_any_draw(
+    n, delta, k, plan, side, monkeypatch
+):
+    def no_draws(*args):
+        raise AssertionError("drew before the plan was checked")
+
+    monkeypatch.setattr(RandomSource, "generator", no_draws)
+    params = SchemeParams(0.5, delta, side)
+    message = re.escape(f"k_steps={k} ") + ".*" + re.escape(plan)
+    with pytest.raises(ValueError, match=message):
+        run_bounds(np.zeros(n), params, k, RandomSource(1))
 
 
 # ---------------------------------------------------------------------------

@@ -295,8 +295,7 @@ def test_flux_matches_exact_exit_masses():
     # For wave initial data the exact exit mass by time d is p(1-e^{-d}), so
     # the flux at each rung is known in closed form (frozen values).
     _, rho, left, right = wave_fixture(0.75, 1.0)
-    params = PathParams(1.0, 1e-3, 30_000)
-    seq = small_delta_flux(rho, left, right, [0.02, 0.01, 0.005], params, RandomSource(101))
+    seq = small_delta_flux(rho, left, right, [0.02, 0.01, 0.005], 30_000, RandomSource(101))
     exact_left = {
         0.02: 0.742549750996676,
         0.01: 0.746262468812396,
@@ -312,8 +311,7 @@ def test_flux_matches_exact_exit_masses():
 
 def test_flux_symmetric_at_half():
     _, rho, left, right = wave_fixture(0.5, 1.0)
-    params = PathParams(1.0, 1e-3, 20_000)
-    seq = small_delta_flux(rho, left, right, [0.02, 0.01], params, RandomSource(102))
+    seq = small_delta_flux(rho, left, right, [0.02, 0.01], 20_000, RandomSource(102))
     for fl, fr, sl, sr in zip(seq.flux_left, seq.flux_right, seq.se_left, seq.se_right):
         assert abs(fl - fr) <= 3.0 * math.hypot(sl, sr)
 
@@ -327,7 +325,6 @@ def test_flux_validates_delta_ladder(monkeypatch):
 
     monkeypatch.setattr(exits, "_run_paths", no_paths)
     _, rho, left, right = wave_fixture(0.75, 1.0)
-    params = PathParams(1.0, 1e-3, 10)
     for deltas, message in [
         ([0.01, 0.02], " must be positive and strictly decreasing"),
         ([-0.01], " must hold at least 2 values"),
@@ -337,7 +334,7 @@ def test_flux_validates_delta_ladder(monkeypatch):
         ([4.0, 2.0], ": the largest, 4.0, is beyond 1.0, the barriers' last knot"),
     ]:
         with pytest.raises(ValueError, match=re.escape(f"deltas={deltas}{message}")):
-            small_delta_flux(rho, left, right, deltas, params, RandomSource(1))
+            small_delta_flux(rho, left, right, deltas, 10, RandomSource(1))
 
 
 def test_richardson_extrapolation_protocol():

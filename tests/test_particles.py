@@ -416,6 +416,25 @@ def test_speed_antisymmetric_under_mirroring():
     assert mirrored.v_hat == -est.v_hat_right
 
 
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("n", [50, 300])  # below and above PARALLEL_MIN_N
+def test_speed_without_burn_in_is_the_last_extreme_over_t(n, mirror):
+    # a sample at time 0 has a zero interval: it draws nothing and reads the
+    # start, so each replica's rate is its extreme at T over T
+    src = RandomSource(609)
+    T = 0.5
+    est = estimate_speed(0.75, n, T, src, burn_in=0.0, replicas=3, mirror=mirror)
+    left, right = [], []
+    for r in range(3):
+        rec = simulate(
+            np.zeros(n), 0.75, T, src.child(r), sample_times=[T], mirror=mirror
+        )
+        left.append(rec.leftmost[-1] / T)
+        right.append(rec.rightmost[-1] / T)
+    assert np.array_equal(est.samples_left, left)
+    assert np.array_equal(est.samples_right, right)
+
+
 def test_speed_extremes_share_one_velocity():
     est = estimate_speed(0.7, 30, 30.0, RandomSource(608), replicas=20)
     combined = math.hypot(est.std_error, est.std_error_right)
