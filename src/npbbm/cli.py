@@ -208,7 +208,10 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
     config = {key: default for key, (_, default) in keys.items()}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            loaded = json.load(fh)
+            try:
+                loaded = json.load(fh)
+            except RecursionError:
+                raise ValueError("config file nests too deeply to parse") from None
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(loaded) - set(config)

@@ -80,8 +80,9 @@ MAX_GRID_CELLS = 1 << 22
 MAX_SCHEME_STEPS = 10_000_000
 MAX_SCHEME_CELL_STEPS = 30_000_000_000
 
-# plan_grid pads a support by this many standard deviations of the diffusion;
-# the Gaussian tail beyond eight is below 1e-14.
+# plan_grid pads a support by this many standard deviations of the diffusion,
+# and the heat kernel is truncated there; the Gaussian tail beyond eight is
+# below 1e-14.
 _PAD_SIGMAS = 8.0
 
 # A mass cut accumulates its prefix sum in blocks of this many cells, then
@@ -208,8 +209,8 @@ def _same_grid(f: GridDensity, g: GridDensity) -> None:
 
 
 def _kernel_radius(dx: float, t: float) -> int:
-    """Half-width in cells of the heat kernel truncated at 8 standard deviations."""
-    return max(1, int(math.ceil(8.0 * math.sqrt(t) / dx)))
+    """Half-width in cells of the heat kernel truncated at _PAD_SIGMAS."""
+    return max(1, int(math.ceil(_PAD_SIGMAS * math.sqrt(t) / dx)))
 
 
 def _heat_kernel(dx: float, t: float) -> NDArray[np.float64]:

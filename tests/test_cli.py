@@ -291,6 +291,18 @@ def test_malformed_or_missing_config_returns_2(tmp_path):
     assert main(["wave", "--config", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("prefix, suffix", [("", ""), ('{"p_grid": ', "}")])
+def test_deeply_nested_config_returns_2(tmp_path, capsys, prefix, suffix):
+    # json.load recurses once per level and used to end in a RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text(prefix + "[" * 200_000 + "]" * 200_000 + suffix)
+    out = tmp_path / "x"
+    assert main(["wave", "--config", str(deep), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: config file nests too deeply to parse\n"
+    assert not out.exists()
+
+
 def test_invalid_parameter_returns_2(tmp_path):
     cfg = _write_config(
         tmp_path,

@@ -27,6 +27,17 @@ def test_every_name_in_all_resolves(module):
     assert [n for n in names if not hasattr(module, n)] == []
 
 
+def test_package_exports_every_module_name():
+    # each module's __all__ is the one list of its public names; the package
+    # re-exports them all, as the same objects, and `cli` none
+    modules = [m for m in MODULES[1:] if m.__name__ != "npbbm.cli"]
+    expected = ["__version__"] + [name for m in modules for name in m.__all__]
+    assert npbbm.__all__ == expected
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(npbbm, name) is getattr(module, name), name
+
+
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_no_public_name_is_an_alias(module):
     # a second name for a class or function is a second entry point to the
