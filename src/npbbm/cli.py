@@ -203,6 +203,48 @@ _KEYS = {
 }
 
 
+# Largest particle runs a simulate or speedscan config plans, each cap about
+# ten minutes on a 2-core VM.  A run of N particles to time T has about N T
+# events (the branch rate is N), and each event draws N normals, N^2 T in
+# all.  A normal costs about 16 ns (16 events of 4000 normals took 1 026 us),
+# and an event about 1-3 us at N <= 50 and 5-7 us at N = 200, so either cap
+# allows 2-10 minutes.
+_MAX_EVENTS = 10**8
+_MAX_NORMALS = 2 * 10**10
+
+
+def _plan_runs(config: dict, sizes_key: str, extra_runs: int) -> None:
+    """Reject a config whose particle runs plan more events (N T a run) or
+    normals (N^2 T a run) than their caps: each N of `sizes_key` runs
+    `replicas` + `extra_runs` times to `horizon`."""
+    sizes = config[sizes_key]
+    sizes = sizes if isinstance(sizes, list) else [sizes]
+    horizon, runs = config["horizon"], config["replicas"] + extra_runs
+    try:
+        events = sum(sizes) * runs * horizon
+        normals = sum(n * n for n in sizes) * runs * horizon
+    except OverflowError:  # a size beyond float range
+        events = normals = math.inf
+    for plan, what, cap in (
+        (events, "events (N T", _MAX_EVENTS),
+        (normals, "normals (N^2 T", _MAX_NORMALS),
+    ):
+        if not plan <= cap:
+            raise ValueError(
+                f"{sizes_key}={config[sizes_key]}, horizon={horizon!r} and "
+                f"replicas={config['replicas']} plan {plan:.6g} {what} a run, "
+                f"{runs} runs of each N), above the cap of {cap:.6g}"
+            )
+
+
+# Each command's plan of work, checked with its keys: simulate runs a
+# trajectory and its replicas, speedscan the replicas of each size.
+_PLANS = {
+    "simulate": lambda config: _plan_runs(config, "n_particles", 1),
+    "speedscan": lambda config: _plan_runs(config, "n_grid", 0),
+}
+
+
 def _load_config(command: str, args: argparse.Namespace) -> dict:
     keys = _KEYS[command]
     config = {key: default for key, (_, default) in keys.items()}
@@ -223,6 +265,8 @@ def _load_config(command: str, args: argparse.Namespace) -> dict:
             config[key] = getattr(args, key)
     for key, (check, _) in keys.items():
         config[key] = check(key, config[key])
+    if command in _PLANS:
+        _PLANS[command](config)
     return config
 
 

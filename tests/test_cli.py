@@ -444,6 +444,32 @@ def test_probes_exit_2_at_once_naming_the_key(
             {"n_samples": 1_000_000_000},
             f"n_samples=1000000000 is above the cap of {MAX_GRID_CELLS}",
         ),
+        # the next three ran past a 10 s timeout
+        (
+            "simulate",
+            {"horizon": 1e9},
+            "n_particles=50, horizon=1000000000.0 and replicas=20 plan 1.05e+12 "
+            "events (N T a run, 21 runs of each N), above the cap of 1e+08",
+        ),
+        (
+            "simulate",
+            {"n_particles": 100_000_000},
+            "n_particles=100000000, horizon=10.0 and replicas=20 plan 2.1e+10 "
+            "events (N T a run, 21 runs of each N), above the cap of 1e+08",
+        ),
+        (
+            "speedscan",
+            {"horizon": 1e7},
+            "n_grid=[10, 50, 200], horizon=10000000.0 and replicas=20 plan 5.2e+10 "
+            "events (N T a run, 20 runs of each N), above the cap of 1e+08",
+        ),
+        # few events, but N normals each
+        (
+            "simulate",
+            {"n_particles": 4000, "horizon": 100.0},
+            "n_particles=4000, horizon=100.0 and replicas=20 plan 3.36e+10 "
+            "normals (N^2 T a run, 21 runs of each N), above the cap of 2e+10",
+        ),
     ],
 )
 def test_scheme_plan_above_its_cap_returns_2_at_once(

@@ -304,8 +304,9 @@ def test_a_broken_coupling_names_its_rank_values_and_time():
     first = SimulationStreams(src, 1).events(0.0, 0.5)[0][0]
     pair = np.array([[1.0], [0.0]])
     with pytest.raises(CouplingViolationError) as err:
-        streams = SimulationStreams(src, 1)
-        particles._run(pair, 0.5, 100.0, np.array([100.0]), streams, False)
+        streams = [SimulationStreams(src, 1) for _ in range(2)]
+        times = np.array([100.0])
+        particles._run(pair, 0.5, 100.0, times, streams, False, coupled=True)
     msg = str(err.value)
     m = re.fullmatch(
         r"dominance order broken under shared streams at t=(\S+): "
@@ -417,7 +418,8 @@ def test_speed_antisymmetric_under_mirroring():
 
 
 @pytest.mark.parametrize("mirror", [False, True])
-@pytest.mark.parametrize("n", [50, 300])  # below and above PARALLEL_MIN_N
+# a stack below PARALLEL_MIN_N, threads from it
+@pytest.mark.parametrize("n", [50, 300])
 def test_speed_without_burn_in_is_the_last_extreme_over_t(n, mirror):
     # a sample at time 0 has a zero interval: it draws nothing and reads the
     # start, so each replica's rate is its extreme at T over T
@@ -433,6 +435,78 @@ def test_speed_without_burn_in_is_the_last_extreme_over_t(n, mirror):
         right.append(rec.rightmost[-1] / T)
     assert np.array_equal(est.samples_left, left)
     assert np.array_equal(est.samples_right, right)
+
+
+def _bits(values):
+    # equal bits, so that +0.0 and -0.0 differ
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("burn_in", [None, 0.0])
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize("p", [0.5, 0.75])
+@pytest.mark.parametrize("replicas", [2, 3, 20, particles.STACK_ROWS + 1])
+@pytest.mark.parametrize(
+    "n, T",  # more than one round of events a run from N = 10 on
+    [(1, 30.0), (2, 20.0), (10, 90.0), (50, 4.0), (particles.PARALLEL_MIN_N - 1, 0.3)],
+)
+def test_stacked_replicas_equal_one_simulate_each(n, T, replicas, p, mirror, burn_in):
+    # below PARALLEL_MIN_N the replicas step together as stacks of at most
+    # STACK_ROWS rows; each replica's rates are the bits of its own run
+    src = RandomSource(615)
+    est = estimate_speed(p, n, T, src, burn_in, replicas, mirror=mirror)
+    burn = T / 5.0 if burn_in is None else burn_in
+    left, right = [], []
+    for r in range(replicas):
+        rec = simulate(
+            np.zeros(n), p, T, src.child(r), sample_times=[burn, T], mirror=mirror
+        )
+        left.append((rec.leftmost[1] - rec.leftmost[0]) / (T - burn))
+        right.append((rec.rightmost[1] - rec.rightmost[0]) / (T - burn))
+    assert _bits(est.samples_left) == _bits(left)
+    assert _bits(est.samples_right) == _bits(right)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_stacked_stops_that_move_no_row_keep_its_bits(monkeypatch, mirror):
+    # the time-0 sample moves no row: a mirrored start is -0.0 in the run and
+    # reads +0.0 once reflected, as in a single run, where adding +0.0 would
+    # make it -0.0.  Rows that end first idle while the others step on.
+    stacked = []
+    run = particles._run
+
+    def recorded(*args, **kwargs):
+        recs = run(*args, **kwargs)
+        stacked.extend(recs)
+        return recs
+
+    monkeypatch.setattr(particles, "_run", recorded)
+    src = RandomSource(616)
+    n, T = 50, 6.5
+    estimate_speed(0.75, n, T, src, burn_in=0.0, replicas=6, mirror=mirror)
+    monkeypatch.undo()
+    batch = SimulationStreams(src, n).batch
+    assert len({rec.event_count // batch for rec in stacked}) > 1  # rounds differ
+    for r, rec in enumerate(stacked):
+        alone = simulate(np.zeros(n), 0.75, T, src.child(r), [0.0, T], mirror=mirror)
+        assert _bits(rec.leftmost) == _bits(alone.leftmost)
+        assert _bits(rec.rightmost) == _bits(alone.rightmost)
+        assert rec.event_count == alone.event_count
+        assert not np.signbit(rec.leftmost[0]) and not np.signbit(rec.rightmost[0])
+
+
+def test_coupled_rows_keep_signed_zeros_at_a_zero_interval():
+    # the pair's first stop, a sample at time 0, moves neither row, so it is
+    # not re-sorted: numpy's sort of a sorted row that holds both signed
+    # zeros may reorder them, and even change how many are -0.0
+    lo = np.array([-1.0] + [-0.0, 0.0] * 20)
+    hi = np.array([-0.0, 0.0] * 20 + [2.0])
+    src = RandomSource(617)
+    pair = couple_simulate(lo, hi, 0.6, 2.0, src, [0.0, 2.0], record_configs=True)
+    for init, rec in zip((lo, hi), pair):
+        alone = simulate(init, 0.6, 2.0, src, [0.0, 2.0], record_configs=True)
+        assert _bits(rec.full_configs) == _bits(alone.full_configs)
+        assert _bits(rec.full_configs[0]) == _bits(init)
 
 
 def test_speed_extremes_share_one_velocity():
