@@ -11,7 +11,7 @@ Each module's `__all__` is its list of public names, and `import npbbm`
 re-exports them all.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from . import density, discrete, exits, particles, randomness, stats, wave
 from .density import *

@@ -41,7 +41,7 @@ from .density import (
     plan_grid,
     refine_limit,
 )
-from .discrete import bounds_verdict, run_bounds
+from .discrete import MAX_POPULATION, _check_plan, bounds_verdict, run_bounds
 from .exits import (
     PathParams,
     exit_statistics,
@@ -160,7 +160,7 @@ _KEYS = {
     },
     "bounds": {
         "p": (_real, 0.5),
-        "n_particles": (_count(1), 200),
+        "n_particles": (_count(1, MAX_POPULATION), 200),  # each side keeps N
         "delta": (_real, 0.1),
         "k_steps": (_count(0), 10),
         **_COMMON,
@@ -206,9 +206,10 @@ _KEYS = {
 # Largest particle runs a simulate or speedscan config plans, each cap about
 # ten minutes on a 2-core VM.  A run of N particles to time T has about N T
 # events (the branch rate is N), and each event draws N normals, N^2 T in
-# all.  A normal costs about 16 ns (16 events of 4000 normals took 1 026 us),
-# and an event about 1-3 us at N <= 50 and 5-7 us at N = 200, so either cap
-# allows 2-10 minutes.
+# all.  A normal costs about 16-19 ns (16 events of 4000 normals took 1 026
+# to 1 234 us), and an event about 2-3 us at N = 50 and 8-9 us at N = 200
+# (one run, or 20 replicas in stacks; median of 5, a busy VM), so either cap
+# allows 3-15 minutes.
 _MAX_EVENTS = 10**8
 _MAX_NORMALS = 2 * 10**10
 
@@ -237,11 +238,21 @@ def _plan_runs(config: dict, sizes_key: str, extra_runs: int) -> None:
             )
 
 
+def _plan_bounds(config: dict) -> None:
+    """Reject a bounds config whose steps plan more particles, steps or
+    moves than their caps, before the start of N particles is built: the
+    check run_bounds makes before its first draw."""
+    if config["k_steps"]:
+        _check_plan(config["n_particles"], config["delta"], config["k_steps"])
+
+
 # Each command's plan of work, checked with its keys: simulate runs a
-# trajectory and its replicas, speedscan the replicas of each size.
+# trajectory and its replicas, speedscan the replicas of each size, bounds
+# its steps on each side.
 _PLANS = {
     "simulate": lambda config: _plan_runs(config, "n_particles", 1),
     "speedscan": lambda config: _plan_runs(config, "n_grid", 0),
+    "bounds": _plan_bounds,
 }
 
 

@@ -80,6 +80,13 @@ MAX_GRID_CELLS = 1 << 22
 MAX_SCHEME_STEPS = 10_000_000
 MAX_SCHEME_CELL_STEPS = 30_000_000_000
 
+# Longest scheme step whose mass can pass its check, 1 within 1e-10: a step
+# of length delta grows the mass by e^delta and cuts e^delta - 1 back, which
+# rounds away up to about e^delta 2^-53 of the unit mass.  Measured on the
+# wave at p = 0.75, dx = 1e-3: 1.5e-10 at delta = 13.7, 1.5e-8 at 20, and all
+# of it from about 36.7 on.
+_MAX_STEP = math.log(1e-10 * 2.0**53)  # about 13.71
+
 # plan_grid pads a support by this many standard deviations of the diffusion,
 # and the heat kernel is truncated there; the Gaussian tail beyond eight is
 # below 1e-14.
@@ -459,7 +466,8 @@ class SchemeRun:
 def iterate_scheme(f: GridDensity, params: SchemeParams, k_steps: int) -> SchemeRun:
     """k_steps composite steps (see the module docstring) from a probability
     density, recording the cut positions, which estimate the moving
-    boundaries of the limiting free boundary problem.
+    boundaries of the limiting free boundary problem.  The mass must be 1
+    within 1e-10 before each step and after the last one.
 
     The steps run as one loop over the support window.  The upper side runs
     the lower steps at 1-p on the reflected grid, which it reflects once on
@@ -501,6 +509,13 @@ def iterate_scheme(f: GridDensity, params: SchemeParams, k_steps: int) -> Scheme
             raise GridTooSmallError(msg) from None
         lefts[i] = left if lower else -right
         rights[i] = right if lower else -left
+    if k_steps and abs(mass - 1.0) > 5e-11:  # the last step's result, checked alike
+        mass = float(np.sum(_on_grid(window, offset, n, lower)) * dx)
+        if abs(mass - 1.0) > 1e-10:
+            raise ValueError(
+                f"step {k_steps} of {k_steps} (delta={d!r}) left mass {mass!r}, "
+                "not 1 within 1e-10"
+            )
     density = GridDensity(f.x0, dx, _on_grid(window, offset, n, lower)) if k_steps else f
     return SchemeRun(density, lefts, rights)
 
@@ -641,7 +656,8 @@ def refine_limit(
     first n whose width is within tol; if n_max is exhausted, the best
     midpoint is returned with ``converged=False``.  Before any step the
     planned work, 2(2^(n_max+1) - 1) steps and those steps times the grid's
-    cells, is checked against MAX_SCHEME_STEPS and MAX_SCHEME_CELL_STEPS.
+    cells, is checked against MAX_SCHEME_STEPS and MAX_SCHEME_CELL_STEPS, and
+    level 0's step, t, against the longest whose mass can pass its check.
     """
     if not 0.0 < t < math.inf:
         raise ValueError(f"total time must be positive and finite, got t={t!r}")
@@ -649,6 +665,7 @@ def refine_limit(
         raise ValueError("n_max must be non-negative")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and positive, got tol={tol!r}")
+    _check_step(t)
     _check_plan(f.n, n_max)
     widths = []
     prev_lower = prev_upper = prev_tails = None
@@ -697,6 +714,18 @@ def refine_limit(
         n_used=n_used,
         widths=np.asarray(widths),
     )
+
+
+def _check_step(t: float) -> None:
+    """Raise unless level 0's one step, of length t, is short enough for its
+    mass to pass the check after it."""
+    if t > _MAX_STEP:
+        raise ValueError(
+            f"t={t!r} plans a level-0 scheme step of {t!r}, above the limit of "
+            f"{_MAX_STEP:.6g}: a step of length delta rounds away about "
+            "e^delta 2^-53 of the unit mass, more than the 1e-10 its mass check "
+            "allows"
+        )
 
 
 def _check_plan(cells: int, n_max: int) -> None:

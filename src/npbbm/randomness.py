@@ -35,6 +35,15 @@ changes output bits at the same seed; the CLI manifest records it as
   substream of layouts 1 and 2, is retired: nothing draws from it, and no
   substream will reuse it.  Without bridge correction the draws are those
   of layout 2.  Only the outputs of ``exit`` moved.
+* Layout 4 (package 0.4.0): the particle loop keeps each configuration by
+  label, not by rank.  Label j takes entry j of an interval's
+  TAG_DRIVING normals; TAG_INDEX's i picks label i-1 as the brancher, whose
+  value replaces the first minimum (kill) or first maximum of the
+  configuration in label order, and nothing re-sorts.  The monotone
+  coupling of ``couple_simulate`` still steps by rank, now on one bundle
+  of streams for both copies, and keeps its outputs.  Every substream is
+  drawn as in layout 3; only the outputs of ``simulate`` and ``speedscan``
+  moved.
 """
 
 from __future__ import annotations
@@ -59,13 +68,13 @@ __all__ = [
 # remaining tags for auxiliary uniforms.
 TAG_DRIVING = 0    # Brownian increments
 TAG_CLOCK = 1      # exponential event clocks
-TAG_INDEX = 2      # uniform particle index at branch events
+TAG_INDEX = 2      # uniform brancher at branch events
 TAG_SELECT = 3     # Bernoulli left/right selection
 TAG_UNIFORM_A = 4  # auxiliary uniforms (bridge exits)
 TAG_INITIAL = 6    # initial-condition sampling (tag 5 is retired, never reused)
 
 # the draw layout this package implements; see the module docstring
-DRAW_LAYOUT = 3
+DRAW_LAYOUT = 4
 
 
 @dataclass(frozen=True)

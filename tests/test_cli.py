@@ -6,6 +6,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import time
 import tracemalloc
 
@@ -27,7 +28,12 @@ from npbbm import (
 )
 from npbbm.cli import COMMAND_IDS, _wave_fixture, main
 from npbbm.density import MAX_GRID_CELLS
-from npbbm.discrete import MAX_BOUND_MOVES, MAX_BOUND_STEPS, bounds_verdict
+from npbbm.discrete import (
+    MAX_BOUND_MOVES,
+    MAX_BOUND_STEPS,
+    MAX_POPULATION,
+    bounds_verdict,
+)
 from npbbm.exits import MAX_PATHS
 from npbbm.randomness import DRAW_LAYOUT
 
@@ -485,6 +491,76 @@ def test_scheme_plan_above_its_cap_returns_2_at_once(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, entries",
+    [
+        # wrote an all-zero psi.csv, width 0, converged, and exited 0
+        ("scheme", {"t": 40, "n_max": 1}),
+        # exited 2 only at level 1, naming no t
+        ("scheme", {"t": 30, "n_max": 1}),
+        # overflowed e^t and exited 3 with "math range error"
+        ("scheme", {"t": 710, "n_max": 1}),
+        ("exit", {"mode": "representation", "t": 40, "n_max": 1, "n_paths": 10}),
+    ],
+)
+def test_scheme_step_too_long_for_its_mass_check_returns_2_at_once(
+    tmp_path, capsys, command, entries
+):
+    cfg = _write_config(tmp_path, "s.json", entries)
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1.0
+    t = float(entries["t"])
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: t={t!r} plans a level-0 scheme step of {t!r}, "
+        "above the limit of 13.7109: "
+    )
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        # built an 800 MB start in 1.5 s before its plan was refused
+        (
+            {"n_particles": 10**8},
+            f"n_particles=100000000 is above the cap of {MAX_POPULATION}",
+        ),
+        # failed to allocate its start and exited 3
+        (
+            {"n_particles": 10**9},
+            f"n_particles=1000000000 is above the cap of {MAX_POPULATION}",
+        ),
+        # under the cap, but its steps grow N e^delta particles above it
+        (
+            {"n_particles": 4_000_000},
+            "delta=0.1 with N=4000000 plans 4.42068e+06 particles (N e^delta), "
+            f"above the cap of {MAX_POPULATION}",
+        ),
+    ],
+)
+def test_bounds_plan_is_refused_before_the_start_is_built(
+    tmp_path, capsys, entries, message
+):
+    cfg = _write_config(tmp_path, "b.json", entries)
+    out = tmp_path / "x"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        rc = main(["bounds", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20  # the start alone would take 32 MB or more
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["stats", "representation", "flux"])
 @pytest.mark.parametrize("extra", [1, 10**12 - MAX_PATHS])
 def test_exit_paths_above_the_cap_return_2_at_once(tmp_path, capsys, mode, extra):
@@ -605,12 +681,23 @@ def test_bounds_population_plan_returns_2(tmp_path, capsys):
 
 
 def test_manifest_records_version_and_draw_layout(tmp_path):
+    # The manifest's layout, DRAW_LAYOUT, the package's minor version and
+    # the newest "Layout k (package 0.k.0)" entry of the randomness
+    # docstring agree, so a new layout cannot bump one and miss another.
     cfg = _write_config(tmp_path, "e.json", {"n_paths": 20, "h": 0.1})
     out = tmp_path / "x"
     assert main(["exit", "--config", cfg, "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["version"] == npbbm.__version__ == "0.3.0"
-    assert manifest["draw_layout"] == DRAW_LAYOUT == 3
+    assert manifest["version"] == npbbm.__version__
+    entries = re.findall(
+        r"^\* Layout (\d+) \(package 0\.(\d+)\.", npbbm.randomness.__doc__, re.M
+    )
+    layouts = [int(k) for k, _ in entries]
+    assert layouts == list(range(1, len(layouts) + 1))
+    newest, package_minor = entries[-1]
+    version_minor = int(npbbm.__version__.split(".")[1])
+    assert manifest["draw_layout"] == DRAW_LAYOUT == int(newest)
+    assert int(package_minor) == version_minor == DRAW_LAYOUT
 
 
 @pytest.mark.parametrize("mode", ["stats", "representation", "flux"])

@@ -369,6 +369,31 @@ def test_step_names_the_mass_it_rejects():
         iterate_scheme(f, SchemeParams(0.5, 0.1, "lower"), 1)
 
 
+@pytest.mark.parametrize("side", ["lower", "upper"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_last_step_must_leave_unit_mass(k, side):
+    # a step of 25 grows the mass by e^25 and rounds away about 5e-6 of it:
+    # the second step's input check catches that, and a run of one step
+    # used to return it as its result
+    f = uniform_density(-1.0, 1.0, -150.0, 0.25, 1201)
+    if k == 1:
+        msg = r"^step 1 of 1 \(delta=25\.0\) left mass 1\.00000\d+, not 1 within 1e-10$"
+    else:
+        msg = r"^step expects a probability density \(mass 1 within 1e-10\)"
+    with pytest.raises(ValueError, match=msg):
+        iterate_scheme(f, SchemeParams(0.5, 25.0, side), k)
+
+
+@pytest.mark.parametrize("t", [14.0, 40.0, 710.0])
+def test_refine_limit_refuses_a_step_too_long_for_its_mass_check(t):
+    # e^t 2^-53 of the unit mass rounds away in level 0's one step: at
+    # t = 40 all of it, and t = 710 overflowed e^t
+    _, rho, _, _ = wave_fixture(0.75, 0.5, 1e-2)
+    msg = f"t={t!r} plans a level-0 scheme step of {t!r}, above the limit of 13.7109"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        refine_limit(rho, 0.75, t, n_max=1)
+
+
 def test_step_tiny_delta_is_near_identity():
     _, rho, _, _ = wave_fixture(0.75, 1.0, dx=1e-3)
     res = iterate_scheme(rho, SchemeParams(0.75, 1e-4, "lower"), 1)

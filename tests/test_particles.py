@@ -26,6 +26,7 @@ from npbbm.particles import order
 from npbbm.randomness import TAG_CLOCK, TAG_DRIVING, TAG_INDEX, TAG_SELECT
 
 from helpers import mean_and_se
+from test_reference import rank_reference, same_bits
 
 
 # ---------------------------------------------------------------------------
@@ -59,54 +60,6 @@ def test_order_rejects_empty_and_nonfinite():
         order([1.0, math.nan])
     with pytest.raises(ValueError):
         order([1.0, math.inf])
-
-
-# ---------------------------------------------------------------------------
-# _branch, the event loop's branch/selection event
-
-
-def _branched(v, i, q):
-    """_branch applied to a copy of v."""
-    out = np.array(v, dtype=np.float64)
-    particles._branch(out, i, q)
-    return out
-
-
-def test_branch_kill_leftmost():
-    assert np.array_equal(_branched([1.0, 2.0, 3.0], 2, 1), [2.0, 2.0, 3.0])
-
-
-def test_branch_kill_rightmost():
-    assert np.array_equal(_branched([1.0, 2.0, 3.0], 2, 0), [1.0, 2.0, 2.0])
-
-
-def test_branch_singleton_is_fixed_point():
-    assert np.array_equal(_branched([5.0], 1, 0), [5.0])
-    assert np.array_equal(_branched([5.0], 1, 1), [5.0])
-
-
-def test_branch_output_sorted_and_length_preserving():
-    rng = np.random.default_rng(2026)
-    for _ in range(200):
-        n = int(rng.integers(1, 12))
-        v = np.sort(rng.normal(size=n))
-        i = int(rng.integers(1, n + 1))
-        q = int(rng.integers(0, 2))
-        out = _branched(v, i, q)
-        assert len(out) == n
-        assert np.all(np.diff(out) >= 0.0)
-        # The duplicated value is present at least twice unless it replaced
-        # the particle the trim removed.
-        assert np.any(out == v[i - 1])
-
-
-@pytest.mark.parametrize("q", [0, 1])
-def test_branch_on_a_stack_acts_row_by_row(q):
-    rng = np.random.default_rng(77)
-    stack = np.sort(rng.normal(size=(3, 6)), axis=1)
-    for i in (1, 3, 6):
-        rows = [_branched(row, i, q) for row in stack]
-        assert np.array_equal(_branched(stack, i, q), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +257,7 @@ def test_a_broken_coupling_names_its_rank_values_and_time():
     first = SimulationStreams(src, 1).events(0.0, 0.5)[0][0]
     pair = np.array([[1.0], [0.0]])
     with pytest.raises(CouplingViolationError) as err:
-        streams = [SimulationStreams(src, 1) for _ in range(2)]
+        streams = [SimulationStreams(src, 1)]  # the pair shares one bundle
         times = np.array([100.0])
         particles._run(pair, 0.5, 100.0, times, streams, False, coupled=True)
     msg = str(err.value)
@@ -319,7 +272,7 @@ def test_a_broken_coupling_names_its_rank_values_and_time():
 
 
 def test_couple_rows_share_the_single_run_draws():
-    # each row of the coupled pair is the run simulate makes from its start
+    # each row of the coupled pair is the rank-order run from its start
     lo_init = np.linspace(-1.0, 1.0, 7)
     hi_init = lo_init + np.linspace(0.0, 0.5, 7)
     times = [0.5, 1.25, 3.0]
@@ -329,11 +282,11 @@ def test_couple_rows_share_the_single_run_draws():
             lo_init, hi_init, 0.65, 3.0, src, times, record_configs=True
         )
         for init, rec in zip((lo_init, hi_init), pair):
-            alone = simulate(init, 0.65, 3.0, src, times, record_configs=True)
-            assert np.array_equal(rec.leftmost, alone.leftmost)
-            assert np.array_equal(rec.rightmost, alone.rightmost)
-            assert np.array_equal(rec.full_configs, alone.full_configs)
-            assert rec.event_count == alone.event_count
+            ref, events = rank_reference(init, 0.65, 3.0, src, times)
+            assert same_bits(rec.leftmost, ref[:, 0])
+            assert same_bits(rec.rightmost, ref[:, -1])
+            assert same_bits(rec.full_configs, ref)
+            assert rec.event_count == events
         assert pair[0].event_count > 0
 
 
@@ -356,8 +309,8 @@ class _OneEventStreams(SimulationStreams):
 
 
 def test_forced_single_event_matches_hand_computation(monkeypatch):
-    # One event with rank i=1: kill-leftmost (q=1) duplicates the leftmost in
-    # place, kill-rightmost (q=0) shifts mass down.
+    # One event with brancher i=1, label 0: kill-leftmost (q=1) writes it
+    # over itself, kill-rightmost (q=0) over label 1.
     init = np.array([1.0, 2.0])
     for q, want in ((1, [1.0, 2.0]), (0, [1.0, 1.0])):
         _stub_streams(monkeypatch, functools.partial(_OneEventStreams, q))
@@ -504,9 +457,9 @@ def test_coupled_rows_keep_signed_zeros_at_a_zero_interval():
     src = RandomSource(617)
     pair = couple_simulate(lo, hi, 0.6, 2.0, src, [0.0, 2.0], record_configs=True)
     for init, rec in zip((lo, hi), pair):
-        alone = simulate(init, 0.6, 2.0, src, [0.0, 2.0], record_configs=True)
-        assert _bits(rec.full_configs) == _bits(alone.full_configs)
-        assert _bits(rec.full_configs[0]) == _bits(init)
+        ref, _ = rank_reference(init, 0.6, 2.0, src, [0.0, 2.0])
+        assert same_bits(rec.full_configs, ref)
+        assert same_bits(rec.full_configs[0], init)
 
 
 def test_speed_extremes_share_one_velocity():

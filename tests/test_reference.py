@@ -1,10 +1,10 @@
 """Reference oracles for the hot kernels, which must match them bit for bit.
 
-The particle loop reads its draws ahead in blocks and sorts with quicksort;
-the killed-path kernel gathers the paths that may leave in a step and
-draws their uniforms in one call (draw layout 3); the bounding systems
-branch level by level on whole arrays and sort with quicksort; the grid
-scheme runs its steps as one loop over the support window.  The plain
+The particle loop reads its draws ahead in blocks and steps stacks of rows
+in lockstep; the killed-path kernel gathers the paths that may leave in a
+step and draws their uniforms in one call (draw layout 3); the bounding
+systems branch level by level on whole arrays and sort with quicksort; the
+grid scheme runs its steps as one loop over the support window.  The plain
 implementations below draw call by call, sort stably, decide path by path
 and step the scheme one full-grid density at a time; the fast kernels must
 return exactly their bits.
@@ -13,6 +13,7 @@ return exactly their bits.
 from __future__ import annotations
 
 import math
+import os
 import re
 
 import numpy as np
@@ -26,6 +27,7 @@ from npbbm import (
     RandomSource,
     SchemeParams,
     couple_simulate,
+    estimate_speed,
     iterate_scheme,
     plan_grid,
     refine_limit,
@@ -46,7 +48,13 @@ from npbbm.density import (
     _support,
 )
 from npbbm.exits import _plan, _run_paths
-from npbbm.particles import BLOCK_ITEMS, MIN_BATCH, SimulationStreams
+from npbbm.particles import (
+    BLOCK_ITEMS,
+    MIN_BATCH,
+    PARALLEL_MIN_N,
+    STACK_ROWS,
+    SimulationStreams,
+)
 from npbbm.randomness import (
     TAG_CLOCK,
     TAG_DRIVING,
@@ -56,11 +64,16 @@ from npbbm.randomness import (
 )
 from npbbm.wave import Barrier, wave_barriers
 
-from helpers import random_bump_density, wave_fixture
+from helpers import mean_and_se, random_bump_density, wave_fixture
 
 
-def simulate_reference(init, p, T, src, sample_times=None):
-    """(configs, event count) of one run: call-by-call draws, stable sorts."""
+def _particle_reference(init, p, T, src, sample_times, move, event, sample):
+    """(samples, event count) of one run with call-by-call draws.
+
+    move(x, g) adds the increment vector g, event(x, i, kill) applies a
+    branch of index i, and sample(x) reads the configuration; each returns
+    its result.  A zero interval draws nothing and moves nothing.
+    """
     x = np.sort(np.asarray(init, dtype=np.float64), kind="stable")
     n = x.size
     times = [T] if sample_times is None else list(sample_times)
@@ -69,38 +82,80 @@ def simulate_reference(init, p, T, src, sample_times=None):
     index = src.generator(TAG_INDEX)
     select = src.generator(TAG_SELECT)
 
-    def move(x, dt):
+    def step(x, dt):
         if dt > 0.0:
-            x = np.sort(x + driving.standard_normal(n) * math.sqrt(dt), kind="stable")
+            x = move(x, driving.standard_normal(n) * math.sqrt(dt))
         return x
+
+    def fire(x):
+        i = int(index.integers(1, n + 1))
+        return event(x, i, select.random() < p)
 
     t = 0.0
     events = 0
-    configs = []
+    samples = []
     next_event = float(clock.exponential(1.0 / n))
-
-    def event(x):
-        i = int(index.integers(1, n + 1))
-        if select.random() < p:
-            return np.concatenate((x[1:i], x[i - 1 :]))
-        return np.concatenate((x[:i], x[i - 1 : -1]))
-
     for s in times:
         # a sample at the very time of an event is taken before the event
         while next_event < s:
-            x = event(move(x, next_event - t))
+            x = fire(step(x, next_event - t))
             t = next_event
             events += 1
             next_event = t + float(clock.exponential(1.0 / n))
-        x = move(x, s - t)
+        x = step(x, s - t)
         t = s
-        configs.append(x)
+        samples.append(sample(x))
     while next_event <= T:
-        x = event(move(x, next_event - t))
+        x = fire(step(x, next_event - t))
         t = next_event
         events += 1
         next_event = t + float(clock.exponential(1.0 / n))
-    return np.array(configs), events
+    return samples, events
+
+
+def label_reference(init, p, T, src, sample_times=None):
+    """(sorted configs, leftmosts, rightmosts, event count) of one run in
+    label order (draw layout 4): label j takes normal j, nothing sorts, and
+    an event writes label i-1's value over the first minimum (kill) or the
+    first maximum in label order.  A sample reads those two extremes and a
+    stably sorted copy."""
+
+    def event(x, i, kill):
+        x = x.copy()
+        x[int(np.argmin(x)) if kill else int(np.argmax(x))] = x[i - 1]
+        return x
+
+    def sample(x):
+        return np.sort(x, kind="stable"), x[np.argmin(x)], x[np.argmax(x)]
+
+    samples, events = _particle_reference(
+        init, p, T, src, sample_times, lambda x, g: x + g, event, sample
+    )
+    configs, lefts, rights = map(np.array, zip(*samples))
+    return configs, lefts, rights, events
+
+
+def rank_reference(init, p, T, src, sample_times=None):
+    """(configs, event count) of one run in rank order, the coupled pair's
+    law: rank j takes normal j, every move sorts stably, and an event
+    duplicates rank i next to itself and drops the dying end."""
+
+    def event(x, i, kill):
+        if kill:
+            return np.concatenate((x[1:i], x[i - 1 :]))
+        return np.concatenate((x[:i], x[i - 1 : -1]))
+
+    samples, events = _particle_reference(
+        init,
+        p,
+        T,
+        src,
+        sample_times,
+        lambda x, g: np.sort(x + g, kind="stable"),
+        event,
+        lambda x: x,
+    )
+    return np.array(samples), events
 
 
 def _series_reference(x, y, w, s, reflections):
@@ -242,21 +297,23 @@ def _sample_times(draw, T):
 def test_simulate_matches_reference(init, p, T, seed, data):
     times = data.draw(_sample_times(T))
     src = RandomSource(seed, 3)
-    ref, events = simulate_reference(init, p, T, src, times)
+    ref, lefts, rights, events = label_reference(init, p, T, src, times)
     rec = simulate(init, p, T, src, times, record_configs=True)
     assert same_bits(rec.full_configs, ref)
-    assert same_bits(rec.leftmost, ref[:, 0])
-    assert same_bits(rec.rightmost, ref[:, -1])
+    assert same_bits(rec.leftmost, lefts)
+    assert same_bits(rec.rightmost, rights)
     assert rec.event_count == events
     # mirror=True is the reflected run at 1-p from the reflected start
     refl = -np.asarray(init, dtype=np.float64)[::-1]
-    mref, mevents = simulate_reference(refl, 1.0 - p, T, src, times)
+    mref, mlefts, mrights, mevents = label_reference(refl, 1.0 - p, T, src, times)
     mrec = simulate(init, p, T, src, times, record_configs=True, mirror=True)
     assert same_bits(mrec.full_configs, -mref[:, ::-1])
+    assert same_bits(mrec.leftmost, -mrights)
+    assert same_bits(mrec.rightmost, -mlefts)
     assert mrec.event_count == mevents
     plain = simulate(init, p, T, src, times)
-    assert same_bits(plain.leftmost, ref[:, 0])
-    assert same_bits(plain.rightmost, ref[:, -1])
+    assert same_bits(plain.leftmost, lefts)
+    assert same_bits(plain.rightmost, rights)
 
 
 @settings(max_examples=40, deadline=None)
@@ -267,7 +324,7 @@ def test_couple_simulate_matches_reference(init, shift, p, T, seed):
     src = RandomSource(seed, 4)
     pair = couple_simulate(lo, hi, p, T, src, record_configs=True)
     for start, rec in zip((lo, hi), pair):
-        ref, events = simulate_reference(start, p, T, src)
+        ref, events = rank_reference(start, p, T, src)
         assert same_bits(rec.full_configs, ref)
         assert rec.event_count == events
 
@@ -295,16 +352,50 @@ def test_simulate_matches_reference_across_batches(n, T, samples, mirror, batche
     src = RandomSource(20260815, n)
     p = 0.7
     if mirror:  # the reflected run at 1-p from the reflected start
-        ref, events = simulate_reference(-init[::-1], 1.0 - p, T, src, times)
-        ref = -ref[:, ::-1]
+        refl = -init[::-1]
+        ref, rights, lefts, events = label_reference(refl, 1.0 - p, T, src, times)
+        ref, lefts, rights = -ref[:, ::-1], -lefts, -rights
     else:
-        ref, events = simulate_reference(init, p, T, src, times)
+        ref, lefts, rights, events = label_reference(init, p, T, src, times)
     rec = simulate(init, p, T, src, times, record_configs=True, mirror=mirror)
     assert events >= batches * SimulationStreams(src, n).batch
     assert same_bits(rec.full_configs, ref)
-    assert same_bits(rec.leftmost, ref[:, 0])
-    assert same_bits(rec.rightmost, ref[:, -1])
+    assert same_bits(rec.leftmost, lefts)
+    assert same_bits(rec.rightmost, rights)
     assert rec.event_count == events
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+@pytest.mark.parametrize(
+    "n, T",
+    [
+        pytest.param(8, 450.0, id="stack"),
+        pytest.param(PARALLEL_MIN_N, 0.5, id="threads"),
+    ],
+)
+def test_replicas_match_the_reference_across_batches(monkeypatch, n, T, mirror):
+    # below PARALLEL_MIN_N the replicas step as one stack, from it in two
+    # threads; each replica's rates are those of the label-order oracle
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    src = RandomSource(20260815, 90)
+    p, burn, replicas = 0.7, T / 5.0, 3
+    est = estimate_speed(p, n, T, src, burn, replicas, mirror=mirror)
+    want_left, want_right = [], []
+    for r in range(replicas):
+        if mirror:
+            _, rights, lefts, events = label_reference(
+                -np.zeros(n), 1.0 - p, T, src.child(r), [burn, T]
+            )
+            lefts, rights = -lefts, -rights
+        else:
+            _, lefts, rights, events = label_reference(
+                np.zeros(n), p, T, src.child(r), [burn, T]
+            )
+        assert events >= 3 * SimulationStreams(src, n).batch
+        want_left.append((lefts[1] - lefts[0]) / (T - burn))
+        want_right.append((rights[1] - rights[0]) / (T - burn))
+    assert same_bits(est.samples_left, np.array(want_left))
+    assert same_bits(est.samples_right, np.array(want_right))
 
 
 def test_couple_simulate_matches_reference_across_batches():
@@ -314,12 +405,32 @@ def test_couple_simulate_matches_reference_across_batches():
     times = np.linspace(0.0, 450.0, 7)
     pair = couple_simulate(lo, hi, 0.6, 450.0, src, times, record_configs=True)
     for start, rec in zip((lo, hi), pair):
-        ref, events = simulate_reference(start, 0.6, 450.0, src, times)
+        ref, events = rank_reference(start, 0.6, 450.0, src, times)
         assert events >= 3 * SimulationStreams(src, 8).batch
         assert same_bits(rec.full_configs, ref)
         assert same_bits(rec.leftmost, ref[:, 0])
         assert same_bits(rec.rightmost, ref[:, -1])
         assert rec.event_count == events
+
+
+def test_label_loop_and_rank_reference_agree_in_law():
+    # Layout 4 steps particles by label, the coupled pair by rank: the two
+    # are equal in law.  300 runs a side at N = 10 on disjoint, frozen
+    # streams; the mean speed sample and the mean width at T agree within
+    # 4 SE of their difference.
+    n, p, T, burn, runs = 10, 0.75, 20.0, 4.0, 300
+    label, rank = [], []
+    for r in range(runs):
+        rec = simulate(np.zeros(n), p, T, RandomSource(20260815, 5000 + r), [burn, T])
+        left, right = rec.leftmost, rec.rightmost
+        label.append(((left[1] - left[0]) / (T - burn), right[1] - left[1]))
+        src = RandomSource(20260815, 6000 + r)
+        ref, _ = rank_reference(np.zeros(n), p, T, src, [burn, T])
+        left, right = ref[:, 0], ref[:, -1]
+        rank.append(((left[1] - left[0]) / (T - burn), right[1] - left[1]))
+    for a, b in zip(zip(*label), zip(*rank)):
+        (ma, sa), (mb, sb) = mean_and_se(a), mean_and_se(b)
+        assert abs(ma - mb) <= 4.0 * math.hypot(sa, sb)
 
 
 def _check_paths(x0, left, right, t, h, src, bridge_correction=True):
@@ -721,7 +832,8 @@ def step_reference(f, params):
 
 
 def iterate_scheme_reference(f, params, k):
-    """k reference steps; a GridTooSmallError names its step."""
+    """k reference steps; a GridTooSmallError names its step, and the last
+    step's result must have mass 1 within 1e-10, as each step's input."""
     lefts, rights = [], []
     for i in range(k):
         try:
@@ -731,6 +843,11 @@ def iterate_scheme_reference(f, params, k):
             raise GridTooSmallError(msg) from None
         lefts.append(left)
         rights.append(right)
+    if k and abs(f.mass - 1.0) > 1e-10:
+        raise ValueError(
+            f"step {k} of {k} (delta={params.delta!r}) left mass {f.mass!r}, "
+            "not 1 within 1e-10"
+        )
     return SchemeRun(
         f, np.array(lefts, dtype=np.float64), np.array(rights, dtype=np.float64)
     )
